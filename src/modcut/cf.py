@@ -15,14 +15,11 @@ from typing import Iterable, Iterator
 
 from .exactnum import (
     ExtReal,
-    Fraction as _Fraction,
     IntMatrix2,
     ParseError,
     QuadSurd,
-    as_surd,
     compare,
     is_infinite,
-    lft_apply,
     surd_floor,
 )
 
@@ -32,7 +29,6 @@ __all__ = [
     "ocf_digits",
     "ocf_value",
     "convergents",
-    "convergent_matrix",
     "acf_of",
     "farey_of",
     "acf_to_farey",
@@ -89,30 +85,17 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
         raise ValueError("cannot expand inf")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        a0 = x.numerator // x.denominator
-        rest = x - a0
-        tail = []
-        while rest != 0:
-            rest = 1 / rest
-            a = rest.numerator // rest.denominator
-            tail.append(a)
-            rest -= a
-        return OcfDigits(a0, tuple(tail), True)
-    x = as_surd(x)
     a0 = surd_floor(x)
     digits = [a0]
     rest = x - a0
-    while len(digits) < limit:
-        if rest.sign() == 0:
-            return OcfDigits(digits[0], tuple(digits[1:]), True)
-        rest = rest.inverse()
+    while rest != 0:
+        if isinstance(rest, QuadSurd) and len(digits) >= limit:
+            return OcfDigits(a0, tuple(digits[1:]), False)
+        rest = 1 / rest
         a = surd_floor(rest)
         digits.append(a)
         rest = rest - a
-    return OcfDigits(digits[0], tuple(digits[1:]), False)
+    return OcfDigits(a0, tuple(digits[1:]), True)
 
 
 def ocf_value(digits: OcfDigits) -> Fraction:
@@ -158,13 +141,6 @@ def convergents(digits: OcfDigits) -> Iterator[ConvergentPair]:
     for a in digits.tail:
         m = m * IntMatrix2(a, 1, 1, 0)
         yield ConvergentPair(m)
-
-
-def convergent_matrix(digits: OcfDigits) -> IntMatrix2:
-    m = IntMatrix2(digits.a0, 1, 1, 0)
-    for a in digits.tail:
-        m = m * IntMatrix2(a, 1, 1, 0)
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import click
 
-from .exactnum import ParseError, format_extreal, parse_extreal, sqrt_exact
+from .exactnum import BudgetError, ParseError, format_extreal, parse_extreal, sqrt_exact
 from .cf import (
     acf_of,
     acf_to_digits,
@@ -55,10 +55,6 @@ from .shiftspace import (
 __all__ = ["main"]
 
 WORD_KINDS = ("ocf", "acf", "farey", "mgcf", "cutting")
-
-
-class BudgetError(Exception):
-    pass
 
 
 def _emit(payload, as_json: bool, text: str) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import IntMatrix2, ParseError
+from .cf import R_MAT
 from .mgcf import AnnotatedDigits, annotated_from_mgcf, mgcf_from_annotated
 
 __all__ = [
@@ -28,22 +29,21 @@ __all__ = [
     "acf_from_cutting",
     "parse_cutting",
     "format_cutting",
-    "cutting_word_matrix",
+    "cutting_matrix",
     "corner_resolutions",
 ]
 
 CuttingWord = tuple[str, ...]
 
 LBAR = IntMatrix2(1, -1, 0, 1)
-RBAR = IntMatrix2(1, 1, 0, 1)
 JBAR = IntMatrix2(0, 1, -1, 0)
 C1BAR = IntMatrix2(-1, 0, 1, -1)
 C2BAR = IntMatrix2(-1, 0, -1, -1)
 
-CUTTING_MATS = {"L": LBAR, "R": RBAR, "J": JBAR, "C1": C1BAR, "C2": C2BAR}
+CUTTING_MATS = {"L": LBAR, "R": R_MAT, "J": JBAR, "C1": C1BAR, "C2": C2BAR}
 
 
-def cutting_word_matrix(word: Sequence[str]) -> IntMatrix2:
+def cutting_matrix(word: Sequence[str]) -> IntMatrix2:
     """h_j = g_1 g_2 ... g_j, multiplied left-to-right."""
     m = IntMatrix2(1, 0, 0, 1)
     for tok in word:

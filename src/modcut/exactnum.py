@@ -1,9 +1,12 @@
 """Exact number tower: rationals, real quadratic surds, extended reals, 2x2 integer matrices.
 
 Everything here is immutable and pure; no floating point is used anywhere.
-Rationals are stdlib ``fractions.Fraction``; a surd is u + v*sqrt(d) with
-rational u, v and a square-free radicand d.  Comparisons between surds over
-different radicands are decided by repeated squaring with sign tracking.
+One representation per exact value: a finite value is a stdlib
+``fractions.Fraction`` if and only if it is rational, and every ``QuadSurd``
+a function here returns is irrational, u + v*sqrt(d) with rational u, v != 0
+and a square-free radicand d > 1.  So ``Fraction`` and ``QuadSurd`` values mix
+freely under ``+ - * / == <`` and ``math.floor``.  Comparisons between surds
+over different radicands are decided by repeated squaring with sign tracking.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "parse_extreal",
     "format_extreal",
     "squarefree_split",
+    "ParseError",
+    "BudgetError",
 ]
 
 
@@ -70,104 +75,100 @@ def _isqrt_floor(p: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class QuadSurd:
-    """Exact value u + v*sqrt(d), with d square-free and >= 0.
+    """Exact irrational value u + v*sqrt(d): v != 0, d square-free and > 1.
 
-    d in {0, 1} collapses to a rational (v folded into u).  Use the
-    :func:`surd` helper rather than the raw constructor: it normalizes.
+    Build values with :func:`surd`, which returns a ``Fraction`` whenever the
+    value is rational; arithmetic and :func:`lft_apply` keep that rule, so
+    every ``QuadSurd`` they return is irrational.  The raw constructor does
+    not normalize (``as_surd`` uses it to view a rational with v = 0).
     """
 
     u: Fraction
     v: Fraction
     d: int
 
-    def is_rational(self) -> bool:
-        return self.v == 0
-
-    def rational_value(self) -> Fraction:
-        if self.v != 0:
-            raise ValueError("not rational: %s" % (self,))
-        return self.u
-
     def sign(self) -> int:
-        u, v, d = self.u, self.v, self.d
-        if v == 0:
-            return 0 if u == 0 else (1 if u > 0 else -1)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare u^2 with v^2 d; sign follows the larger side
-        lhs, rhs = u * u, v * v * d
-        if lhs == rhs:
-            return 0
-        big_is_u = lhs > rhs
-        return (1 if u > 0 else -1) if big_is_u else (1 if v > 0 else -1)
+        return _sign(self.u, self.v, self.d)
 
-    # arithmetic (same radicand only, or one side rational)
-    def _coerce(self, other: "QuadSurd") -> int:
-        if self.v == 0:
-            return other.d
-        if other.v == 0:
-            return self.d
-        if self.d != other.d:
+    def _field(self, other: "QuadSurd") -> int:
+        # the radicand shared with other; v = 0 on one side adopts the other's
+        if self.v and other.v and self.d != other.d:
             raise ValueError("mixed-radicand arithmetic is unsupported")
-        return self.d
+        return self.d if self.v else other.d
 
     def __add__(self, other):
-        other = as_surd(other)
-        d = self._coerce(other)
-        return surd(self.u + other.u, self.v + other.v, d)
+        if isinstance(other, QuadSurd):
+            return _canonical(self.u + other.u, self.v + other.v, self._field(other))
+        if isinstance(other, (int, Fraction)):
+            return _canonical(self.u + other, self.v, self.d)
+        return NotImplemented
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
-        return surd(-self.u, -self.v, self.d)
+        return _canonical(-self.u, -self.v, self.d)
 
     def __sub__(self, other):
-        return self.__add__(-as_surd(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self).__add__(as_surd(other))
+        return -self + other
 
     def __mul__(self, other):
-        other = as_surd(other)
-        d = self._coerce(other)
-        return surd(
-            self.u * other.u + self.v * other.v * d,
-            self.u * other.v + self.v * other.u,
-            d,
-        )
+        if isinstance(other, QuadSurd):
+            d = self._field(other)
+            return _canonical(
+                self.u * other.u + self.v * other.v * d,
+                self.u * other.v + self.v * other.u,
+                d,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _canonical(self.u * other, self.v * other, self.d)
+        return NotImplemented
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
-    def inverse(self) -> "QuadSurd":
-        if self.sign() == 0:
-            raise ZeroDivisionError("1/0 surd")
+    def inverse(self) -> Fraction | QuadSurd:
+        # 1/(u + v sqrt d) = (u - v sqrt d)/(u^2 - v^2 d); the norm of an
+        # irrational value is nonzero because d is not a square
         norm = self.u * self.u - self.v * self.v * self.d
-        if norm == 0:  # pragma: no cover - impossible for square-free d
-            raise ZeroDivisionError("zero norm")
-        return surd(self.u / norm, -self.v / norm, self.d)
+        if norm == 0:
+            raise ZeroDivisionError("1/0 surd")
+        return _canonical(self.u / norm, -self.v / norm, self.d)
 
     def __truediv__(self, other):
-        return self.__mul__(as_surd(other).inverse())
+        if isinstance(other, QuadSurd):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return _canonical(self.u / other, self.v / other, self.d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return as_surd(other).__mul__(self.inverse())
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
+
+    def __floor__(self) -> int:
+        # estimate floor(u) + floor(v sqrt d), then adjust by exact comparisons
+        v = self.v
+        mag = _isqrt_floor(v.numerator ** 2 * self.d, v.denominator ** 2)  # floor(|v| sqrt d)
+        est = math.floor(self.u) + (mag if v > 0 else -mag - 1)
+        while self._cmp(est) < 0:
+            est -= 1
+        while self._cmp(est + 1) >= 0:
+            est += 1
+        return est
 
     # total order
     def _cmp(self, other) -> int:
-        other = as_surd(other)
-        if self.v == 0 and other.v == 0:
-            a, b = self.u, other.u
-            return 0 if a == b else (1 if a > b else -1)
-        if self.v == 0 or other.v == 0 or self.d == other.d:
-            return (self - other).sign()
-        # different radicands, both irrational: sign of A + B*sqrt(p) - C*sqrt(q)
-        return _sign_mixed(self.u - other.u, self.v, self.d, -other.v, other.d)
+        if isinstance(other, (int, Fraction)):
+            return _sign(self.u - other, self.v, self.d)
+        if not isinstance(other, QuadSurd):
+            raise TypeError("cannot compare a surd with %r" % (other,))
+        if self.v and other.v and self.d != other.d:
+            # both irrational over different radicands
+            return _sign_mixed(self.u - other.u, self.v, self.d, -other.v, other.d)
+        return _sign(self.u - other.u, self.v - other.v, self._field(other))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -195,43 +196,49 @@ class QuadSurd:
         return "QuadSurd(%s)" % format_extreal(self)
 
 
+def _sign(u: Fraction, v: Fraction, d: int) -> int:
+    """Sign of u + v*sqrt(d)."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    # opposite signs: the side with the larger square wins
+    lhs, rhs = u * u, v * v * d
+    return su if lhs > rhs else (sv if lhs < rhs else 0)
+
+
 def _sign_mixed(a: Fraction, b: Fraction, p: int, c: Fraction, q: int) -> int:
     """Sign of a + b*sqrt(p) + c*sqrt(q), p != q both square-free > 1."""
     # s = a + b*sqrt(p) lives in one field; t = c*sqrt(q)
-    s = surd(a, b, p)
-    t = surd(Fraction(0), c, q)
-    ss, ts = s.sign(), t.sign()
-    if ss == 0:
-        return ts
-    if ts == 0:
-        return ss
-    if ss == ts:
-        return ss
-    # opposite signs: compare |s| with |t| via squares; s^2 is a single-field surd
-    s2 = s * s
-    t2 = Fraction(c * c * q)
-    diff = (s2 - t2).sign()
-    if diff == 0:
-        return 0
-    return ss if diff > 0 else ts
+    ss, ts = _sign(a, b, p), (c > 0) - (c < 0)
+    if ss * ts >= 0:
+        return ss or ts
+    # opposite signs: compare s^2 = a^2 + b^2 p + 2ab sqrt(p) with t^2 = c^2 q
+    diff = _sign(a * a + b * b * p - c * c * q, 2 * a * b, p)
+    return ss if diff > 0 else (ts if diff < 0 else 0)
 
 
-def surd(u, v=0, d: int = 0) -> QuadSurd:
-    """Normalized constructor for u + v*sqrt(d)."""
+def _canonical(u: Fraction, v: Fraction, d: int) -> Fraction | QuadSurd:
+    # u + v*sqrt(d) for a d that is already square-free (or v = 0): the
+    # arithmetic of one field, which need not factor d again as surd() does
+    return QuadSurd(u, v, d) if v else u
+
+
+def surd(u, v=0, d: int = 0) -> Fraction | QuadSurd:
+    """Canonical u + v*sqrt(d): a ``Fraction`` when rational, else a QuadSurd."""
     u = Fraction(u)
     v = Fraction(v)
     if v == 0 or d == 0:
-        return QuadSurd(u, Fraction(0), 0)
+        return u
     if d < 0:
         raise ValueError("negative radicand")
     s, d0 = squarefree_split(d)
-    v = v * s
     if d0 == 1:
-        return QuadSurd(u + v, Fraction(0), 0)
-    return QuadSurd(u, v, d0)
+        return u + v * s
+    return QuadSurd(u, v * s, d0)
 
 
 def as_surd(x) -> QuadSurd:
+    """x as a QuadSurd, rationals included (v = 0); not a canonical value."""
     if isinstance(x, QuadSurd):
         return x
     if isinstance(x, (int, Fraction)):
@@ -239,8 +246,8 @@ def as_surd(x) -> QuadSurd:
     raise TypeError("cannot interpret %r as a surd" % (x,))
 
 
-def sqrt_exact(x) -> QuadSurd:
-    """Exact square root of a non-negative rational, as a QuadSurd."""
+def sqrt_exact(x) -> Fraction | QuadSurd:
+    """Exact square root of a non-negative rational: a Fraction or a QuadSurd."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative operand")
@@ -288,28 +295,16 @@ def compare(x: ExtReal, y: ExtReal) -> int:
         if is_infinite(x):
             return 1 if x.positive else -1
         return -1 if y.positive else 1
-    return as_surd(x)._cmp(y)
+    if isinstance(x, QuadSurd):
+        return x._cmp(y)
+    if isinstance(y, QuadSurd):
+        return -y._cmp(x)
+    return (x > y) - (x < y)
 
 
 def surd_floor(x) -> int:
     """The unique integer n with n <= x < n+1, by exact integer comparisons."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    x = as_surd(x)
-    if x.v == 0:
-        return x.u.numerator // x.u.denominator
-    # initial estimate: floor(u) + floor-ish(v*sqrt(d)), then exact adjust
-    v, d = x.v, x.d
-    vp, vq = abs(v.numerator), v.denominator
-    mag = _isqrt_floor(vp * vp * d, vq * vq)  # floor(|v| sqrt d)
-    est = (x.u.numerator // x.u.denominator) + (mag if v > 0 else -mag - 1)
-    while x._cmp(est) < 0:
-        est -= 1
-    while x._cmp(est + 1) >= 0:
-        est += 1
-    return est
+    return math.floor(x)
 
 
 @dataclass(frozen=True)
@@ -358,13 +353,12 @@ def lft_apply(m: IntMatrix2, x: ExtReal) -> ExtReal:
         if m.c == 0:
             return PINF
         return Fraction(m.a, m.c)
-    xs = as_surd(x)
-    den = xs * m.c + m.d
-    num = xs * m.a + m.b
-    if den.sign() == 0:
+    if isinstance(x, int):
+        x = Fraction(x)  # int / int would be a float
+    den = m.c * x + m.d
+    if den == 0:
         return PINF
-    r = num / den
-    return r.rational_value() if r.is_rational() else r
+    return (m.a * x + m.b) / den
 
 
 def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
@@ -374,33 +368,19 @@ def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
     if is_infinite(lo) and is_infinite(hi):
         return Fraction(0)
     if is_infinite(lo):
-        return Fraction(surd_floor(hi) - 1 if _is_integer(hi) else surd_floor(hi))
+        n = surd_floor(hi)
+        return Fraction(n - 1 if n == hi else n)
     if is_infinite(hi):
         return Fraction(surd_floor(lo) + 1)
     # Stern-Brocot style walk: first integer in (lo, hi) if any, else recurse
-    n = surd_floor(lo) + 1
-    if compare(n, hi) < 0:
-        if compare(lo, n) < 0:
-            return Fraction(n)
     f = surd_floor(lo)
-    # both in [f, f+1): mediant descent on the fractional parts
-    a = as_surd(lo) - f
-    b = as_surd(hi) - f
-    # invert: find rational between 1/b and 1/a, then flip back
-    inner = rational_between(
-        b.inverse() if b.sign() != 0 else Fraction(0),
-        a.inverse() if a.sign() != 0 else PINF,
-    )
-    return Fraction(f) + 1 / inner
-
-
-def _is_integer(x) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    x = as_surd(x)
-    return x.v == 0 and x.u.denominator == 1
+    if compare(f + 1, hi) < 0:
+        return Fraction(f + 1)
+    # both in [f, f+1]: find a rational between the reciprocals of the
+    # fractional parts, then flip back
+    a, b = lo - f, hi - f
+    inner = rational_between(1 / b, 1 / a if a != 0 else PINF)
+    return f + 1 / inner
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +396,11 @@ _SURD_RE2 = re.compile(
 
 
 class ParseError(ValueError):
-    pass
+    """Malformed text for a number, word or digit sequence."""
+
+
+class BudgetError(RuntimeError):
+    """An explicit budget (``limit``, ``--max-len``) ran out before an answer."""
 
 
 def parse_extreal(text: str) -> ExtReal:
@@ -444,8 +428,7 @@ def parse_extreal(text: str) -> ExtReal:
         vv = Fraction(int(v), w)
         if sgn == "-":
             vv = -vv
-        val = surd(Fraction(int(u), w), vv, int(d))
-        return val.rational_value() if val.is_rational() else val
+        return surd(Fraction(int(u), w), vv, int(d))
     try:
         return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
@@ -455,13 +438,10 @@ def parse_extreal(text: str) -> ExtReal:
 def format_extreal(x: ExtReal) -> str:
     if is_infinite(x):
         return "inf" if x.positive else "-inf"
-    if isinstance(x, int):
+    if isinstance(x, QuadSurd) and x.v == 0:
+        x = x.u  # the rational view made by as_surd
+    if not isinstance(x, QuadSurd):
         return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    x = as_surd(x)
-    if x.v == 0:
-        return str(x.u)
     w = math.lcm(x.u.denominator, x.v.denominator)
     u = x.u.numerator * (w // x.u.denominator)
     v = x.v.numerator * (w // x.v.denominator)

@@ -22,18 +22,13 @@ from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
-    QuadSurd,
-    as_surd,
     compare,
     is_infinite,
+    lft_apply,
 )
 from .cf import OcfDigits, acf_to_digits, convergents, ocf_digits, ocf_value
 
 __all__ = [
-    "L_MAT",
-    "R_MAT_M",
-    "J_MAT",
-    "C_MAT",
     "N_MAT",
     "AnnotatedDigits",
     "mgcf_direct",
@@ -44,37 +39,13 @@ __all__ = [
     "n_transform",
     "parse_annotated",
     "format_annotated",
-    "symbol_matrix",
-    "word_matrix",
 ]
-
-# symbol matrices; these multiply on the LEFT of the convergent matrix P
-L_MAT = IntMatrix2(1, 0, 1, -1)
-R_MAT_M = IntMatrix2(1, 0, 1, 1)
-J_MAT = IntMatrix2(0, 1, 1, 0)
-C_MAT = IntMatrix2(1, 1, 0, 1)
 
 # the trichotomy transformation N(z) = (z+2)/(2z+1)
 N_MAT = IntMatrix2(1, 2, 2, 1)
 
-_SYMBOLS = {"L": L_MAT, "R": R_MAT_M, "J": J_MAT, "C": C_MAT}
-
-
-def symbol_matrix(sym: str) -> IntMatrix2:
-    return _SYMBOLS[sym]
-
-
-def word_matrix(word: str) -> IntMatrix2:
-    """Product of symbol matrices, applied left-to-right as left factors."""
-    m = IntMatrix2(1, 0, 0, 1)
-    for sym in word:
-        m = _SYMBOLS[sym] * m
-    return m
-
 
 def n_transform(x) -> ExtReal:
-    from .exactnum import lft_apply
-
     return lft_apply(N_MAT, x)
 
 
@@ -82,37 +53,23 @@ def n_transform(x) -> ExtReal:
 # direct simulation
 
 
-def mgcf_direct(
-    theta: ExtReal, limit: int = 200, collect_s: bool = False
-):
+def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     """MGCF word of theta in [-1/2, 1/2) by direct lattice reduction.
 
-    Returns the word string, or (word, critical s-values) if collect_s.
     Terminates for rational theta; emits up to ``limit`` symbols otherwise.
     """
     if is_infinite(theta):
         raise ValueError("theta must be finite")
     if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
         raise ValueError("theta outside [-1/2, 1/2)")
-    # rational inputs stay in Fraction arithmetic; surds need QuadSurd
-    if isinstance(theta, (int, Fraction)):
-        th = Fraction(theta)
-    else:
-        th = as_surd(theta)
     rows = [(1, 0), (0, 1)]
-    s_cur: Optional[object] = None  # None means +infinity
+    s_cur = None  # None means +infinity
     word: list[str] = []
-    s_vals: list[object] = []
-
-    def sgn(s):
-        if isinstance(s, Fraction):
-            return (s > 0) - (s < 0)
-        return as_surd(s).sign()
 
     def aff(row):
         # squared norm (p - q theta)^2 + q^2 s as (constant, slope)
         p, q = row
-        lin = th * (-q) + p
+        lin = theta * (-q) + p
         return lin * lin, q * q
 
     while len(word) < limit:
@@ -133,18 +90,11 @@ def mgcf_direct(
             Aw, Bw = aff(w)
             s = (A2 - Aw) * Fraction(1, Bw - B2)
             cands.append((s, "L"))
-        valid = [
-            (s, k)
-            for (s, k) in cands
-            if sgn(s) > 0 and (s_cur is None or compare(s, s_cur) < 0)
-        ]
+        valid = [(s, k) for (s, k) in cands if s > 0 and (s_cur is None or s < s_cur)]
         if not valid:
             break
-        best = valid[0][0]
-        for s, _k in valid[1:]:
-            if compare(s, best) > 0:
-                best = s
-        kinds = {k for (s, k) in valid if compare(s, best) == 0}
+        best = max(s for s, _k in valid)
+        kinds = {k for (s, k) in valid if s == best}
         if kinds == {"J", "R"}:
             sym = "C"
         elif len(kinds) == 1:
@@ -164,12 +114,8 @@ def mgcf_direct(
             rows = [(p1 + p2, q1 + q2), old_rows[1]]
             assert q1 + q2 > q1
         word.append(sym)
-        s_vals.append(best)
         s_cur = best
-    out = "".join(word)
-    if collect_s:
-        return out, s_vals
-    return out
+    return "".join(word)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +157,6 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     ref = check.all_digits()[: len(digits)]
     if ref != digits.all_digits() or (digits.finite and not check.finite):
         raise ValueError("digits are not the expansion of theta")
-    th = as_surd(theta)
     pairs: list[tuple[int, Optional[str]]] = []
     convs = list(convergents(digits))
     tail = digits.tail
@@ -225,9 +170,7 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
         n = i  # a = a_{n+1} with n = i >= 1
         cp = convs[n]
         alpha = Fraction(cp.q_prev, cp.q)
-        num = -(th * (-cp.q_prev) + cp.p_prev)
-        den = th * (-cp.q) + cp.p
-        beta = num / den
+        beta = (cp.q_prev * theta - cp.p_prev) / (cp.p - cp.q * theta)
         n_alpha = Fraction(alpha + 2, 2 * alpha + 1)
         c = compare(beta, n_alpha)
         if c > 0:

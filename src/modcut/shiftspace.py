@@ -26,16 +26,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import (
-    ExtReal,
     IntMatrix2,
     PINF,
-    QuadSurd,
-    compare,
-    lft_apply,
     rational_between,
     sqrt_exact,
 )
-from .cf import OcfDigits, ocf_digits, ocf_value
+from .cf import F_MAT, R_MAT, OcfDigits, ocf_digits, ocf_value
 from .mgcf import N_MAT, annotate_ones, mgcf_direct, n_transform
 from .cutting import (
     CuttingWord,
@@ -78,25 +74,22 @@ class AmbiguityQuery:
         if not h:
             raise ValueError("empty head")
         if h[0] == INFTY:
-            ds = h[1:]
-            v = _cf_value([0] + list(reversed(ds)))
+            v = _cf0(reversed(h[1:]))
             return v, v
-        d0 = _cf_value([0] + list(reversed(h)))
-        d1 = _cf_value([0] + list(reversed(h[:-1])) + [h[-1] + 1])
+        d0 = _cf0(reversed(h))
+        d1 = _cf0(list(reversed(h[:-1])) + [h[-1] + 1])
         return d0, d1
 
     def betas(self) -> tuple[Fraction, Fraction]:
         b = list(self.tail)
-        b0 = _cf_value([1] + b)
-        b1 = _cf_value([1] + b[:-1] + [b[-1] + 1]) if b else Fraction(2)
+        b0 = ocf_value(OcfDigits(1, tuple(b)))
+        b1 = ocf_value(OcfDigits(1, tuple(b[:-1]) + (b[-1] + 1,))) if b else Fraction(2)
         return b0, b1
 
 
-def _cf_value(digits: Sequence[int]) -> Fraction:
-    v = Fraction(digits[-1])
-    for d in reversed(digits[:-1]):
-        v = d + (1 / v if v else v)
-    return Fraction(v)
+def _cf0(tail: Iterable[int]) -> Fraction:
+    """The value [0; tail]."""
+    return ocf_value(OcfDigits(0, tuple(tail)))
 
 
 def is_ambiguous(q: AmbiguityQuery) -> bool:
@@ -117,9 +110,8 @@ def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
     """
     if not head or any(d < 1 for d in head):
         raise ValueError("head digits must be positive")
-    alpha = _cf_value([0] + list(reversed(head)))
-    nv = Fraction(n_transform(alpha))
-    d = ocf_digits(nv)
+    alpha = _cf0(reversed(head))
+    d = ocf_digits(n_transform(alpha))
     if d.a0 != 1:
         raise AssertionError("N maps (0,1] into (1,2]")
     return d.tail
@@ -359,35 +351,28 @@ def _tail_readings(digs, tkind, tinfo) -> list[_Reading]:
 # exact feasibility of a reading
 
 
-_F = IntMatrix2(0, 1, 1, 0)
-_ONE_PLUS = IntMatrix2(1, 1, 0, 1)
-
-
 def _alpha_matrix(digits, i) -> IntMatrix2:
     """alpha_i = [0, d_{i-1}, ..., d_0 + y] as an LFT of y."""
     m = IntMatrix2(1, digits[0][0], 0, 1) if i > 0 else IntMatrix2(1, 0, 0, 1)
     for k in range(1, i):
         m = IntMatrix2(digits[k][0], 1, 1, 0) * m
-    return _F * m if i > 0 else m  # i == 0: alpha = y itself
+    return F_MAT * m if i > 0 else m  # i == 0: alpha = y itself
 
 
 def _alpha_value(digits, i, prefix) -> Fraction:
     """Anchored alpha_i = [0, d_{i-1}, ..., d_0, prefix...] exactly."""
-    chain = [digits[k][0] for k in range(i - 1, -1, -1)] + list(prefix)
-    if not chain:
-        return Fraction(0)
-    return _cf_value([0] + chain)
+    return _cf0([digits[k][0] for k in range(i - 1, -1, -1)] + list(prefix))
 
 
 def _beta_matrix(digits, i) -> IntMatrix2:
     """beta_i = 1 + [0, d_{i+1}, ..., d_last + z] as an LFT of z."""
     last = len(digits) - 1
     if i == last:
-        return _ONE_PLUS
+        return R_MAT
     m = IntMatrix2(1, digits[last][0], 0, 1)
     for k in range(last - 1, i, -1):
         m = IntMatrix2(digits[k][0], 1, 1, 0) * m
-    return _ONE_PLUS * _F * m
+    return R_MAT * F_MAT * m
 
 
 def _quad_roots(A: int, B: int, C: int):
@@ -429,7 +414,7 @@ class _System:
             alpha = am if isinstance(am, Fraction) else _lft_at(am, y)
             if beta is None or alpha is None:
                 return False
-            nv = n_transform(alpha) if not isinstance(am, Fraction) else n_transform(am)
+            nv = n_transform(alpha)
             c = (beta > nv) - (beta < nv)
             if (op == ">" and c <= 0) or (op == "<" and c >= 0) or \
                (op == "=" and c != 0):
@@ -453,8 +438,8 @@ def _build_system(rd: _Reading) -> _System:
         # the unseen 1_m after the trailing pair digit a = trailing_pair:
         # z = [0, a, 1 + 1/t] with t the continuation; beta = 1 + 1/t
         a = rd.trailing_pair
-        m_zt = _F * IntMatrix2(1, a, 0, 1) * _F * _ONE_PLUS * _F
-        bm = _ONE_PLUS * _F * m_zt.inverse()
+        m_zt = F_MAT * IntMatrix2(1, a, 0, 1) * F_MAT * R_MAT * F_MAT
+        bm = R_MAT * F_MAT * m_zt.inverse()
         ext = list(rd.digits) + [(a, None), (1, "m")]
         if rd.anchored:
             am = _alpha_value(ext, len(ext) - 1, rd.anchor_prefix)
@@ -477,7 +462,7 @@ def _z_set_at(sys_: _System, y) -> Optional[tuple[Fraction, Fraction, Optional[F
         alpha = am if isinstance(am, Fraction) else _lft_at(am, y)
         if alpha is None or not (0 < alpha <= 1):
             return None
-        T = Fraction(n_transform(alpha))
+        T = n_transform(alpha)
         binv = bm.inverse()
         zstar = _lft_at(binv, T)
         if op == "=":
@@ -560,16 +545,9 @@ def _feasible(sys_: _System) -> Optional[tuple[Fraction, Fraction]]:
             B = m1.a * m2.d + m1.b * m2.c - m2.a * m1.d - m2.b * m1.c
             C = m1.b * m2.d - m2.b * m1.d
             cands.extend(_quad_roots(A, B, C))
-    inside = [c for c in cands
-              if compare(c, sys_.y_lo) >= 0 and compare(c, sys_.y_hi) <= 0]
-    inside.sort(key=_SortKey)
-    dedup = []
-    for c in inside:
-        if not dedup or compare(dedup[-1], c) != 0:
-            dedup.append(c)
-    for a, b in zip(dedup, dedup[1:]):
-        if compare(a, b) == 0:
-            continue
+    # canonical values: equal breakpoints are equal set members
+    inside = sorted({c for c in cands if sys_.y_lo <= c <= sys_.y_hi})
+    for a, b in zip(inside, inside[1:]):
         y = rational_between(a, b)
         zi = _z_set_at(sys_, y)
         if zi is None:
@@ -578,16 +556,6 @@ def _feasible(sys_: _System) -> Optional[tuple[Fraction, Fraction]]:
         z = pinned if pinned is not None else rational_between(lo, hi)
         return (y, z)
     return None
-
-
-class _SortKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return compare(self.v, other.v) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import (
+    BudgetError,
     ExtReal,
     IntMatrix2,
     NINF,
     PINF,
     QuadSurd,
-    as_surd,
-    compare,
     is_infinite,
     lft_apply,
     sqrt_exact,
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,8 @@ class TraceStep:
     h: IntMatrix2  # cumulative domain matrix h_j = g_1 ... g_j
     side: str  # "left" | "right" | "arc" | "corner+" | "corner-"
     coord: ExtReal  # x of the arc crossing, or y^2 on the vertical sides
+    head: ExtReal  # the geodesic's ends, pulled back by h
+    foot: ExtReal
 
 
 @dataclass(frozen=True)
@@ -86,23 +88,15 @@ class NonTransverseError(ValueError):
 def _as_frac_pair(x: ExtReal) -> Optional[tuple[int, int]]:
     if is_infinite(x):
         return (1, 0)
-    if isinstance(x, int):
-        return (x, 1)
-    if isinstance(x, Fraction):
-        return (x.numerator, x.denominator)
-    xs = as_surd(x)
-    if xs.is_rational():
-        u = xs.rational_value()
-        return (u.numerator, u.denominator)
-    return None
+    if isinstance(x, QuadSurd):
+        return None
+    return (x.numerator, x.denominator)
 
 
 def _check_admissible(g: GeodesicSpec) -> GeodesicSpec:
     g = g.normalized()
     h, f = g.head, g.foot
-    if (is_infinite(h) and is_infinite(f)) or (
-        not is_infinite(h) and not is_infinite(f) and compare(h, f) == 0
-    ):
+    if h == f:
         raise ValueError("head and foot coincide")
     ph, pf = _as_frac_pair(h), _as_frac_pair(f)
     if ph is not None and pf is not None:
@@ -111,18 +105,15 @@ def _check_admissible(g: GeodesicSpec) -> GeodesicSpec:
             raise NonTransverseError("geodesic lies in the tessellation edge set")
     if is_infinite(h) or is_infinite(f):
         th = f if is_infinite(h) else h
-        if compare(th, -_HALF) <= 0 or compare(th, _HALF) >= 0:
+        if not -_HALF < th < _HALF:
             raise ValueError("vertical geodesic misses the interior of F")
         return g
-    a, b = as_surd(h), as_surd(f)
-    apb = a + b
-    peak = apb * apb * Fraction(1, 4) - a * b  # max |z|^2 over the x-range is
-    # attained at an endpoint of [-1/2, 1/2] for the linear form, but the
-    # geodesic only exists over [min, max] of its feet; the simple sufficient
-    # and necessary interior test: max over x in [-1/2,1/2] of (a+b)x - ab > 1
-    lin_at = lambda x: apb * x - a * b
-    m = lin_at(_HALF) if apb.sign() >= 0 else lin_at(-_HALF)
-    if compare(m, 1) <= 0:
+    # the geodesic crosses the interior of F iff |z|^2 = (a+b)x - ab exceeds
+    # 1 somewhere on [-1/2, 1/2]; the linear form peaks at the end x = +-1/2
+    # on the side of a + b
+    apb = h + f
+    edge = _HALF if apb >= 0 else -_HALF
+    if apb * edge - h * f <= 1:
         raise ValueError("geodesic misses the interior of F")
     return g
 
@@ -138,43 +129,38 @@ def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
         if is_infinite(head):
             sym, side, coord = "J", "arc", foot
         else:
-            a, b = as_surd(head), as_surd(foot)
+            a, b = head, foot
             apb = a + b
-            rightward = a._cmp(b) < 0
-            if rightward:
-                if apb.sign() < 0:
+            if a < b:  # heading right: the arc, the corner or the right side
+                if apb < 0:
                     xj = (a * b + 1) / apb
-                    c = xj._cmp(_HALF)
-                    if c < 0:
+                    if xj < _HALF:
                         sym, side, coord = "J", "arc", xj
-                    elif c == 0:
+                    elif xj == _HALF:
                         sym, side, coord = "C2", "corner+", xj
                     else:
-                        sym, side, coord = "R", "right", apb * _HALF - a * b - Fraction(1, 4)
+                        sym, side, coord = "R", "right", apb * _HALF - a * b - _QUARTER
                 else:
-                    assert b._cmp(_HALF) > 0
-                    sym, side, coord = "R", "right", apb * _HALF - a * b - Fraction(1, 4)
+                    assert b > _HALF
+                    sym, side, coord = "R", "right", apb * _HALF - a * b - _QUARTER
             else:
-                if apb.sign() > 0:
+                if apb > 0:
                     xj = (a * b + 1) / apb
-                    c = xj._cmp(-_HALF)
-                    if c > 0:
+                    if xj > -_HALF:
                         sym, side, coord = "J", "arc", xj
-                    elif c == 0:
+                    elif xj == -_HALF:
                         sym, side, coord = "C1", "corner-", xj
                     else:
-                        sym, side, coord = "L", "left", apb * (-_HALF) - a * b - Fraction(1, 4)
+                        sym, side, coord = "L", "left", -apb * _HALF - a * b - _QUARTER
                 else:
-                    assert b._cmp(-_HALF) < 0
-                    sym, side, coord = "L", "left", apb * (-_HALF) - a * b - Fraction(1, 4)
+                    assert b < -_HALF
+                    sym, side, coord = "L", "left", -apb * _HALF - a * b - _QUARTER
         gen = CUTTING_MATS[sym]
         inv = gen.inverse()
         head = lft_apply(inv, head)
         foot = lft_apply(inv, foot)
         h_mat = h_mat * gen
-        if isinstance(coord, QuadSurd) and coord.is_rational():
-            coord = coord.rational_value()
-        yield TraceStep(sym, h_mat, side, coord)
+        yield TraceStep(sym, h_mat, side, coord, head, foot)
 
 
 def trace_word(g: GeodesicSpec, limit: int = 200) -> tuple[str, ...]:
@@ -255,7 +241,8 @@ def corner_hits_vertical(theta) -> list[CornerHit]:
     N, D with D = c^2+cd+d^2 (coprime c, d), gcd(N, D) in {1, 3}, and N in
     the congruence class mod 2D realized by an SL(2,Z) witness.
     """
-    theta = Fraction(theta)
+    if not isinstance(theta, (int, Fraction)):
+        raise ValueError("corner hits are computed for rational theta only")
     p, q = theta.numerator, theta.denominator
     hits: dict[int, CornerHit] = {}
     for k in (1, 2, 3, 6):
@@ -280,28 +267,23 @@ def corner_hits_vertical(theta) -> list[CornerHit]:
 
 
 def periodic_corner_count(d: int, limit: int = 5000) -> int:
-    """Corners hit per period by the geodesic <-sqrt(d), sqrt(d)>."""
+    """Corners hit per period by the geodesic <-sqrt(d), sqrt(d)>.
+
+    Raises BudgetError when no pulled-back geodesic recurs within ``limit``
+    steps.
+    """
     if d <= 1 or math.isqrt(d) ** 2 == d:
         raise ValueError("d must be a nonsquare integer > 1")
     rt = sqrt_exact(d)
-    g = GeodesicSpec(-rt, rt)
-    seen: dict[tuple, int] = {}
+    seen: dict[tuple, int] = {(-rt, rt): 0}
     syms: list[str] = []
-    head, foot = g.head, g.foot
-    state = (head, foot)
-    seen[state] = 0
-    for step in trace(g, limit):
+    for step in trace(GeodesicSpec(-rt, rt), limit):
         syms.append(step.symbol)
-        gen = CUTTING_MATS[step.symbol].inverse()
-        head = lft_apply(gen, head)
-        foot = lft_apply(gen, foot)
-        state = (head, foot)
+        state = (step.head, step.foot)
         if state in seen:
-            start = seen[state]
-            period = syms[start:]
-            return sum(1 for s in period if s.startswith("C"))
+            return sum(1 for s in syms[seen[state]:] if s.startswith("C"))
         seen[state] = len(syms)
-    raise RuntimeError("no recurrence within %d steps (inconclusive)" % limit)
+    raise BudgetError("no recurrence within %d steps (inconclusive)" % limit)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +320,6 @@ def render_trace_svg(g: GeodesicSpec, steps: Sequence[TraceStep], path: str) -> 
     g = g.normalized()
     geo_pts: list[complex] = []
     if is_infinite(g.head) or is_infinite(g.foot):
-        x = float(Fraction(_as_frac_pair(g.foot if is_infinite(g.head) else g.head)[0],
-                           _as_frac_pair(g.foot if is_infinite(g.head) else g.head)[1])) \
-            if _as_frac_pair(g.foot if is_infinite(g.head) else g.head) else 0.0
         th = g.foot if is_infinite(g.head) else g.head
         x = _to_float(th)
         for i in range(65):
@@ -389,5 +368,6 @@ def render_trace_svg(g: GeodesicSpec, steps: Sequence[TraceStep], path: str) -> 
 def _to_float(x: ExtReal) -> float:
     if is_infinite(x):
         return math.inf
-    xs = as_surd(x)
-    return float(xs.u) + float(xs.v) * math.sqrt(xs.d)
+    if isinstance(x, QuadSurd):
+        return float(x.u) + float(x.v) * math.sqrt(x.d)
+    return float(x)

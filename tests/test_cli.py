@@ -146,6 +146,20 @@ def test_corners(runner):
     assert invoke(runner, "corners").exit_code == 2
 
 
+def test_corners_irrational_theta_is_a_domain_error(runner):
+    res = invoke(runner, "corners", "--theta", "(1*sqrt(3)-1)/2")
+    assert res.exit_code == 3
+    assert res.stderr.startswith("domain error:")
+    assert "Traceback" not in res.stderr
+
+
+def test_corners_budget(runner):
+    res = invoke(runner, "corners", "--surd", "3", "--limit", "1")
+    assert res.exit_code == 4
+    assert res.stderr.startswith("budget exceeded:")
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -9,7 +9,7 @@ from modcut.cutting import (
     acf_from_cutting,
     corner_resolutions,
     cutting_from_mgcf,
-    cutting_word_matrix,
+    cutting_matrix,
     find_edge_forbidden,
     format_cutting,
     mgcf_from_cutting,
@@ -52,7 +52,7 @@ def test_corner_resolution_matrices():
     for tok in ("C1", "C2"):
         target = CUTTING_MATS[tok]
         for res in corner_resolutions(tok):
-            m = cutting_word_matrix(res)
+            m = cutting_matrix(res)
             assert m == target or m == IntNeg(target)
 
 

@@ -8,6 +8,7 @@ from modcut.exactnum import (
     NINF,
     PINF,
     ParseError,
+    QuadSurd,
     compare,
     format_extreal,
     is_infinite,
@@ -35,7 +36,8 @@ def test_surd_arithmetic():
     assert x.sign() == 1
     assert compare(x, Fraction(366, 1000)) == 1
     assert compare(x, Fraction(367, 1000)) == -1
-    assert (s3 * s3).rational_value() == 3
+    sq = s3 * s3
+    assert sq == 3 and type(sq) is Fraction
     assert surd_floor(s3) == 1
     assert surd_floor(-s3) == -2
 
@@ -43,11 +45,13 @@ def test_surd_arithmetic():
 def test_surd_inverse():
     s2 = sqrt_exact(2)
     x = s2 + Fraction(1, 3)
-    assert ((x.inverse()) * x).rational_value() == 1
+    one = x.inverse() * x
+    assert one == 1 and type(one) is Fraction
 
 
 def test_sqrt_exact_perfect_square():
-    assert sqrt_exact(Fraction(9, 4)).rational_value() == Fraction(3, 2)
+    r = sqrt_exact(Fraction(9, 4))
+    assert r == Fraction(3, 2) and type(r) is Fraction
 
 
 def test_infinity():
@@ -104,3 +108,59 @@ def test_compare_surd_vs_rational():
     assert compare(s5, Fraction(9, 4)) == -1
     assert compare(s5, Fraction(11, 5)) == 1
     assert compare(s5, s5) == 0
+
+
+# one representation per exact value: rationals come back as Fractions, and
+# every QuadSurd is irrational
+radicands = st.integers(min_value=2, max_value=300).filter(
+    lambda d: squarefree_split(d)[1] == d)
+small = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+nonzero = small.filter(lambda x: x != 0)
+
+
+def _is_canonical_fraction(x, expected):
+    return type(x) is Fraction and x == expected
+
+
+@given(small, small, st.integers(min_value=1, max_value=300))
+def test_rational_results_are_fractions(u, v, k):
+    assert _is_canonical_fraction(surd(u, v, 0), u)
+    assert _is_canonical_fraction(surd(u, 0, k), u)
+    assert _is_canonical_fraction(surd(u, v, k * k), u + v * k)
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=300))
+def test_sqrt_of_a_square_is_a_fraction(p, q):
+    assert _is_canonical_fraction(sqrt_exact(Fraction(p * p, q * q)), Fraction(p, q))
+
+
+@given(small, nonzero, radicands)
+def test_norm_product_is_a_fraction(a, b, d):
+    x, y = surd(a, b, d), surd(a, -b, d)
+    assert type(x) is QuadSurd and x.v != 0
+    assert _is_canonical_fraction(x * y, a * a - b * b * d)
+
+
+@given(small, nonzero, radicands)
+def test_square_of_a_surd(a, b, d):
+    x = surd(a, b, d)
+    sq = x * x
+    if a == 0:
+        assert _is_canonical_fraction(sq, b * b * d)
+    else:
+        assert type(sq) is QuadSurd
+        assert (sq.u, sq.v, sq.d) == (a * a + b * b * d, 2 * a * b, d)
+
+
+coefficients = st.integers(-9, 9)
+
+
+@given(coefficients, coefficients, coefficients, coefficients, fracs)
+def test_lft_apply_on_a_fraction(a, b, c, d, x):
+    if a * d - b * c == 0:
+        return
+    y = lft_apply(IntMatrix2(a, b, c, d), x)
+    if c * x + d == 0:
+        assert y is PINF
+    else:
+        assert _is_canonical_fraction(y, (a * x + b) / (c * x + d))

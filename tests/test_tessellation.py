@@ -26,6 +26,13 @@ def test_figure_prefix():
     assert w == ("R", "R", "J", "L", "L")
 
 
+def test_integer_ends_stay_exact():
+    steps = list(trace(GeodesicSpec(-3, 2), limit=20))
+    assert tuple(st.symbol for st in steps) == trace_word(
+        GeodesicSpec(Fraction(-3), Fraction(2)), limit=20)
+    assert all(type(st.coord) is Fraction for st in steps)
+
+
 def test_vertical_matches_mgcf():
     for f in (Fraction(5, 14), Fraction(-5, 14), Fraction(3, 7), Fraction(-2, 5)):
         w = trace_word(GeodesicSpec(PINF, f), limit=300)
