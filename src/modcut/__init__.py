@@ -38,7 +38,6 @@ from .automata import (
     compose,
     homographic_acf,
     max_lag,
-    run_with_lag,
     unbounded_lookahead_demo,
 )
 from .shiftspace import (

@@ -4,7 +4,9 @@ A Transducer is deterministic: at most one edge per (state, input symbol),
 each edge printing a finite (possibly empty) output word.  A ``finals`` map
 gives the word flushed when the input ends in a given state, so machines with
 held-back output (separator look-ahead) still agree with the batch
-conversions on complete inputs.
+conversions on complete inputs.  The MGCF <-> cutting and ACF <-> Farey
+machines wrap the tables in ``cutting`` and ``cf`` that the batch
+conversions run on, so each conversion is written once.
 
 The homographic machine computes the additive-word expansion of m(x) from
 the additive word of x by an absorb/emit loop on a 2x2 integer matrix: an
@@ -17,16 +19,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .exactnum import IntMatrix2, ParseError
-from .cf import F_MAT, R_MAT, digits_to_acf, ocf_digits, ocf_value, OcfDigits
+from .cf import (
+    ACF_TO_FAREY,
+    F_MAT,
+    FAREY_TO_ACF,
+    FAREY_TO_ACF_FINALS,
+    R_MAT,
+    OcfDigits,
+    digits_to_acf,
+    ocf_digits,
+    ocf_value,
+    _rewrite,
+)
+from .cutting import CUTTING_TO_MGCF, MGCF_TO_CUTTING
 from .mgcf import annotate_ones
 
 __all__ = [
     "Transducer",
     "run",
-    "run_with_lag",
     "max_lag",
     "compose",
     "acf_to_farey_machine",
@@ -68,7 +81,7 @@ class Transducer:
             "initial": _s(self.initial),
             "edges": edges,
             "finals": {_s(s): list(w) for s, w in sorted(
-                self.finals.items(), key=lambda kv: _s(kv[0])) if True},
+                self.finals.items(), key=lambda kv: _s(kv[0]))},
         }
         return json.dumps(doc, indent=2)
 
@@ -78,38 +91,24 @@ def _s(state) -> str:
 
 
 def run(t: Transducer, stream: Iterable[str]) -> Word:
-    out, _ = run_with_lag(t, stream)
-    return out
-
-
-def run_with_lag(t: Transducer, stream: Iterable[str]) -> tuple[Word, int]:
-    """Output word and the worst look-ahead: max over output letters of
-    (input symbols consumed when the letter appeared) - (its 1-based index).
-    """
-    state = t.initial
-    out: list[str] = []
-    lag = 0
-    consumed = 0
-    for i, sym in enumerate(stream):
-        consumed += 1
-        try:
-            state, w = t.step(state, sym)
-        except ParseError as e:
-            raise ParseError("%s (input position %d)" % (e, i))
-        for ch in w:
-            out.append(ch)
-            lag = max(lag, consumed - len(out))
-    for ch in t.finals.get(state, ()):
-        out.append(ch)
-        lag = max(lag, consumed - len(out))
-    return tuple(out), lag
+    return tuple(_rewrite(t.transitions, t.initial, stream, t.finals))
 
 
 def max_lag(t: Transducer, corpus: Iterable[Iterable[str]]) -> int:
+    """Worst look-ahead over the corpus: max over output letters of
+    (input symbols consumed when the letter appeared) - (its 1-based index).
+    """
     worst = 0
     for stream in corpus:
-        _, lag = run_with_lag(t, stream)
-        worst = max(worst, lag)
+        state, consumed, printed = t.initial, 0, 0
+        for sym in stream:
+            state, w = t.step(state, sym)
+            consumed += 1
+            if w:  # the first letter of w trails the most
+                worst = max(worst, consumed - printed - 1)
+                printed += len(w)
+        if t.finals.get(state):
+            worst = max(worst, consumed - printed - 1)
     return worst
 
 
@@ -163,56 +162,27 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
 # the concrete machines
 
 
+def _machine(table, initial, finals=None) -> Transducer:
+    states = tuple(dict.fromkeys(state for state, _sym in table))
+    if finals is None:
+        finals = dict.fromkeys(states, ())
+    return Transducer(states, initial, table, finals)
+
+
 def acf_to_farey_machine() -> Transducer:
-    trans = {
-        ("even", "R"): ("even", ("R",)),
-        ("even", "F"): ("odd", ()),
-        ("odd", "R"): ("odd", ("D",)),
-        ("odd", "F"): ("even", ()),
-    }
-    return Transducer(("even", "odd"), "even", trans, {"even": (), "odd": ()})
+    return _machine(ACF_TO_FAREY, "even")
 
 
 def farey_to_acf_machine() -> Transducer:
-    # three states: the trailing F is owed as soon as the first D appears
-    trans = {
-        ("int", "R"): ("int", ("R",)),
-        ("int", "D"): ("odd", ("F", "R")),
-        ("odd", "D"): ("odd", ("R",)),
-        ("odd", "R"): ("even", ("F", "R")),
-        ("even", "R"): ("even", ("R",)),
-        ("even", "D"): ("odd", ("F", "R")),
-    }
-    finals = {"int": (), "odd": ("F",), "even": ("F",)}
-    return Transducer(("int", "odd", "even"), "int", trans, finals)
+    return _machine(FAREY_TO_ACF, "int", FAREY_TO_ACF_FINALS)
 
 
 def mgcf_to_cutting_machine() -> Transducer:
-    trans = {
-        ("even", "J"): ("odd", ("J",)),
-        ("even", "R"): ("even", ("R",)),
-        ("even", "L"): ("odd", ("L",)),
-        ("even", "C"): ("even", ("C2",)),
-        ("odd", "J"): ("even", ("J",)),
-        ("odd", "R"): ("odd", ("L",)),
-        ("odd", "L"): ("even", ("R",)),
-        ("odd", "C"): ("odd", ("C1",)),
-    }
-    return Transducer(("even", "odd"), "even", trans, {"even": (), "odd": ()})
+    return _machine(MGCF_TO_CUTTING, "even")
 
 
 def cutting_to_mgcf_machine() -> Transducer:
-    trans = {
-        ("even", "J"): ("odd", ("J",)),
-        ("even", "R"): ("even", ("R",)),
-        ("even", "L"): ("odd", ("L",)),
-        ("even", "C2"): ("even", ("C",)),
-        ("odd", "J"): ("even", ("J",)),
-        ("odd", "L"): ("odd", ("R",)),
-        ("odd", "R"): ("even", ("L",)),
-        ("odd", "C1"): ("odd", ("C",)),
-    }
-    return Transducer(("even", "odd"), "even", trans, {"even": (), "odd": ()})
+    return _machine(CUTTING_TO_MGCF, "even")
 
 
 def mgcf_to_acf_machine() -> Transducer:
@@ -233,7 +203,7 @@ def mgcf_to_acf_machine() -> Transducer:
         ("sep", "R"): ("p1", ("F",)),
     }
     finals = {"q0": (), "q1": (), "pj": ("R",), "sep": (), "p1": ()}
-    return Transducer(("q0", "q1", "p1", "pj", "sep"), "q0", trans, finals)
+    return _machine(trans, "q0", finals)
 
 
 def cutting_to_acf_machine() -> Transducer:
@@ -321,15 +291,14 @@ class HomographicMachine:
         return tail
 
 
-def homographic_acf(m: IntMatrix2, word: str, with_lag: bool = False):
+def homographic_acf(m: IntMatrix2, word: str) -> str:
     """Additive word of m(x) given the (finite) additive word of x > 0."""
     hm = HomographicMachine(m)
     out = []
     for ch in word:
         out.extend(hm.absorb(ch))
     out.append(hm.finish())
-    res = "".join(out)
-    return (res, hm.max_lag) if with_lag else res
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 An OCF is [a0; a1, a2, ...] from the floor/Euclid algorithm.  Its additive
 form is the word R^{a0} F R^{a1} F R^{a2} ... over {F, R}, and its Farey-tree
 form is R^{a0} D^{a1} R^{a2} ... over {R, D}.  The two word forms are related
-by the substitution D -> F R F with F F cancellation, realized both ways by a
-two-state machine.
+by the substitution D -> F R F with F F cancellation.  Each direction is one
+transition table, ``ACF_TO_FAREY`` and ``FAREY_TO_ACF``; the batch functions
+here and the ``automata`` transducers both read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -20,6 +21,7 @@ from .exactnum import (
     QuadSurd,
     compare,
     is_infinite,
+    parse_int,
     surd_floor,
 )
 
@@ -40,12 +42,13 @@ __all__ = [
     "format_digits",
     "F_MAT",
     "R_MAT",
-    "D_MAT",
+    "ACF_TO_FAREY",
+    "FAREY_TO_ACF",
+    "FAREY_TO_ACF_FINALS",
 ]
 
 F_MAT = IntMatrix2(0, 1, 1, 0)
 R_MAT = IntMatrix2(1, 1, 0, 1)
-D_MAT = IntMatrix2(1, 0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -160,26 +163,27 @@ def digits_to_acf(digits: OcfDigits) -> str:
     return "".join(parts)
 
 
+def _acf_runs(word: str) -> list[int]:
+    """Lengths of the R runs of an ACF word, one per F-separated piece.
+
+    The last entry is the run after the final F (0 when the word ends in F).
+    """
+    runs = word.split("F")
+    for r in runs:
+        if r.strip("R"):
+            raise ParseError("bad ACF letter %r" % r.strip("R")[0])
+    if "" in runs[1:-1]:
+        raise ParseError("ACF word contains FF")
+    return [len(r) for r in runs]
+
+
 def acf_to_digits(word: str) -> OcfDigits:
     """Digits encoded by a (finite) ACF word; inverse of digits_to_acf."""
-    runs = []
-    count = 0
-    for ch in word:
-        if ch == "R":
-            count += 1
-        elif ch == "F":
-            runs.append(count)
-            count = 0
-        else:
-            raise ParseError("bad ACF letter %r" % ch)
-    runs.append(count)
+    runs = _acf_runs(word)
     # canonical finite words end with F, leaving a trailing empty run
     if len(runs) > 1 and runs[-1] == 0:
         runs.pop()
-    a0, tail = runs[0], runs[1:]
-    if any(a < 1 for a in tail):
-        raise ParseError("ACF word contains FF")
-    return OcfDigits(a0, tuple(tail), True)
+    return OcfDigits(runs[0], tuple(runs[1:]), True)
 
 
 def acf_of(x: ExtReal, limit: int = 64) -> str:
@@ -187,13 +191,9 @@ def acf_of(x: ExtReal, limit: int = 64) -> str:
     if is_infinite(x) or compare(x, 0) <= 0:
         raise ValueError("acf_of requires finite x > 0")
     d = ocf_digits(x, limit)
-    if d.finite:
-        return digits_to_acf(d)
-    parts = ["R" * d.a0]
-    for a in d.tail:
-        parts.append("F")
-        parts.append("R" * a)
-    return "".join(parts)  # truncated word of a non-terminating expansion
+    word = digits_to_acf(d)
+    # a non-terminating expansion is cut after its last computed run
+    return word if d.finite else word.removesuffix("F")
 
 
 def farey_of(x: ExtReal, limit: int = 64) -> str:
@@ -207,46 +207,50 @@ def farey_of(x: ExtReal, limit: int = 64) -> str:
     return "".join(parts)
 
 
+# One table per direction: (state, letter) -> (next state, printed letters).
+# ACF -> Farey: F toggles the state and prints nothing; R prints R or D.
+ACF_TO_FAREY = {
+    ("even", "R"): ("even", ("R",)),
+    ("even", "F"): ("odd", ()),
+    ("odd", "R"): ("odd", ("D",)),
+    ("odd", "F"): ("even", ()),
+}
+# Farey -> ACF: D -> F R F with F F cancelled; the closing F is owed from the
+# first D on, so it is the final word of the two states after "int".
+FAREY_TO_ACF = {
+    ("int", "R"): ("int", ("R",)),
+    ("int", "D"): ("odd", ("F", "R")),
+    ("odd", "D"): ("odd", ("R",)),
+    ("odd", "R"): ("even", ("F", "R")),
+    ("even", "R"): ("even", ("R",)),
+    ("even", "D"): ("odd", ("F", "R")),
+}
+FAREY_TO_ACF_FINALS = {"int": (), "odd": ("F",), "even": ("F",)}
+
+
+def _rewrite(table, state, word: Iterable[str], finals=None) -> list[str]:
+    """Letters printed by a deterministic table run over word from state."""
+    out: list[str] = []
+    for i, sym in enumerate(word):
+        try:
+            state, printed = table[state, sym]
+        except KeyError:
+            raise ParseError("no edge from state %r on %r (input position %d)"
+                             % (state, sym, i)) from None
+        out += printed
+    if finals is not None:
+        out += finals.get(state, ())
+    return out
+
+
 def acf_to_farey(word: Iterable[str]) -> str:
-    """Two-state rewriting: F toggles and emits nothing; R emits R/D by state."""
-    out = []
-    state = 1
-    for ch in word:
-        if ch == "F":
-            state = -state
-        elif ch == "R":
-            out.append("R" if state == 1 else "D")
-        else:
-            raise ParseError("bad ACF letter %r" % ch)
-    return "".join(out)
+    """Farey word of an ACF word, by the ACF_TO_FAREY table."""
+    return "".join(_rewrite(ACF_TO_FAREY, "even", word))
 
 
 def farey_to_acf(word: Iterable[str]) -> str:
-    """Inverse rewriting via D -> FRF with FF cancellation.
-
-    Any word containing a D owes a closing F (canonical finite words end in
-    F whenever the digit tail is nonempty).
-    """
-    out = []
-    state = 1
-    seen_d = False
-    for ch in word:
-        if ch == "R":
-            if state == -1:
-                out.append("F")
-                state = 1
-            out.append("R")
-        elif ch == "D":
-            seen_d = True
-            if state == 1:
-                out.append("F")
-                state = -1
-            out.append("R")
-        else:
-            raise ParseError("bad Farey letter %r" % ch)
-    if seen_d:
-        out.append("F")
-    return "".join(out)
+    """ACF word of a Farey word, by the FAREY_TO_ACF table and its finals."""
+    return "".join(_rewrite(FAREY_TO_ACF, "int", word, FAREY_TO_ACF_FINALS))
 
 
 def acf_value(word: str) -> Fraction:
@@ -269,15 +273,9 @@ def acf_value(word: str) -> Fraction:
 
 
 def parse_digits(text: str) -> OcfDigits:
-    t = text.strip()
-    if ";" in t:
-        head, _, rest = t.partition(";")
-        a0 = int(head)
-        tail = tuple(int(p) for p in rest.split(",")) if rest else ()
-    else:
-        a0 = int(t)
-        tail = ()
-    return OcfDigits(a0, tail, True)
+    head, _, rest = text.strip().partition(";")
+    tail = tuple(parse_int(p) for p in rest.split(",")) if rest else ()
+    return OcfDigits(parse_int(head), tail, True)
 
 
 def format_digits(digits: OcfDigits) -> str:

@@ -17,7 +17,14 @@ from fractions import Fraction
 
 import click
 
-from .exactnum import BudgetError, ParseError, format_extreal, parse_extreal, sqrt_exact
+from .exactnum import (
+    BudgetError,
+    ParseError,
+    format_extreal,
+    parse_extreal,
+    parse_int,
+    sqrt_exact,
+)
 from .cf import (
     acf_of,
     acf_to_digits,
@@ -253,7 +260,7 @@ def central(head, as_json):
     """Balanced tail and cutting word for HEAD digits "d1,d2,..."."""
 
     def go():
-        digits = [int(p) for p in head.split(",") if p.strip()]
+        digits = [parse_int(p) for p in head.split(",") if p.strip()]
         if not digits:
             raise ParseError("empty head")
         tail = central_head_to_tail(digits)

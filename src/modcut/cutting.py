@@ -2,24 +2,29 @@
 
 Symbols are the tokens "L", "R", "J", "C1", "C2" (rendered with bars in the
 math).  A cutting word is stored as a tuple of tokens.  The MGCF <-> cutting
-conversion is a two-state parity machine: in even parity L->L, R->R, J->J; in
-odd parity L->R, R->L, J->J; L and J toggle the parity, R preserves it, and a
-corner C maps to C2 (even) or C1 (odd).  Parity always equals the determinant
+conversion is a two-state parity machine, written once as the table
+``MGCF_TO_CUTTING``: in even parity L->L, R->R, J->J; in odd parity L->R, R->L,
+J->J; L and J toggle the parity, R preserves it, and a corner C maps to C2
+(even) or C1 (odd).  Every edge prints one token, so ``CUTTING_TO_MGCF`` is the
+same table read backwards.  The batch functions here and the ``automata``
+transducers both read these tables.  Parity always equals the determinant
 sign of the consumed MGCF prefix; the corner convention matches the geodesic
 tracer (a left-corner crossing resolves as JRJ ~ LJL, the C1 matrix).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .exactnum import IntMatrix2, ParseError
-from .cf import R_MAT
-from .mgcf import AnnotatedDigits, annotated_from_mgcf, mgcf_from_annotated
+from .cf import R_MAT, _rewrite
+from .mgcf import annotated_from_mgcf
 
 __all__ = [
     "CUTTING_MATS",
+    "MGCF_TO_CUTTING",
+    "CUTTING_TO_MGCF",
     "CuttingWord",
     "Segment",
     "SegmentParse",
@@ -60,57 +65,33 @@ def corner_resolutions(tok: str) -> tuple[CuttingWord, CuttingWord]:
     raise ValueError("not a corner token: %r" % tok)
 
 
-def cutting_from_mgcf(word: str, start_parity: int = 0) -> CuttingWord:
+# (parity, MGCF symbol) -> (next parity, (cutting token,))
+MGCF_TO_CUTTING = {
+    ("even", "J"): ("odd", ("J",)),
+    ("even", "R"): ("even", ("R",)),
+    ("even", "L"): ("odd", ("L",)),
+    ("even", "C"): ("even", ("C2",)),
+    ("odd", "J"): ("even", ("J",)),
+    ("odd", "R"): ("odd", ("L",)),
+    ("odd", "L"): ("even", ("R",)),
+    ("odd", "C"): ("odd", ("C1",)),
+}
+# (parity, cutting token) -> (next parity, (MGCF symbol,)); no C1 edge leaves
+# even parity and no C2 edge leaves odd parity
+CUTTING_TO_MGCF = {
+    (state, out[0]): (nxt, (sym,))
+    for (state, sym), (nxt, out) in MGCF_TO_CUTTING.items()
+}
+
+
+def cutting_from_mgcf(word: str) -> CuttingWord:
     """Parity letter-replacement MGCF -> cutting."""
-    out: list[str] = []
-    parity = start_parity  # 0 = even, 1 = odd
-    for sym in word:
-        if sym == "J":
-            out.append("J")
-            parity ^= 1
-        elif sym == "R":
-            out.append("R" if parity == 0 else "L")
-        elif sym == "L":
-            out.append("L" if parity == 0 else "R")
-            parity ^= 1
-        elif sym == "C":
-            out.append("C2" if parity == 0 else "C1")
-        else:
-            raise ParseError("bad MGCF symbol %r" % sym)
-    return tuple(out)
+    return tuple(_rewrite(MGCF_TO_CUTTING, "even", word))
 
 
-def mgcf_from_cutting(word: Sequence[str], start_parity: int = 0) -> str:
+def mgcf_from_cutting(word: Sequence[str]) -> str:
     """Exact inverse of cutting_from_mgcf (parity tracked by determinant)."""
-    out: list[str] = []
-    parity = start_parity
-    for tok in word:
-        if tok == "J":
-            out.append("J")
-            parity ^= 1
-        elif tok == "R":
-            if parity == 0:
-                out.append("R")
-            else:
-                out.append("L")
-                parity ^= 1
-        elif tok == "L":
-            if parity == 0:
-                out.append("L")
-                parity ^= 1
-            else:
-                out.append("R")
-        elif tok == "C1":
-            if parity != 1:
-                raise ParseError("C1 in even parity")
-            out.append("C")
-        elif tok == "C2":
-            if parity != 0:
-                raise ParseError("C2 in odd parity")
-            out.append("C")
-        else:
-            raise ParseError("bad cutting token %r" % tok)
-    return "".join(out)
+    return "".join(_rewrite(CUTTING_TO_MGCF, "even", word))
 
 
 # ---------------------------------------------------------------------------

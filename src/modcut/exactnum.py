@@ -17,16 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QuadSurd",
     "ExtReal",
     "IntMatrix2",
     "PINF",
     "NINF",
-    "INF",
     "surd",
     "as_surd",
     "lft_apply",
@@ -35,6 +31,7 @@ __all__ = [
     "sqrt_exact",
     "rational_between",
     "parse_extreal",
+    "parse_int",
     "format_extreal",
     "squarefree_split",
     "ParseError",
@@ -278,7 +275,6 @@ class _Infinity:
 
 PINF = _Infinity(True)
 NINF = _Infinity(False)
-INF = PINF
 
 ExtReal = Union[Fraction, int, QuadSurd, _Infinity]
 
@@ -335,14 +331,8 @@ class IntMatrix2:
             return IntMatrix2(-self.d, self.b, self.c, -self.a)
         raise ValueError("inverse requires det +-1, got %d" % det)
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (self.a, self.b), (self.c, self.d)
-
     def __repr__(self):
         return "IntMatrix2[[%d,%d],[%d,%d]]" % (self.a, self.b, self.c, self.d)
-
-
-IDENTITY = IntMatrix2(1, 0, 0, 1)
 
 
 def lft_apply(m: IntMatrix2, x: ExtReal) -> ExtReal:
@@ -401,6 +391,14 @@ class ParseError(ValueError):
 
 class BudgetError(RuntimeError):
     """An explicit budget (``limit``, ``--max-len``) ran out before an answer."""
+
+
+def parse_int(text: str) -> int:
+    """The integer ``int`` reads from text; ParseError where it reads none."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("cannot parse %r as an integer" % text) from None
 
 
 def parse_extreal(text: str) -> ExtReal:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .exactnum import (
     ExtReal,
@@ -25,8 +25,9 @@ from .exactnum import (
     compare,
     is_infinite,
     lft_apply,
+    parse_int,
 )
-from .cf import OcfDigits, acf_to_digits, convergents, ocf_digits, ocf_value
+from .cf import OcfDigits, _acf_runs, acf_to_digits, convergents, ocf_digits, ocf_value
 
 __all__ = [
     "N_MAT",
@@ -313,15 +314,16 @@ def mgcf_from_acf(word: str, complete: bool = False):
     the interval of possible tail values.  Returns (mgcf_word, stats) where
     stats has the retained digit count and comparison-step count.
     """
-    d = acf_to_digits(word) if complete else _acf_prefix_digits(word)
-    digits = d.all_digits()
+    if complete:
+        digits = acf_to_digits(word).all_digits()
+    else:
+        # the last run is only a lower bound on the next digit: drop it
+        digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]
     # convergent q's
     q_prev, q = 1, 0
-    p_prev, p = 0, 1
     qs = [(q, q_prev)]
     for a in [digits[0]] + list(tail):
-        p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         qs.append((q, q_prev))
     steps = 0
@@ -361,26 +363,6 @@ def mgcf_from_acf(word: str, complete: bool = False):
     return out, stats
 
 
-def _acf_prefix_digits(word: str) -> OcfDigits:
-    # like acf_to_digits but for a truncated word: the last run is a lower
-    # bound on the next digit and is dropped
-    runs = []
-    count = 0
-    for ch in word:
-        if ch == "R":
-            count += 1
-        elif ch == "F":
-            runs.append(count)
-            count = 0
-        else:
-            raise ParseError("bad ACF letter %r" % ch)
-    a0 = runs[0] if runs else 0
-    tail = tuple(runs[1:])
-    if any(a < 1 for a in tail):
-        raise ParseError("ACF word contains FF")
-    return OcfDigits(a0, tail, False)
-
-
 # ---------------------------------------------------------------------------
 # annotated digit text format: "0;2,1c,4"
 
@@ -388,18 +370,18 @@ def _acf_prefix_digits(word: str) -> OcfDigits:
 def parse_annotated(text: str) -> AnnotatedDigits:
     t = text.strip()
     head, _, rest = t.partition(";")
-    a0 = int(head)
+    a0 = parse_int(head)
     pairs: list[tuple[int, Optional[str]]] = []
     if rest:
         for tok in rest.split(","):
             tok = tok.strip()
             if tok and tok[-1] in "hmc":
-                d = int(tok[:-1])
+                d = parse_int(tok[:-1])
                 if d != 1:
                     raise ParseError("tag on a digit != 1: %r" % tok)
                 pairs.append((1, tok[-1]))
             else:
-                pairs.append((int(tok), None))
+                pairs.append((parse_int(tok), None))
     return AnnotatedDigits(a0, tuple(pairs), True)
 
 

@@ -21,7 +21,7 @@ rational witness geodesic re-checked against the tracer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -32,7 +32,7 @@ from .exactnum import (
     sqrt_exact,
 )
 from .cf import F_MAT, R_MAT, OcfDigits, ocf_digits, ocf_value
-from .mgcf import N_MAT, annotate_ones, mgcf_direct, n_transform
+from .mgcf import N_MAT, mgcf_direct, n_transform
 from .cutting import (
     CuttingWord,
     EDGE_FORBIDDEN,
@@ -40,7 +40,7 @@ from .cutting import (
     cutting_from_mgcf,
     find_edge_forbidden,
 )
-from .tessellation import GeodesicSpec, corner_hits_vertical
+from .tessellation import GeodesicSpec
 
 __all__ = [
     "AmbiguityQuery",
@@ -726,7 +726,7 @@ def excluded_initial(w: Sequence[str]) -> bool:
     return decide_block(w, anchored=True).forbidden
 
 
-def _central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]:
+def central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]:
     """Cutting word W1 S W2 of the central sequence from ``head``."""
     tail = central_head_to_tail(head)
     if not tail:
@@ -745,13 +745,7 @@ def _central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]
     return word, theta
 
 
-def central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]:
-    """Public entry point for the central-sequence cutting word."""
-    return _central_block(head)
-
-
 def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
-                                check_minimal: bool = True,
                                 jobs: int = 1) -> list[CuttingWord]:
     """Edge-forbidden blocks plus central-derived minimal forbidden blocks.
 
@@ -766,7 +760,7 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
     candidates: list[CuttingWord] = []
     seen_theta = set()
     for head in heads:
-        cb = _central_block(head)
+        cb = central_block(head)
         if cb is None:
             continue
         core, theta = cb
@@ -791,7 +785,7 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
     result: list[CuttingWord] = [b for b in EDGE_FORBIDDEN if len(b) <= max_len]
     for blk in candidates:
         if verdicts[blk].forbidden and len(blk) <= max_len and blk not in seen_blocks:
-            if check_minimal and not _is_minimal(blk):
+            if not _is_minimal(blk):
                 continue
             seen_blocks[blk] = None
             result.append(blk)
@@ -825,10 +819,9 @@ def follower_separation(j: int, k: int) -> dict:
             toks += [sym] * 2 + ["J"]
             sym = "L" if sym == "R" else "R"
         # drop the final separator: the word ends inside the last run
-        return tuple(toks[:-1]), sym  # sym = letter type *after* toggling
+        return tuple(toks[:-1])
 
-    wj, _ = initial_word(j)
-    wk, _ = initial_word(k)
+    wj, wk = initial_word(j), initial_word(k)
     # letter type of the last 2-run
     last_j, last_k = wj[-1], wk[-1]
     if last_j != last_k:
@@ -846,7 +839,6 @@ def follower_separation(j: int, k: int) -> dict:
 
     tail_j = central_head_to_tail([3] + [2] * (4 * j + 2))
     tail_k = central_head_to_tail([3] + [2] * (4 * k + 2))
-    nxt = "L" if X == "R" else "R"  # letter type after the corner: same as X
     candidates = []
     for tail in (tail_j, tail_k):
         for rep in ((corner,),) + corner_resolutions(corner):

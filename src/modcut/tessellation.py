@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
+_INVERSES = {sym: m.inverse() for sym, m in CUTTING_MATS.items()}
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,6 @@ class GeodesicSpec:
 class TraceStep:
     symbol: str
     h: IntMatrix2  # cumulative domain matrix h_j = g_1 ... g_j
-    side: str  # "left" | "right" | "arc" | "corner+" | "corner-"
-    coord: ExtReal  # x of the arc crossing, or y^2 on the vertical sides
     head: ExtReal  # the geodesic's ends, pulled back by h
     foot: ExtReal
 
@@ -72,10 +70,6 @@ class TraceStep:
 class CornerHit:
     r: Fraction  # the hit is at height t = sqrt(3) * r, r = 1/(2D)
     witness: IntMatrix2  # SL(2,Z) matrix mapping the corner of F to the hit
-
-    @property
-    def t_squared(self) -> Fraction:
-        return 3 * self.r * self.r
 
     def t_value(self) -> QuadSurd:
         return sqrt_exact(3) * self.r
@@ -127,40 +121,39 @@ def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
         if is_infinite(foot):
             return  # upward vertical: enters the cusp, trace terminates
         if is_infinite(head):
-            sym, side, coord = "J", "arc", foot
+            sym = "J"
         else:
             a, b = head, foot
             apb = a + b
             if a < b:  # heading right: the arc, the corner or the right side
                 if apb < 0:
-                    xj = (a * b + 1) / apb
+                    xj = (a * b + 1) / apb  # x of the crossing with |z| = 1
                     if xj < _HALF:
-                        sym, side, coord = "J", "arc", xj
+                        sym = "J"
                     elif xj == _HALF:
-                        sym, side, coord = "C2", "corner+", xj
+                        sym = "C2"
                     else:
-                        sym, side, coord = "R", "right", apb * _HALF - a * b - _QUARTER
+                        sym = "R"
                 else:
                     assert b > _HALF
-                    sym, side, coord = "R", "right", apb * _HALF - a * b - _QUARTER
+                    sym = "R"
             else:
                 if apb > 0:
                     xj = (a * b + 1) / apb
                     if xj > -_HALF:
-                        sym, side, coord = "J", "arc", xj
+                        sym = "J"
                     elif xj == -_HALF:
-                        sym, side, coord = "C1", "corner-", xj
+                        sym = "C1"
                     else:
-                        sym, side, coord = "L", "left", -apb * _HALF - a * b - _QUARTER
+                        sym = "L"
                 else:
                     assert b < -_HALF
-                    sym, side, coord = "L", "left", -apb * _HALF - a * b - _QUARTER
-        gen = CUTTING_MATS[sym]
-        inv = gen.inverse()
+                    sym = "L"
+        inv = _INVERSES[sym]
         head = lft_apply(inv, head)
         foot = lft_apply(inv, foot)
-        h_mat = h_mat * gen
-        yield TraceStep(sym, h_mat, side, coord, head, foot)
+        h_mat = h_mat * CUTTING_MATS[sym]
+        yield TraceStep(sym, h_mat, head, foot)
 
 
 def trace_word(g: GeodesicSpec, limit: int = 200) -> tuple[str, ...]:

@@ -16,12 +16,12 @@ from modcut.automata import (
     mgcf_to_acf_machine,
     mgcf_to_cutting_machine,
     run,
-    run_with_lag,
 )
 from modcut.cf import acf_of, acf_to_farey, farey_of, ocf_digits, digits_to_acf
 from modcut.cutting import acf_from_cutting, cutting_from_mgcf
-from modcut.exactnum import IntMatrix2, ParseError
+from modcut.exactnum import PINF, IntMatrix2, ParseError
 from modcut.mgcf import N_MAT, mgcf_direct
+from modcut.tessellation import GeodesicSpec, trace_word
 
 
 def small_rationals(qmax):
@@ -50,26 +50,26 @@ def test_rewriting_lag_bounds():
         assert len(out) <= 1
 
 
-def test_cutting_machines_match_functions():
+def test_cutting_machines_match_tracer():
+    # the tracer reaches the cutting word by geometry, not by the parity table
     for f in small_rationals(30):
         w = mgcf_direct(f, limit=500)
         cut = run(mgcf_to_cutting_machine(), w)
-        assert cut == cutting_from_mgcf(w)
+        assert cut == trace_word(GeodesicSpec(PINF, f), limit=500)
         assert "".join(run(cutting_to_mgcf_machine(), cut)) == w
 
 
 def test_cutting_to_acf_composition_lag():
     machine = cutting_to_acf_machine()
-    worst = 0
+    corpus = []
     for f in small_rationals(40):
         w = mgcf_direct(f, limit=500)
         if "C" in w:
             continue
         cut = cutting_from_mgcf(w)
-        out, lag = run_with_lag(machine, cut)
-        assert "".join(out).startswith(acf_from_cutting(cut))
-        worst = max(worst, lag)
-    assert worst <= 4
+        assert "".join(run(machine, cut)).startswith(acf_from_cutting(cut))
+        corpus.append(cut)
+    assert max_lag(machine, corpus) <= 4
 
 
 def test_transducer_json_schema():

@@ -79,6 +79,13 @@ def test_convert_bad_word(runner):
                   "--to", "acf").exit_code == 2
 
 
+def test_convert_bad_digit_is_a_parse_error(runner):
+    res = invoke(runner, "convert", "0;2,x", "--from", "ocf", "--to", "acf")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("parse error:")
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -129,12 +136,27 @@ def test_central(runner):
                    "theta": "5/14"}
 
 
+def test_central_bad_digit_is_a_parse_error(runner):
+    res = invoke(runner, "central", "1,x")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("parse error:")
+    assert "Traceback" not in res.stderr
+
+
 def test_forbidden_listing(runner):
     res = invoke(runner, "forbidden", "--max-len", "17", "--max-head", "1",
                  "--json")
     blocks = json.loads(res.output)
     assert len(blocks) == 11
     assert "JJ" in blocks
+
+
+def test_forbidden_jobs_match_serial(runner):
+    args = ["forbidden", "--max-len", "17", "--max-head", "1", "--json"]
+    serial = invoke(runner, *args, "--jobs", "1")
+    pooled = invoke(runner, *args, "--jobs", "2")  # two worker processes
+    assert serial.exit_code == pooled.exit_code == 0
+    assert json.loads(pooled.output) == json.loads(serial.output)
 
 
 def test_corners(runner):

@@ -30,7 +30,8 @@ def test_integer_ends_stay_exact():
     steps = list(trace(GeodesicSpec(-3, 2), limit=20))
     assert tuple(st.symbol for st in steps) == trace_word(
         GeodesicSpec(Fraction(-3), Fraction(2)), limit=20)
-    assert all(type(st.coord) is Fraction for st in steps)
+    ends = [e for st in steps for e in (st.head, st.foot)]
+    assert all(type(e) is Fraction or e is PINF for e in ends)
 
 
 def test_vertical_matches_mgcf():
