@@ -126,14 +126,11 @@ def find_edge_forbidden(word: Sequence[str]) -> Optional[tuple[int, CuttingWord]
 
 @dataclass(frozen=True)
 class Segment:
-    parity: int  # n mod 2 of the leading digit position
     digits: tuple[tuple[int, Optional[str]], ...]  # (digit, tag)
-    tokens: CuttingWord
 
 
 @dataclass(frozen=True)
 class SegmentParse:
-    initial: CuttingWord  # the B0-bar part
     a0: Optional[int]
     segments: tuple[Segment, ...]
     incomplete_suffix: CuttingWord
@@ -154,57 +151,32 @@ def parse_segments(word: Sequence[str]) -> SegmentParse:
     if hit is not None:
         raise ParseError("edge-forbidden factor %s at %d" % ("".join(hit[1]), hit[0]))
     if w and all(t == w[0] for t in w) and w[0] in ("L", "R"):
-        k = len(w)
-        encs: list[tuple] = [("ge", k)]
-        if k >= 2:
-            encs.append(("pair", k - 1, "m"))
-        return SegmentParse((), None, (), w, tuple(encs))
-    if not w or w[0] != "J":
-        raise ParseError("vertical cutting words start with J")
-    mg = mgcf_from_cutting(w)
-    ad = annotated_from_mgcf(mg)
-    # initial block
-    if ad.a0 == -1:
-        initial = w[:2]
-        pos = 2
-        pairs = ad.tail[1:]
+        a0, segments, suffix = None, [], w
     else:
-        initial = w[:1]
-        pos = 1
-        pairs = ad.tail
-    segments: list[Segment] = []
-    n = 1  # digit position of the next leading digit
-    i = 0
-    while i < len(pairs):
-        d, tag = pairs[i]
-        nxt = pairs[i + 1] if i + 1 < len(pairs) else None
-        if nxt is not None and nxt[0] == 1 and nxt[1] == "m":
-            toklen = d + 1 + 2
-            seg_digits = ((d, tag), (1, "m"))
-            i += 2
-            ndigits = 2
-        elif nxt is not None and nxt[0] == 1 and nxt[1] == "c":
-            toklen = d + 1
-            seg_digits = ((d, tag), (1, "c"))
-            i += 2
-            ndigits = 2
-        else:
-            toklen = d + 1
-            seg_digits = ((d, tag),)
-            i += 1
-            ndigits = 1
-        segments.append(Segment(n % 2, seg_digits, w[pos : pos + toklen]))
-        pos += toklen
-        n += ndigits
-    suffix = w[pos:]
+        if not w or w[0] != "J":
+            raise ParseError("vertical cutting words start with J")
+        mg = mgcf_from_cutting(w)
+        ad = annotated_from_mgcf(mg)
+        a0 = ad.a0
+        # the a0 = -1 opening J L holds the first 1_m
+        pairs = ad.tail[1:] if a0 == -1 else ad.tail
+        segments = []
+        i = 0
+        while i < len(pairs):
+            # a digit and the 1_m or 1_c closing it form one segment
+            nxt = pairs[i + 1] if i + 1 < len(pairs) else None
+            n = 2 if nxt in ((1, "m"), (1, "c")) else 1
+            segments.append(Segment(pairs[i:i + n]))
+            i += n
+        # an incomplete word ends in a run of R, one letter per token
+        suffix = () if ad.finite else w[len(mg.rstrip("R")):]
     encodings: list[tuple] = []
     if suffix:
         k = len(suffix)
-        # suffix is a pure letter run (the greedy parse stopped before it)
         encodings.append(("ge", k))
         if k >= 2:
             encodings.append(("pair", k - 1, "m"))
-    return SegmentParse(initial, ad.a0, tuple(segments), suffix, tuple(encodings))
+    return SegmentParse(a0, tuple(segments), suffix, tuple(encodings))
 
 
 def acf_from_cutting(word: Sequence[str]) -> str:

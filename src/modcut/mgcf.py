@@ -27,7 +27,7 @@ from .exactnum import (
     lft_apply,
     parse_int,
 )
-from .cf import OcfDigits, _acf_runs, acf_to_digits, convergents, ocf_digits, ocf_value
+from .cf import OcfDigits, _acf_runs, convergents, ocf_digits
 
 __all__ = [
     "N_MAT",
@@ -306,19 +306,16 @@ def _cmp_vs_prefix_interval(t: Fraction, digs: list[int]) -> int:
     return 0
 
 
-def mgcf_from_acf(word: str, complete: bool = False):
+def mgcf_from_acf(word: str):
     """Convert an ACF word (prefix) to the determined MGCF prefix.
 
-    With complete=False only symbols forced by the available digits are
-    emitted; tags of interior 1s are decided by comparing N(alpha_n) against
-    the interval of possible tail values.  Returns (mgcf_word, stats) where
-    stats has the retained digit count and comparison-step count.
+    Only symbols forced by the available digits are emitted; tags of
+    interior 1s are decided by comparing N(alpha_n) against the interval of
+    possible tail values.  Returns (mgcf_word, stats) where stats has the
+    retained digit count and comparison-step count.
     """
-    if complete:
-        digits = acf_to_digits(word).all_digits()
-    else:
-        # the last run is only a lower bound on the next digit: drop it
-        digits = tuple(_acf_runs(word)[:-1]) or (0,)
+    # the last run is only a lower bound on the next digit: drop it
+    digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]
     # convergent q's
     q_prev, q = 1, 0
@@ -341,13 +338,6 @@ def mgcf_from_acf(word: str, complete: bool = False):
         alpha = Fraction(qn_prev, qn)
         n_alpha = Fraction(alpha + 2, 2 * alpha + 1)
         suffix = list(tail[i:])
-        if complete:
-            beta = ocf_value(OcfDigits(suffix[0], tuple(suffix[1:]), True))
-            c = -1 if n_alpha > beta else (0 if n_alpha == beta else 1)
-            steps += len(suffix)
-            tag = {1: "h", 0: "c", -1: "m"}[c]
-            pairs.append((1, tag))
-            continue
         cmpres = _cmp_vs_prefix_interval(n_alpha, suffix)
         steps += len(suffix)
         if cmpres == -1:
@@ -357,7 +347,7 @@ def mgcf_from_acf(word: str, complete: bool = False):
         else:
             resolved = i  # undecidable from this prefix; stop here
             break
-    ad = AnnotatedDigits(digits[0], tuple(pairs[:resolved]), complete)
+    ad = AnnotatedDigits(digits[0], tuple(pairs[:resolved]), False)
     out = mgcf_from_annotated(ad)
     stats = {"retained_digits": len(digits), "compare_steps": steps}
     return out, stats

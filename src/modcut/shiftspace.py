@@ -14,8 +14,10 @@ with alpha_i = [0, d_{i-1}, ..., d_0 + y] and beta_i = [1, d_{i+1}, ...,
 d_last + z].  The block is whole-forbidden iff every reading's system is
 infeasible over the open box; feasibility is decided exactly by isolating
 the y-values where constraint curves cross (integer quadratics) and testing
-a rational sample point in every cell.  Admissible verdicts come with a
-rational witness geodesic re-checked against the tracer.
+a rational sample point in every cell.  An initial word is the same system
+with y pinned to one value (0, or 1 after the J R opening), tested at that
+point.  Admissible verdicts come with a rational witness geodesic re-checked
+against the tracer.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from .exactnum import (
     sqrt_exact,
 )
 from .cf import F_MAT, R_MAT, OcfDigits, ocf_digits, ocf_value
-from .mgcf import N_MAT, mgcf_direct, n_transform
+from .mgcf import (
+    N_MAT,
+    AnnotatedDigits,
+    mgcf_direct,
+    mgcf_from_annotated,
+    n_transform,
+)
 from .cutting import (
     CuttingWord,
     EDGE_FORBIDDEN,
@@ -124,11 +132,10 @@ def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
 @dataclass
 class _Reading:
     digits: list  # [(value, tag)]: tag in {"h","m","c",None}; None = plain >= 2
-    y_hi: Optional[Fraction] = None  # y in (0, y_hi); None = (0,1)
+    y_lo: Fraction = Fraction(0)  # y in (y_lo, y_hi); y = y_lo when they meet
+    y_hi: Fraction = Fraction(1)
     z_lo: Fraction = Fraction(0)
     z_hi: Fraction = Fraction(1)
-    anchored: bool = False  # head pinned (initial word); y absent
-    anchor_prefix: tuple[int, ...] = ()  # digits closing the alpha chains
     z_hi_closed: bool = False  # z = z_hi realizable (partial digit, then end)
     trailing_pair: Optional[int] = None  # trailing run read as a full pair
     # run of digit `trailing_pair`; the pair's unseen 1_m adds a constraint
@@ -150,8 +157,15 @@ def _tokens_to_items(w: Sequence[str]):
     return items
 
 
-def _corner_type(tok: str) -> str:
-    return "L" if tok == "C1" else "R"
+_CORNER_RUN = {"C1": "L", "C2": "R"}  # the letter on both sides of a corner
+
+
+def _corner_fits(items, i, sym) -> bool:
+    """items[i] is a corner inside a run of ``sym`` (the run after it may lie
+    beyond the block): C1 sits between Ls and C2 between Rs."""
+    nxt = items[i + 1] if i + 1 < len(items) else None
+    return _CORNER_RUN.get(items[i][0]) == sym and (
+        nxt is None or nxt[:2] == ("run", sym))
 
 
 def _digit_tag(v: int) -> Optional[str]:
@@ -159,191 +173,147 @@ def _digit_tag(v: int) -> Optional[str]:
     return "h" if v == 1 else None
 
 
-def _interior_parse(items, start, first_deficit, digits, anchored_end):
-    """Consume items[start:] given that the current run has lost
-    ``first_deficit`` leading letters to a pair tail.  Returns list of
-    (digits, tail_kind, tail_info) alternatives or None if structurally
-    impossible.  tail_kind: "none" (ended at separator boundary),
-    "run" (trailing run r), "runJ" (run r then J), "runC" (run r then C).
+def _partial_digit(k: int):
+    """Readings of a partial digit e >= k seen through its last k letters,
+    as (continuation bound, split-out digits): the bound is 1/k; for k <= 1
+    it is 1/2 (e >= 2), and e = 1 is split out, since a digit 1 owning a run
+    must be tagged h."""
+    if k >= 2:
+        return [(Fraction(1, k), [])]
+    return [(Fraction(1, 2), []), (Fraction(1), [(1, "h")])]
+
+
+def _interior_parse(items, i, deficit, digits):
+    """Consume items[i:] given that the current run has lost ``deficit``
+    leading letters to a pair tail.  Returns the one parse
+    (digits, tail_kind, r), or None if structurally impossible.
+    tail_kind: "none" (ended at separator boundary), "run" (trailing run r),
+    "runJ" (run r then J), "runC" (run r then C).
     """
-    out = []
-    i = start
-    deficit = first_deficit
     digs = list(digits)
-    while True:
-        if i >= len(items):
-            out.append((digs, "none", None))
-            return out
+    while i < len(items):
         it = items[i]
         if it[0] != "run":
             return None  # two separators in a row (JJ caught earlier, C cases)
         sym, r = it[1], it[2] - deficit
         if r < 0:
             return None
-        if i + 1 >= len(items):
-            if r == 0:
-                # the run was exactly a pair tail; block ends there
-                out.append((digs, "none", None))
-            else:
-                out.append((digs, "run", (sym, r)))
-            return out
+        if i + 1 == len(items):
+            # r == 0: the run was exactly a pair tail; block ends there
+            return (digs, "run", r) if r else (digs, "none", 0)
         if r == 0:
             return None  # next separator reached with no digit letters
-        sep = items[i + 1]
-        if sep[0] == "J":
-            if i + 2 >= len(items):
-                if r == 0:
-                    return None
-                out.append((digs, "runJ", (sym, r)))
-                return out
+        last = i + 2 == len(items)
+        if items[i + 1][0] == "J":
+            if last:
+                return digs, "runJ", r
             nxt = items[i + 2]
-            if nxt[0] == "run" and nxt[1] == sym:
+            if nxt[0] != "run":
+                return None  # J then C with no run between
+            if nxt[1] == sym:
                 # same letter across J: forced pair, digit r-1 then 1_m,
                 # the next run loses its first letter
                 if r < 2:
                     return None
-                digs = digs + [(r - 1, _digit_tag(r - 1)), (1, "m")]
-                deficit, i = 1, i + 2
-                continue
-            if nxt[0] == "run":
-                if r == 0:
-                    return None
-                digs = digs + [(r, _digit_tag(r))]
-                deficit, i = 0, i + 2
-                continue
-            if nxt[0] in ("C1", "C2"):
-                return None  # J then C with no run between
-            return None
-        # corner separator
-        if _corner_type(sep[0]) != sym or r == 0:
-            return None
-        if i + 2 >= len(items):
-            out.append((digs, "runC", (sym, r)))
-            return out
-        nxt = items[i + 2]
-        if nxt[0] != "run" or nxt[1] != sym:
-            return None  # corner keeps the letter type
-        digs = digs + [(r, _digit_tag(r)), (1, "c")]
-        deficit, i = 0, i + 2
+                digs += [(r - 1, _digit_tag(r - 1)), (1, "m")]
+                deficit = 1
+            else:
+                digs.append((r, _digit_tag(r)))
+                deficit = 0
+        else:
+            if not _corner_fits(items, i + 1, sym):
+                return None
+            if last:
+                return digs, "runC", r
+            digs += [(r, _digit_tag(r)), (1, "c")]
+            deficit = 0
+        i += 2
+    return digs, "none", 0
 
 
-def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
-    """All consistent (head reading, interior, tail reading) combinations."""
+def _block_readings(w: Sequence[str],
+                    y_pin: Optional[Fraction] = None) -> list[_Reading]:
+    """All consistent (head reading, interior, tail reading) combinations.
+
+    With ``y_pin`` the block is an initial word: it begins at a digit
+    boundary and the head continuation y is that one value.
+    """
     items = _tokens_to_items(w)
-    if not items:
-        return [_Reading([])]
     heads = []  # (start_index, deficit, head_digits, y_hi)
-    it0 = items[0]
-    if anchored:
+    if y_pin is not None:
         # the word begins at a digit-run boundary; no unseen predecessors
-        heads.append((0, 0, [], None))
-    elif it0[0] == "run":
-        sym, r = it0[1], it0[2]
-        # (a) the run is the tail of a partial digit e >= r, absorbed into y
-        #     -- only meaningful when a separator follows; the partial digit
-        #     flows into y with bound 1/r (plain/corner) or 1/(r-1) (pair)
+        heads.append((0, 0, [], y_pin))
+    elif not items:
+        return [_Reading([])]
+    elif items[0][0] == "run":
+        sym, r = items[0][1], items[0][2]
         if len(items) == 1:
             # bare letter run: realized by any digit >= r
-            return [_Reading([], y_hi=None)]
-        sep = items[1]
-        if sep[0] == "J":
-            nxt = items[2] if len(items) > 2 else None
-            if nxt is not None and nxt[0] == "run" and nxt[1] == sym:
-                # forced pair across the J: partial digit e-1 >= r-1 into y;
-                # a digit 1 owning a run must be tagged h, so split it out
-                if r >= 3:
-                    heads.append((2, 1, [(1, "m")], Fraction(1, r - 1)))
-                else:
-                    heads.append((2, 1, [(1, "m")], Fraction(1, 2)))
-                    heads.append((2, 1, [(1, "h"), (1, "m")], None))
-            else:
-                if r >= 2:
-                    heads.append((2, 0, [], Fraction(1, r)))
-                else:
-                    heads.append((2, 0, [], Fraction(1, 2)))
-                    heads.append((2, 0, [(1, "h")], None))
-        elif sep[0] in ("C1", "C2"):
-            if _corner_type(sep[0]) == sym:
-                if r >= 2:
-                    heads.append((2, 0, [(1, "c")], Fraction(1, r)))
-                else:
-                    heads.append((2, 0, [(1, "c")], Fraction(1, 2)))
-                    heads.append((2, 0, [(1, "h"), (1, "c")], None))
+            return [_Reading([])]
+        # (a) the run is the tail of a partial digit e >= k absorbed into y,
+        #     with k = r before a corner or a plain J, and k = r - 1 before
+        #     a forced pair across the J (the pair's 1_m follows)
+        sep = items[1][0]
+        if sep == "J" and len(items) > 2 and items[2][:2] == ("run", sym):
+            partial = (r - 1, 1, [(1, "m")])
+        elif sep == "J":
+            partial = (r, 0, [])
+        elif _corner_fits(items, 1, sym):
+            partial = (r, 0, [(1, "c")])
+        else:
+            partial = None
+        if partial is not None:
+            k, deficit, hdigits = partial
+            for bound, one in _partial_digit(k):
+                heads.append((2, deficit, one + hdigits, bound))
         # (b) first letter is the tail of an unseen pair: boundary 1_m with
-        #     alpha = y free, then a complete digit of r-1 letters
-        if r >= 2 or (r == 1 and len(items) == 1):
-            sub = [("run", sym, r - 1)] + list(items[1:]) if r >= 2 else []
-            heads.append((("sub", sub), 0, [(1, "m")], None))
-        elif r == 1 and len(items) >= 2 and items[1][0] == "J":
-            # the whole first run is a pair tail; the digit after the 1_m
-            # has no letters before the next separator: impossible
-            pass
-    elif it0[0] == "J":
-        nxt = items[1] if len(items) > 1 else None
+        #     alpha = y free, then a complete digit of r-1 letters (none when
+        #     r == 1, which the parser rejects)
+        heads.append((0, 1, [(1, "m")], Fraction(1)))
+    elif items[0][0] == "J":
         # (i) plain separator, head free
-        heads.append((1, 0, [], None))
+        heads.append((1, 0, [], Fraction(1)))
         # (ii) the J belongs to an unseen pair; consumes the next run's
         #      first letter
-        if nxt is not None and nxt[0] == "run":
-            heads.append((1, 1, [(1, "m")], None))
-    else:  # corner first
-        nxt = items[1] if len(items) > 1 else None
-        if nxt is None or (nxt[0] == "run" and nxt[1] == _corner_type(it0[0])):
-            heads.append((1, 0, [(1, "c")], None))
+        if len(items) > 1:
+            heads.append((1, 1, [(1, "m")], Fraction(1)))
+    elif _corner_fits(items, 0, _CORNER_RUN[items[0][0]]):
+        heads.append((1, 0, [(1, "c")], Fraction(1)))
 
+    y_lo = Fraction(0) if y_pin is None else y_pin
     readings = []
     for start, deficit, hdigits, y_hi in heads:
-        if isinstance(start, tuple):  # substituted item list (head case b)
-            sub = start[1]
-            if not sub:
-                readings.append(_Reading(list(hdigits), y_hi=None))
-                continue
-            alts = _interior_parse(sub, 0, 0, hdigits, False)
-        else:
-            alts = _interior_parse(items, start, deficit, hdigits, False)
-        if alts is None:
+        parse = _interior_parse(items, start, deficit, hdigits)
+        if parse is None:
             continue
-        for digs, tkind, tinfo in alts:
-            for rd in _tail_readings(digs, tkind, tinfo):
-                rd.y_hi = y_hi
-                readings.append(rd)
+        for rd in _tail_readings(*parse):
+            rd.y_lo, rd.y_hi = y_lo, y_hi
+            readings.append(rd)
     return readings
 
 
-def _tail_readings(digs, tkind, tinfo) -> list[_Reading]:
-    out = []
+def _tail_readings(digs, tkind, r) -> list[_Reading]:
     if tkind == "none":
-        out.append(_Reading(list(digs)))
-    elif tkind == "run":
-        sym, r = tinfo
-        # (a) partial digit e >= r: z in (0, 1/r], closed when e = r ends
-        # the expansion; a digit 1 owning a run must be tagged h, so the
-        # e = 1 case is split out with its constraint
+        return [_Reading(digs)]
+    if tkind == "runC":
+        return [_Reading(digs + [(r, _digit_tag(r)), (1, "c")])]
+    if tkind == "runJ":
+        # plain separator: digit r complete, z free; or a pair: digit r-1
+        # then 1_m whose pair tail is unseen
+        out = [_Reading(digs + [(r, _digit_tag(r))])]
         if r >= 2:
-            out.append(_Reading(list(digs), z_hi=Fraction(1, r),
-                                z_hi_closed=True))
-        else:
-            out.append(_Reading(list(digs), z_hi=Fraction(1, 2),
-                                z_hi_closed=True))
-            out.append(_Reading(list(digs) + [(1, "h")]))
-        # (b) the run is a full pair run of length exactly r (digit r-1,
-        #     J and pair tail unseen): continuation [0, r-1, 1, ...],
-        #     z in (1/r, 2/(2r-1)), plus the unseen 1_m's tag constraint
-        if r >= 2:
-            out.append(_Reading(list(digs), z_lo=Fraction(1, r),
-                                z_hi=Fraction(2, 2 * r - 1),
-                                trailing_pair=r - 1))
-    elif tkind == "runJ":
-        sym, r = tinfo
-        # plain separator: digit r complete, z free
-        out.append(_Reading(list(digs) + [(r, _digit_tag(r))]))
-        # pair: digit r-1 then 1_m whose pair tail is unseen
-        if r >= 2:
-            out.append(_Reading(list(digs) + [(r - 1, _digit_tag(r - 1)),
-                                              (1, "m")]))
-    elif tkind == "runC":
-        sym, r = tinfo
-        out.append(_Reading(list(digs) + [(r, _digit_tag(r)), (1, "c")]))
+            out.append(_Reading(digs + [(r - 1, _digit_tag(r - 1)), (1, "m")]))
+        return out
+    # (a) partial digit e >= r: z in (0, bound], closed when e = r ends the
+    #     expansion
+    out = [_Reading(digs + one, z_hi=bound, z_hi_closed=not one)
+           for bound, one in _partial_digit(r)]
+    # (b) the run is a full pair run of length exactly r (digit r-1, J and
+    #     pair tail unseen): continuation [0, r-1, 1, ...],
+    #     z in (1/r, 2/(2r-1)), plus the unseen 1_m's tag constraint
+    if r >= 2:
+        out.append(_Reading(digs, z_lo=Fraction(1, r),
+                            z_hi=Fraction(2, 2 * r - 1), trailing_pair=r - 1))
     return out
 
 
@@ -357,11 +327,6 @@ def _alpha_matrix(digits, i) -> IntMatrix2:
     for k in range(1, i):
         m = IntMatrix2(digits[k][0], 1, 1, 0) * m
     return F_MAT * m if i > 0 else m  # i == 0: alpha = y itself
-
-
-def _alpha_value(digits, i, prefix) -> Fraction:
-    """Anchored alpha_i = [0, d_{i-1}, ..., d_0, prefix...] exactly."""
-    return _cf0([digits[k][0] for k in range(i - 1, -1, -1)] + list(prefix))
 
 
 def _beta_matrix(digits, i) -> IntMatrix2:
@@ -400,18 +365,17 @@ def _lft_at(m: IntMatrix2, x: Fraction):
 
 @dataclass
 class _System:
-    constraints: list  # (op, beta_mat, alpha_mat_or_value)
-    y_lo: Fraction
+    constraints: list  # (op, beta_mat, alpha_mat)
+    y_lo: Fraction  # y in (y_lo, y_hi), or y = y_lo when they are equal
     y_hi: Fraction
     z_lo: Fraction
     z_hi: Fraction
-    anchored: bool
     z_hi_closed: bool = False
 
     def satisfied(self, y, z) -> bool:
         for op, bm, am in self.constraints:
             beta = _lft_at(bm, z)
-            alpha = am if isinstance(am, Fraction) else _lft_at(am, y)
+            alpha = _lft_at(am, y)
             if beta is None or alpha is None:
                 return False
             nv = n_transform(alpha)
@@ -427,13 +391,8 @@ def _build_system(rd: _Reading) -> _System:
     for i, (v, tag) in enumerate(rd.digits):
         if tag not in ("h", "m", "c"):
             continue
-        bm = _beta_matrix(rd.digits, i)
-        if rd.anchored:
-            am = _alpha_value(rd.digits, i, rd.anchor_prefix)
-        else:
-            am = _alpha_matrix(rd.digits, i)
         op = {"h": ">", "m": "<", "c": "="}[tag]
-        cons.append((op, bm, am))
+        cons.append((op, _beta_matrix(rd.digits, i), _alpha_matrix(rd.digits, i)))
     if rd.trailing_pair is not None:
         # the unseen 1_m after the trailing pair digit a = trailing_pair:
         # z = [0, a, 1 + 1/t] with t the continuation; beta = 1 + 1/t
@@ -441,25 +400,20 @@ def _build_system(rd: _Reading) -> _System:
         m_zt = F_MAT * IntMatrix2(1, a, 0, 1) * F_MAT * R_MAT * F_MAT
         bm = R_MAT * F_MAT * m_zt.inverse()
         ext = list(rd.digits) + [(a, None), (1, "m")]
-        if rd.anchored:
-            am = _alpha_value(ext, len(ext) - 1, rd.anchor_prefix)
-        else:
-            am = _alpha_matrix(ext, len(ext) - 1)
-        cons.append(("<", bm, am))
-    y_hi = rd.y_hi if rd.y_hi is not None else Fraction(1)
-    return _System(cons, Fraction(0), y_hi, rd.z_lo, rd.z_hi, rd.anchored,
-                   rd.z_hi_closed)
+        cons.append(("<", bm, _alpha_matrix(ext, len(ext) - 1)))
+    return _System(cons, rd.y_lo, rd.y_hi, rd.z_lo, rd.z_hi, rd.z_hi_closed)
 
 
-def _z_set_at(sys_: _System, y) -> Optional[tuple[Fraction, Fraction, Optional[Fraction]]]:
-    """Open z-interval satisfying all constraints at fixed rational y.
-    Returns (lo, hi, pinned) where pinned is the forced z of equality
-    constraints (then lo < pinned < hi must hold), or None if empty.
+def _z_at(sys_: _System, y) -> Optional[Fraction]:
+    """A rational z solving the system at fixed rational y, or None.
+
+    The open z-interval satisfying every inequality is narrowed first; an
+    equality constraint pins z, which must then lie inside it.
     """
     lo, hi = sys_.z_lo, sys_.z_hi
     pinned = None
     for op, bm, am in sys_.constraints:
-        alpha = am if isinstance(am, Fraction) else _lft_at(am, y)
+        alpha = _lft_at(am, y)
         if alpha is None or not (0 < alpha <= 1):
             return None
         T = n_transform(alpha)
@@ -497,35 +451,24 @@ def _z_set_at(sys_: _System, y) -> Optional[tuple[Fraction, Fraction, Optional[F
                 lo = max(lo, zstar)
         if lo >= hi:
             return None
-    if pinned is not None:
-        ok = lo < pinned < hi
-        # terminating expansions realize the closed endpoints: z = 0 when
-        # the tail stops at the block's final separator, z = z_hi when a
-        # partial trailing digit is the word's last
-        if not ok and pinned == sys_.z_lo == 0 and lo == sys_.z_lo:
-            ok = True
-        if not ok and sys_.z_hi_closed and pinned == sys_.z_hi == hi:
-            ok = True
-        if not ok:
-            return None
-    return (lo, hi, pinned)
+    if pinned is None:
+        return rational_between(lo, hi)
+    ok = lo < pinned < hi
+    # terminating expansions realize the closed endpoints: z = 0 when
+    # the tail stops at the block's final separator, z = z_hi when a
+    # partial trailing digit is the word's last
+    if not ok and pinned == sys_.z_lo == 0 and lo == sys_.z_lo:
+        ok = True
+    if not ok and sys_.z_hi_closed and pinned == sys_.z_hi == hi:
+        ok = True
+    return pinned if ok else None
 
 
-def _feasible(sys_: _System) -> Optional[tuple[Fraction, Fraction]]:
-    """Exact feasibility; returns a rational solution or None."""
-    if sys_.anchored:
-        zi = _z_set_at(sys_, Fraction(0))
-        if zi is None:
-            return None
-        lo, hi, pinned = zi
-        z = pinned if pinned is not None else rational_between(lo, hi)
-        return (Fraction(0), z)
-    # candidate y breakpoints
+def _y_breakpoints(sys_: _System) -> list:
+    """Sorted y-values in [y_lo, y_hi] where the feasible z-set can change."""
     cands: list = [sys_.y_lo, sys_.y_hi]
     mats = []
     for op, bm, am in sys_.constraints:
-        if isinstance(am, Fraction):
-            continue
         psi = bm.inverse() * N_MAT * am  # z-boundary curve psi(y)
         mats.append(psi)
         if psi.c != 0:
@@ -546,15 +489,24 @@ def _feasible(sys_: _System) -> Optional[tuple[Fraction, Fraction]]:
             C = m1.b * m2.d - m2.b * m1.d
             cands.extend(_quad_roots(A, B, C))
     # canonical values: equal breakpoints are equal set members
-    inside = sorted({c for c in cands if sys_.y_lo <= c <= sys_.y_hi})
-    for a, b in zip(inside, inside[1:]):
-        y = rational_between(a, b)
-        zi = _z_set_at(sys_, y)
-        if zi is None:
-            continue
-        lo, hi, pinned = zi
-        z = pinned if pinned is not None else rational_between(lo, hi)
-        return (y, z)
+    return sorted({c for c in cands if sys_.y_lo <= c <= sys_.y_hi})
+
+
+def _feasible(sys_: _System) -> Optional[tuple[Fraction, Fraction]]:
+    """Exact feasibility; returns a rational solution or None.
+
+    A pinned y is tested at its one value; a free y at one rational point in
+    every cell between consecutive breakpoints.
+    """
+    if sys_.y_lo == sys_.y_hi:
+        ys: Iterable = [sys_.y_lo]
+    else:
+        inside = _y_breakpoints(sys_)
+        ys = (rational_between(a, b) for a, b in zip(inside, inside[1:]))
+    for y in ys:
+        z = _z_at(sys_, y)
+        if z is not None:
+            return (y, z)
     return None
 
 
@@ -589,17 +541,14 @@ def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
     """
     tail = list(ocf_digits(z).tail) if z else []
     body = [v for v, _t in rd.digits]
-    heads: list[list[int]] = []
-    if rd.anchored:
-        heads.append(([1] if rd.anchor_prefix else []))
-    else:
-        hd = list(ocf_digits(y).tail) if y else []
-        heads.append(list(reversed(hd)))
-        if hd:  # the other representation: [..., a] == [..., a-1, 1]
-            alt = hd[:-1] + ([hd[-1] - 1, 1] if hd[-1] >= 2 else [])
-            if alt and alt != hd:
-                heads.append(list(reversed(alt)))
-        # y == 0: only the empty head exists, single parity
+    # y = [0; hd], so hd expands 1/y; a pinned y = 1 is the head [1]
+    hd = list(ocf_digits(1 / y).all_digits()) if y else []
+    heads = [list(reversed(hd))]
+    if hd:  # the other representation: [..., a] == [..., a-1, 1]
+        alt = hd[:-1] + ([hd[-1] - 1, 1] if hd[-1] >= 2 else [])
+        if alt and alt != hd:
+            heads.append(list(reversed(alt)))
+    # y == 0: only the empty head exists, single parity
     out = []
     for head in heads:
         digits = head + body + tail
@@ -617,8 +566,6 @@ def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
         theta = ocf_value(od)
         if theta >= Fraction(1, 2):
             theta -= 1
-        if rd.anchored and rd.anchor_prefix:
-            theta = ocf_value(OcfDigits(-1, tuple(digits), True))
         if -Fraction(1, 2) <= theta < Fraction(1, 2):
             out.append(theta)
     return out
@@ -630,30 +577,27 @@ def _occurs(block: CuttingWord, theta: Fraction) -> bool:
     return any(word[i:i + n] == tuple(block) for i in range(len(word) - n + 1))
 
 
-def decide_block(w: Sequence[str], anchored: bool = False,
-                 anchor_prefix: Sequence[int] = ()) -> BlockVerdict:
-    """Verdict for a cutting-word factor (or an initial word if anchored)."""
+def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
+    """Verdict for a cutting-word factor (or an initial word if anchored).
+
+    An initial word is read with the head continuation y pinned: y = 0 after
+    the opening J, and y = [0; 1] = 1 after the J R opening, which encodes
+    a0 = -1 with the consumed 1_m digit.
+    """
     w = tuple(w)
     hit = find_edge_forbidden(w)
     if hit is not None:
         return BlockVerdict(w, "edge-forbidden",
                             reason="contains %s at %d" % ("".join(hit[1]), hit[0]))
-    body = w
+    body, y_pin = w, None
     if anchored:
         if not w or w[0] != "J":
             return BlockVerdict(w, "whole-forbidden",
                                 reason="initial words start with J")
-        body = w[1:]
-        if body and body[0] == "R" and not anchor_prefix:
-            # the J R opening encodes a0 = -1 with the consumed 1_m digit
-            anchor_prefix = (1,)
-            body = body[1:]
-    readings = _block_readings(body, anchored=anchored)
-    if anchored:
-        for rd in readings:
-            rd.anchored = True
-            rd.anchor_prefix = tuple(anchor_prefix)
-            rd.y_hi = None
+        body, y_pin = w[1:], Fraction(0)
+        if body[:1] == ("R",):
+            body, y_pin = body[1:], Fraction(1)
+    readings = _block_readings(body, y_pin)
     if not readings:
         return BlockVerdict(w, "whole-forbidden",
                             reason="no segment factorization")
@@ -662,14 +606,14 @@ def decide_block(w: Sequence[str], anchored: bool = False,
         sys_ = _build_system(rd)
         sol = _feasible(sys_)
         if sol is not None:
-            solutions.append((rd, sol))
+            solutions.append((rd, sys_, sol))
     if not solutions:
         return BlockVerdict(w, "whole-forbidden",
                             reason="all %d readings infeasible" % len(readings))
     # construct a tracer-checked witness
-    for rd, (y, z) in solutions:
-        for cand in _witness_candidates(rd, y, z):
-            for theta in _theta_from(rd, cand[0], cand[1]):
+    for rd, sys_, sol in solutions:
+        for y, z in _witness_candidates(sys_, *sol):
+            for theta in _theta_from(rd, y, z):
                 if theta == 0:
                     continue
                 if _occurs(w, theta):
@@ -679,18 +623,16 @@ def decide_block(w: Sequence[str], anchored: bool = False,
                         reason="feasible but no rational witness found")
 
 
-def _witness_candidates(rd: _Reading, y: Fraction, z: Fraction):
+def _witness_candidates(sys_: _System, y: Fraction, z: Fraction):
     yield (y, z)
-    sys_ = _build_system(rd)
+    if sys_.y_lo == sys_.y_hi:
+        return  # a pinned y has no other point to try
     rng = random.Random(1729)
     for _ in range(60):
         yy = Fraction(rng.randint(1, 400), 401) * (sys_.y_hi - sys_.y_lo) + sys_.y_lo
-        zi = _z_set_at(sys_, yy)
-        if zi is None:
-            continue
-        lo, hi, pinned = zi
-        zz = pinned if pinned is not None else rational_between(lo, hi)
-        yield (yy, zz)
+        zz = _z_at(sys_, yy)
+        if zz is not None:
+            yield (yy, zz)
 
 
 def random_cross_check(w: Sequence[str], verdict: BlockVerdict,
@@ -805,46 +747,29 @@ def follower_separation(j: int, k: int) -> dict:
 
     The initial words encode [0; 3, 2^(4j+2)] up to the end of the last
     2-run; continuations come from the central family with head
-    [3, 2^(4j+2)].
+    [3, 2^(4j+2)].  Both are slices of the central word
+    [0; 3, 2^(4j+2), 1_c, tail], cut at its corner.
     """
     if j == k or j < 1 or k < 1:
         raise ValueError("need distinct j, k >= 1")
 
-    def initial_word(jj):
-        # J, then digit 3 (odd position: L letters), then 2-runs; stop at
-        # the end of the last 2-run, before its separator
-        toks = ["J"] + ["L"] * 3 + ["J"]
-        sym = "R"
-        for _ in range(4 * jj + 2):
-            toks += [sym] * 2 + ["J"]
-            sym = "L" if sym == "R" else "R"
-        # drop the final separator: the word ends inside the last run
-        return tuple(toks[:-1])
+    def split(jj):
+        head = [3] + [2] * (4 * jj + 2)
+        tail = central_head_to_tail(head)
+        digits = ([(d, None) for d in head] + [(1, "c")]
+                  + [(d, _digit_tag(d)) for d in tail])
+        word = cutting_from_mgcf(mgcf_from_annotated(
+            AnnotatedDigits(0, tuple(digits), True)))
+        ci = next(i for i, t in enumerate(word) if t.startswith("C"))
+        return word[:ci], word[ci], word[ci + 1:]
 
-    wj, wk = initial_word(j), initial_word(k)
-    # letter type of the last 2-run
-    last_j, last_k = wj[-1], wk[-1]
-    if last_j != last_k:
-        raise AssertionError("run parities of the two prefixes differ")
-    X = last_j
-    corner = "C1" if X == "L" else "C2"
-
-    def encode_tail(tail, sym):
-        toks = []
-        s = sym
-        for d in tail:
-            toks += [s] * d + ["J"]
-            s = "L" if s == "R" else "R"
-        return toks
-
-    tail_j = central_head_to_tail([3] + [2] * (4 * j + 2))
-    tail_k = central_head_to_tail([3] + [2] * (4 * k + 2))
+    wj, corner, tail_j = split(j)
+    wk, _, tail_k = split(k)
     candidates = []
     for tail in (tail_j, tail_k):
         for rep in ((corner,),) + corner_resolutions(corner):
-            cont = tuple(rep) + tuple(encode_tail(tail, X))
-            candidates.append(cont)
-            candidates.append(cont[:-1])  # without the final separator
+            # with and without the final separator
+            candidates += [rep + tail, (rep + tail)[:-1]]
     for cont in candidates:
         vj = decide_block(wj + cont, anchored=True)
         vk = decide_block(wk + cont, anchored=True)

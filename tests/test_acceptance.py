@@ -222,9 +222,13 @@ def test_criterion_12_benchmark():
     rows = []
     for n in (1000, 2000, 4000):
         w = full[:n]
-        t0 = time.perf_counter()
-        _word, stats = mgcf_from_acf(w)
-        rows.append((n, time.perf_counter() - t0, stats["retained_digits"]))
+        # the fastest of three runs: load on the machine only adds time
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            _word, stats = mgcf_from_acf(w)
+            times.append(time.perf_counter() - t0)
+        rows.append((n, min(times), stats["retained_digits"]))
     xs = [math.log(n) for n, _, _ in rows]
     ys = [math.log(t) for _, t, _ in rows]
     xb, yb = sum(xs) / 3, sum(ys) / 3

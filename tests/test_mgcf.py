@@ -89,11 +89,6 @@ def test_from_acf_prefix_semantics():
     assert mgcf_direct(Fraction(5, 14)).startswith(prefix)
 
 
-def test_from_acf_complete():
-    w, _ = mgcf_from_acf(acf_of(Fraction(5, 14)), complete=True)
-    assert w == mgcf_direct(Fraction(5, 14))
-
-
 def test_annotated_text_format():
     ad = AnnotatedDigits(0, ((2, None), (1, "h"), (4, None)), True)
     text = format_annotated(ad)

@@ -1,9 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from modcut.cutting import EDGE_FORBIDDEN, corner_resolutions, cutting_from_mgcf
+from modcut.cutting import (
+    EDGE_FORBIDDEN,
+    corner_resolutions,
+    cutting_from_mgcf,
+    find_edge_forbidden,
+)
 from modcut.mgcf import mgcf_direct
 from modcut.shiftspace import (
     INFTY,
@@ -64,6 +70,15 @@ def test_frozen_admissible(word):
     v = decide_block(W(word))
     assert v.status == "admissible", word
     assert v.witness is not None, word
+
+
+@pytest.mark.parametrize("word", ["LC1R", "RC2L"])
+def test_corner_keeps_letter_type_after_leading_run(word):
+    # C1 sits between Ls and C2 between Rs, also right after the first run
+    v = decide_block(W(word))
+    assert v.status == "whole-forbidden", v
+    assert v.reason == "no segment factorization"
+    assert random_cross_check(W(word), v)
 
 
 def test_edge_forbidden_short_circuit():
@@ -137,6 +152,34 @@ def test_anchored_initial_words():
     assert excluded_initial(W("LLJ"))
     assert excluded_initial(W("JJ"))
     assert not excluded_initial(W("JLLJ"))
+
+
+def test_anchored_short_initial_words():
+    """Every J-initial block of length <= 7 decided as an initial word."""
+    blocks = [("J",) + rest for n in range(7)
+              for rest in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n)]
+    blocks = [b for b in blocks if find_edge_forbidden(b) is None]
+    assert len(blocks) == 8781
+    verdicts = [decide_block(b, anchored=True) for b in blocks]
+    admissible = [v for v in verdicts if v.status == "admissible"]
+    assert len(admissible) == 75
+    for v in admissible:
+        if v.witness is not None:
+            word = cutting_from_mgcf(mgcf_direct(v.witness.foot, limit=4000))
+            assert word[:len(v.block)] == v.block, v
+
+
+def test_anchored_realised_prefixes():
+    prefixes = set()
+    for q in range(3, 60):
+        for p in range(1, (q - 1) // 2 + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (1, -1):
+                w = cutting_from_mgcf(mgcf_direct(Fraction(s * p, q), limit=200))
+                prefixes.update(w[:n] for n in range(1, 9))
+    for blk in sorted(prefixes):
+        assert decide_block(blk, anchored=True).status == "admissible", blk
 
 
 def test_follower_separation():
