@@ -94,18 +94,15 @@ def main() -> None:
 # expand
 
 
-def _expand_word(kind: str, theta, limit: int) -> str:
-    if kind == "ocf":
-        return format_digits(ocf_digits(theta, limit))
-    if kind == "acf":
-        return acf_of(theta, limit)
-    if kind == "farey":
-        return farey_of(theta, limit)
-    if kind == "mgcf":
-        return mgcf_direct(theta, limit)
-    if kind == "cutting":
-        return format_cutting(cutting_from_mgcf(mgcf_direct(theta, limit)))
-    raise ParseError("unknown kind %r" % kind)
+# kind -> (theta, limit) -> word
+_EXPAND = {
+    "ocf": lambda x, limit: format_digits(ocf_digits(x, limit)),
+    "acf": acf_of,
+    "farey": farey_of,
+    "mgcf": mgcf_direct,
+    "cutting": lambda x, limit: format_cutting(
+        cutting_from_mgcf(mgcf_direct(x, limit))),
+}
 
 
 @main.command()
@@ -121,7 +118,7 @@ def expand(kind, theta, limit, as_json):
         x = parse_extreal(theta)
         if limit < 1:
             raise ValueError("limit must be >= 1")
-        word = _expand_word(kind, x, limit)
+        word = _EXPAND[kind](x, limit)
         _emit({"kind": kind, "theta": format_extreal(x), "limit": limit,
                "word": word}, as_json, word)
 
@@ -132,32 +129,22 @@ def expand(kind, theta, limit, as_json):
 # convert
 
 
-def _to_acf(kind: str, word: str) -> str:
-    if kind == "acf":
-        return word
-    if kind == "ocf":
-        return digits_to_acf(parse_digits(word))
-    if kind == "farey":
-        return farey_to_acf(word)
-    if kind == "mgcf":
-        return acf_from_cutting(cutting_from_mgcf(word))
-    if kind == "cutting":
-        return acf_from_cutting(parse_cutting(word))
-    raise ParseError("unknown kind %r" % kind)
-
-
-def _from_acf(kind: str, acf: str) -> str:
-    if kind == "acf":
-        return acf
-    if kind == "ocf":
-        return format_digits(acf_to_digits(acf))
-    if kind == "farey":
-        return acf_to_farey(acf)
-    if kind == "mgcf":
-        return mgcf_from_acf(acf)[0]
-    if kind == "cutting":
-        return format_cutting(cutting_from_mgcf(mgcf_from_acf(acf)[0]))
-    raise ParseError("unknown kind %r" % kind)
+# kind -> word -> additive word, and back
+_TO_ACF = {
+    "ocf": lambda word: digits_to_acf(parse_digits(word)),
+    "acf": lambda word: word,
+    "farey": farey_to_acf,
+    "mgcf": lambda word: acf_from_cutting(cutting_from_mgcf(word)),
+    "cutting": lambda word: acf_from_cutting(parse_cutting(word)),
+}
+_FROM_ACF = {
+    "ocf": lambda acf: format_digits(acf_to_digits(acf)),
+    "acf": lambda acf: acf,
+    "farey": acf_to_farey,
+    "mgcf": lambda acf: mgcf_from_acf(acf)[0],
+    "cutting": lambda acf: format_cutting(
+        cutting_from_mgcf(mgcf_from_acf(acf)[0])),
+}
 
 
 @main.command()
@@ -180,7 +167,7 @@ def convert(word, src, dst, as_json):
             else:
                 out = mgcf_from_cutting(parse_cutting(word))
         else:
-            out = _from_acf(dst, _to_acf(src, word))
+            out = _FROM_ACF[dst](_TO_ACF[src](word))
         _emit({"from": src, "to": dst, "input": word, "word": out},
               as_json, out)
 

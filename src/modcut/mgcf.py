@@ -6,10 +6,13 @@ Three routes to the same word live here:
   the lattice spanned by the rows of P * B_t(theta) as t decreases, computed
   in s = t^2 space where every squared vector norm is affine in s;
 * ``annotate_ones`` + ``mgcf_from_annotated`` — the digit-segment codec,
-  with every interior digit 1 tagged h, m, or c by comparing the tail value
-  beta_n against N(alpha_n), N(z) = (z+2)/(2z+1);
+  with every interior digit 1 tagged h, m, or c by the sign of the tail
+  value beta_n against N(alpha_n), N(z) = (z+2)/(2z+1);
 * ``mgcf_from_acf`` — an online converter from an additive-CF prefix, which
   can only look at the digits it has been given (used by the benchmark).
+
+The inverse ``annotated_from_mgcf`` reads a word with one segment reader,
+which ``shiftspace`` also runs over cutting-word blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ N_MAT = IntMatrix2(1, 2, 2, 1)
 
 def n_transform(x) -> ExtReal:
     return lft_apply(N_MAT, x)
+
+
+# the tag of an interior 1 by the sign of beta - N(alpha)
+_TAG_OF_SIGN = {1: "h", 0: "c", -1: "m"}
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +179,7 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
         cp = convs[n]
         alpha = Fraction(cp.q_prev, cp.q)
         beta = (cp.q_prev * theta - cp.p_prev) / (cp.p - cp.q * theta)
-        n_alpha = Fraction(alpha + 2, 2 * alpha + 1)
-        c = compare(beta, n_alpha)
-        if c > 0:
-            tag = "h"
-        elif c == 0:
-            tag = "c"
-        else:
-            tag = "m"
-        pairs.append((1, tag))
+        pairs.append((1, _TAG_OF_SIGN[compare(beta, n_transform(alpha))]))
     return AnnotatedDigits(digits.a0, tuple(pairs), digits.finite)
 
 
@@ -224,60 +223,68 @@ def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
     return "".join(out)
 
 
+def _standalone(k: int) -> tuple[int, Optional[str]]:
+    """A complete digit k that heads its own segment: a 1 there is tagged h."""
+    return (k, "h" if k == 1 else None)
+
+
+def _read_segments(word: str, i: int) -> tuple[list, int]:
+    """Read the segments of ``word`` from position i.
+
+    R^k J is the digit k, R^k J L the digits k-1, 1_m and R^k C the digits
+    k, 1_c.  Returns the (digit, tag) pairs read and the position of the
+    first letter left unread: the reader stops before a final R^k or R^k J,
+    whose digit depends on letters beyond the word.  Raises ParseError where
+    no segment fits.
+    """
+    pairs: list[tuple[int, Optional[str]]] = []
+    n = len(word)
+    while True:
+        j = i
+        while j < n and word[j] == "R":
+            j += 1
+        k = j - i
+        if j == n:
+            return pairs, i
+        sep = word[j]
+        if sep not in "JC":
+            raise ParseError("unexpected symbol %r at position %d" % (sep, j))
+        if k == 0:
+            raise ParseError("segment with no R run at position %d" % j)
+        if sep == "C":
+            pairs += [_standalone(k), (1, "c")]
+            i = j + 1
+        elif j + 1 == n:
+            return pairs, i
+        elif word[j + 1] == "L":
+            if k < 2:
+                raise ParseError("J L after a single R at position %d" % j)
+            pairs += [_standalone(k - 1), (1, "m")]
+            i = j + 2
+        else:
+            pairs.append(_standalone(k))
+            i = j + 1
+
+
 def annotated_from_mgcf(word: str) -> AnnotatedDigits:
-    """Greedy inverse of mgcf_from_annotated; rejects unfactorizable words."""
+    """Inverse of mgcf_from_annotated; rejects unfactorizable words."""
     if not word:
         raise ParseError("empty MGCF word")
     if word[0] != "J":
         raise ParseError("no segment may precede the initial J (position 0)")
-    i = 1
-    if i < len(word) and word[i] == "L":
-        a0 = -1
-        pairs: list[tuple[int, Optional[str]]] = [(1, "m")]
-        i += 1
+    if word[1:2] == "L":
+        a0, pairs, i = -1, [(1, "m")], 2
     else:
-        a0 = 0
-        pairs = []
-    complete = True
-    while i < len(word):
-        k = 0
-        while i < len(word) and word[i] == "R":
-            k += 1
-            i += 1
-        if i == len(word):
-            complete = False  # trailing run: digit >= k, undetermined
-            break
-        sep = word[i]
-        if sep == "J":
-            if k == 0:
-                raise ParseError("segment with no R run at position %d" % i)
-            if i + 1 < len(word) and word[i + 1] == "L":
-                if k < 2:
-                    raise ParseError("J L after a single R at position %d" % i)
-                pairs.append((k - 1, None))
-                pairs.append((1, "m"))
-                i += 2
-            else:
-                pairs.append((k, None))
-                i += 1
-        elif sep == "C":
-            if k == 0:
-                raise ParseError("corner with no R run at position %d" % i)
-            pairs.append((k, None))
-            pairs.append((1, "c"))
-            i += 1
-        else:
-            raise ParseError("unexpected symbol %r at position %d" % (sep, i))
-    # re-mark plain 1 digits that precede nothing special: interior 1s created
-    # as (k-1) or k may equal 1; their tags are h by the grammar (they head
-    # their own segment), except the pair-consumed ones already tagged
-    fixed: list[tuple[int, Optional[str]]] = []
-    for idx, (d, t) in enumerate(pairs):
-        if d == 1 and t is None:
-            fixed.append((1, "m" if idx == 0 else "h"))
-        else:
-            fixed.append((d, t))
-    return AnnotatedDigits(a0, tuple(fixed), complete)
+        a0, pairs, i = 0, [], 1
+    read, i = _read_segments(word, i)
+    pairs += read
+    # the final piece: R^k J is a complete digit, a bare R^k is not
+    tail = word[i:]
+    if tail.endswith("J"):
+        pairs.append(_standalone(len(tail) - 1))
+    if pairs and pairs[0] == (1, "h"):
+        pairs[0] = (1, "m")  # a1 = 1 is always tagged m
+    return AnnotatedDigits(a0, tuple(pairs), not tail.endswith("R"))
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +342,15 @@ def mgcf_from_acf(word: str):
             continue
         n = i
         qn, qn_prev = qs[n + 1]
-        alpha = Fraction(qn_prev, qn)
-        n_alpha = Fraction(alpha + 2, 2 * alpha + 1)
         suffix = list(tail[i:])
-        cmpres = _cmp_vs_prefix_interval(n_alpha, suffix)
+        # N(alpha) below every possible tail value beta means beta > N(alpha)
+        n_alpha = n_transform(Fraction(qn_prev, qn))
+        sign = -_cmp_vs_prefix_interval(n_alpha, suffix)
         steps += len(suffix)
-        if cmpres == -1:
-            pairs.append((1, "h"))
-        elif cmpres == 1:
-            pairs.append((1, "m"))
-        else:
+        if sign == 0:
             resolved = i  # undecidable from this prefix; stop here
             break
+        pairs.append((1, _TAG_OF_SIGN[sign]))
     ad = AnnotatedDigits(digits[0], tuple(pairs[:resolved]), False)
     out = mgcf_from_annotated(ad)
     stats = {"retained_digits": len(digits), "compare_steps": steps}

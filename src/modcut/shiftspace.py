@@ -1,10 +1,13 @@
 """Forbidden-block analysis of the vertical cutting-sequence shift.
 
-A block over {L, R, J, C1, C2} is parsed into readings: complete digits with
-their 1-tags plus free boundary variables y (head continuation, the value
-[0; e1, e2, ...] of the digits preceding the block read outward) and z (tail
-continuation).  Each tagged 1 at digit index i contributes one exact
-linear-fractional constraint
+A block over {L, R, J, C1, C2} is rewritten in MGCF letters from each
+starting parity that admits it, and each rewrite is read by the segment
+reader that ``mgcf.annotated_from_mgcf`` uses, between a head piece (the end
+of a digit begun before the block) and a tail piece (a digit the block cuts
+off).  A reading is complete digits with their 1-tags plus free boundary
+variables y (head continuation, the value [0; e1, e2, ...] of the digits
+preceding the block read outward) and z (tail continuation).  Each tagged 1
+at digit index i contributes one exact linear-fractional constraint
 
     beta_i(z)  >  N(alpha_i(y))   for 1_h,
     beta_i(z)  <  N(alpha_i(y))   for 1_m,
@@ -30,23 +33,30 @@ from typing import Iterable, Optional, Sequence
 from .exactnum import (
     IntMatrix2,
     PINF,
+    ParseError,
     rational_between,
     sqrt_exact,
 )
-from .cf import F_MAT, R_MAT, OcfDigits, ocf_digits, ocf_value
+from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, ocf_digits, ocf_value
 from .mgcf import (
     N_MAT,
     AnnotatedDigits,
+    _read_segments,
+    _standalone,
+    _TAG_OF_SIGN,
     mgcf_direct,
     mgcf_from_annotated,
     n_transform,
 )
 from .cutting import (
+    CUTTING_MATS,
+    CUTTING_TO_MGCF,
     CuttingWord,
     EDGE_FORBIDDEN,
     corner_resolutions,
     cutting_from_mgcf,
     find_edge_forbidden,
+    mgcf_from_cutting,
 )
 from .tessellation import GeodesicSpec
 
@@ -141,38 +151,6 @@ class _Reading:
     # run of digit `trailing_pair`; the pair's unseen 1_m adds a constraint
 
 
-def _tokens_to_items(w: Sequence[str]):
-    """Group a block into runs and separators."""
-    items = []
-    for tok in w:
-        if tok in ("L", "R"):
-            if items and items[-1][0] == "run" and items[-1][1] == tok:
-                items[-1] = ("run", tok, items[-1][2] + 1)
-            else:
-                items.append(("run", tok, 1))
-        elif tok in ("J", "C1", "C2"):
-            items.append((tok,))
-        else:
-            raise ValueError("bad cutting token %r" % tok)
-    return items
-
-
-_CORNER_RUN = {"C1": "L", "C2": "R"}  # the letter on both sides of a corner
-
-
-def _corner_fits(items, i, sym) -> bool:
-    """items[i] is a corner inside a run of ``sym`` (the run after it may lie
-    beyond the block): C1 sits between Ls and C2 between Rs."""
-    nxt = items[i + 1] if i + 1 < len(items) else None
-    return _CORNER_RUN.get(items[i][0]) == sym and (
-        nxt is None or nxt[:2] == ("run", sym))
-
-
-def _digit_tag(v: int) -> Optional[str]:
-    # a complete digit of value 1 standing alone heads its own segment
-    return "h" if v == 1 else None
-
-
 def _partial_digit(k: int):
     """Readings of a partial digit e >= k seen through its last k letters,
     as (continuation bound, split-out digits): the bound is 1/k; for k <= 1
@@ -183,126 +161,90 @@ def _partial_digit(k: int):
     return [(Fraction(1, 2), []), (Fraction(1), [(1, "h")])]
 
 
-def _interior_parse(items, i, deficit, digits):
-    """Consume items[i:] given that the current run has lost ``deficit``
-    leading letters to a pair tail.  Returns the one parse
-    (digits, tail_kind, r), or None if structurally impossible.
-    tail_kind: "none" (ended at separator boundary), "run" (trailing run r),
-    "runJ" (run r then J), "runC" (run r then C).
-    """
-    digs = list(digits)
-    while i < len(items):
-        it = items[i]
-        if it[0] != "run":
-            return None  # two separators in a row (JJ caught earlier, C cases)
-        sym, r = it[1], it[2] - deficit
-        if r < 0:
-            return None
-        if i + 1 == len(items):
-            # r == 0: the run was exactly a pair tail; block ends there
-            return (digs, "run", r) if r else (digs, "none", 0)
-        if r == 0:
-            return None  # next separator reached with no digit letters
-        last = i + 2 == len(items)
-        if items[i + 1][0] == "J":
-            if last:
-                return digs, "runJ", r
-            nxt = items[i + 2]
-            if nxt[0] != "run":
-                return None  # J then C with no run between
-            if nxt[1] == sym:
-                # same letter across J: forced pair, digit r-1 then 1_m,
-                # the next run loses its first letter
-                if r < 2:
-                    return None
-                digs += [(r - 1, _digit_tag(r - 1)), (1, "m")]
-                deficit = 1
-            else:
-                digs.append((r, _digit_tag(r)))
-                deficit = 0
-        else:
-            if not _corner_fits(items, i + 1, sym):
-                return None
-            if last:
-                return digs, "runC", r
-            digs += [(r, _digit_tag(r)), (1, "c")]
-            deficit = 0
-        i += 2
-    return digs, "none", 0
+def _mgcf_readings(w: Sequence[str]) -> list[str]:
+    """The block in MGCF letters, from each starting parity that admits it;
+    the reading with R first (after any J) comes before the one with L."""
+    out = set()
+    for parity in ("even", "odd"):
+        try:
+            out.add("".join(_rewrite(CUTTING_TO_MGCF, parity, w)))
+        except ParseError:
+            pass
+    return sorted(out, reverse=True)
 
 
-def _block_readings(w: Sequence[str],
-                    y_pin: Optional[Fraction] = None) -> list[_Reading]:
+def _heads(mg: str):
+    """(resume position, head digits, y_hi) for each reading of the head of
+    the MGCF block ``mg``, which is not a bare R run."""
+    r = len(mg) - len(mg.lstrip("R"))
+    if r == 0 and mg[0] == "L":
+        # (b) the tail of an unseen pair: boundary 1_m with alpha = y free
+        return [(1, [(1, "m")], Fraction(1))]
+    for sep, ones in (("JL", [(1, "m")]), ("J", []), ("C", [(1, "c")])):
+        if mg.startswith(sep, r):
+            break
+    else:
+        return []
+    if r == 0:
+        # a J, a pair's J L or a corner closes an unseen digit
+        return [(len(sep), ones, Fraction(1))]
+    # (a) the R run is the tail of a partial digit e >= k absorbed into y,
+    #     with k = r - 1 before the J L of a pair (its 1_m follows), else r
+    k = r - (sep == "JL")
+    return [(r + len(sep), one + ones, bound)
+            for bound, one in _partial_digit(k)]
+
+
+def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
     """All consistent (head reading, interior, tail reading) combinations.
 
-    With ``y_pin`` the block is an initial word: it begins at a digit
-    boundary and the head continuation y is that one value.
+    The block is read in MGCF letters; its interior goes to the segment
+    reader of the codec.  An anchored block is an initial word: it opens
+    with J or J L (a0 = -1), and the head continuation y is pinned to 0 or
+    to 1 = [0; 1], the consumed 1_m.
     """
-    items = _tokens_to_items(w)
-    heads = []  # (start_index, deficit, head_digits, y_hi)
-    if y_pin is not None:
-        # the word begins at a digit-run boundary; no unseen predecessors
-        heads.append((0, 0, [], y_pin))
-    elif not items:
-        return [_Reading([])]
-    elif items[0][0] == "run":
-        sym, r = items[0][1], items[0][2]
-        if len(items) == 1:
-            # bare letter run: realized by any digit >= r
+    if not set(w) <= set(CUTTING_MATS):
+        raise ValueError("bad cutting token in %r" % (w,))
+    y_lo = Fraction(0)
+    heads = []  # (MGCF block, resume position, head digits, y_hi)
+    if anchored:
+        try:
+            mg = mgcf_from_cutting(w)
+        except ParseError:
+            return []
+        start = 2 if mg[1:2] == "L" else 1
+        y_lo = Fraction(start - 1)
+        heads.append((mg, start, [], y_lo))
+    else:
+        mgs = _mgcf_readings(w)
+        if mgs and not mgs[0].strip("R"):
+            # an empty block or a bare letter run: any digit >= its length
             return [_Reading([])]
-        # (a) the run is the tail of a partial digit e >= k absorbed into y,
-        #     with k = r before a corner or a plain J, and k = r - 1 before
-        #     a forced pair across the J (the pair's 1_m follows)
-        sep = items[1][0]
-        if sep == "J" and len(items) > 2 and items[2][:2] == ("run", sym):
-            partial = (r - 1, 1, [(1, "m")])
-        elif sep == "J":
-            partial = (r, 0, [])
-        elif _corner_fits(items, 1, sym):
-            partial = (r, 0, [(1, "c")])
-        else:
-            partial = None
-        if partial is not None:
-            k, deficit, hdigits = partial
-            for bound, one in _partial_digit(k):
-                heads.append((2, deficit, one + hdigits, bound))
-        # (b) first letter is the tail of an unseen pair: boundary 1_m with
-        #     alpha = y free, then a complete digit of r-1 letters (none when
-        #     r == 1, which the parser rejects)
-        heads.append((0, 1, [(1, "m")], Fraction(1)))
-    elif items[0][0] == "J":
-        # (i) plain separator, head free
-        heads.append((1, 0, [], Fraction(1)))
-        # (ii) the J belongs to an unseen pair; consumes the next run's
-        #      first letter
-        if len(items) > 1:
-            heads.append((1, 1, [(1, "m")], Fraction(1)))
-    elif _corner_fits(items, 0, _CORNER_RUN[items[0][0]]):
-        heads.append((1, 0, [(1, "c")], Fraction(1)))
-
-    y_lo = Fraction(0) if y_pin is None else y_pin
+        for mg in mgs:
+            heads += [(mg,) + head for head in _heads(mg)]
     readings = []
-    for start, deficit, hdigits, y_hi in heads:
-        parse = _interior_parse(items, start, deficit, hdigits)
-        if parse is None:
+    for mg, start, hdigits, y_hi in heads:
+        try:
+            digits, stop = _read_segments(mg, start)
+        except ParseError:
             continue
-        for rd in _tail_readings(*parse):
+        for rd in _tail_readings(hdigits + digits, mg[stop:]):
             rd.y_lo, rd.y_hi = y_lo, y_hi
             readings.append(rd)
     return readings
 
 
-def _tail_readings(digs, tkind, r) -> list[_Reading]:
-    if tkind == "none":
+def _tail_readings(digs, tail: str) -> list[_Reading]:
+    """Readings of the final piece R^r or R^r J that the segment reader left."""
+    r = tail.count("R")
+    if not tail:
         return [_Reading(digs)]
-    if tkind == "runC":
-        return [_Reading(digs + [(r, _digit_tag(r)), (1, "c")])]
-    if tkind == "runJ":
+    if tail.endswith("J"):
         # plain separator: digit r complete, z free; or a pair: digit r-1
         # then 1_m whose pair tail is unseen
-        out = [_Reading(digs + [(r, _digit_tag(r))])]
+        out = [_Reading(digs + [_standalone(r)])]
         if r >= 2:
-            out.append(_Reading(digs + [(r - 1, _digit_tag(r - 1)), (1, "m")]))
+            out.append(_Reading(digs + [_standalone(r - 1), (1, "m")]))
         return out
     # (a) partial digit e >= r: z in (0, bound], closed when e = r ends the
     #     expansion
@@ -365,7 +307,7 @@ def _lft_at(m: IntMatrix2, x: Fraction):
 
 @dataclass
 class _System:
-    constraints: list  # (op, beta_mat, alpha_mat)
+    constraints: list  # (sign of beta - N(alpha), beta_mat, alpha_mat)
     y_lo: Fraction  # y in (y_lo, y_hi), or y = y_lo when they are equal
     y_hi: Fraction
     z_lo: Fraction
@@ -373,26 +315,26 @@ class _System:
     z_hi_closed: bool = False
 
     def satisfied(self, y, z) -> bool:
-        for op, bm, am in self.constraints:
+        for sign, bm, am in self.constraints:
             beta = _lft_at(bm, z)
             alpha = _lft_at(am, y)
             if beta is None or alpha is None:
                 return False
             nv = n_transform(alpha)
-            c = (beta > nv) - (beta < nv)
-            if (op == ">" and c <= 0) or (op == "<" and c >= 0) or \
-               (op == "=" and c != 0):
+            if (beta > nv) - (beta < nv) != sign:
                 return False
         return True
+
+
+_SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
 
 
 def _build_system(rd: _Reading) -> _System:
     cons = []
     for i, (v, tag) in enumerate(rd.digits):
-        if tag not in ("h", "m", "c"):
-            continue
-        op = {"h": ">", "m": "<", "c": "="}[tag]
-        cons.append((op, _beta_matrix(rd.digits, i), _alpha_matrix(rd.digits, i)))
+        if tag in _SIGN_OF_TAG:
+            cons.append((_SIGN_OF_TAG[tag], _beta_matrix(rd.digits, i),
+                         _alpha_matrix(rd.digits, i)))
     if rd.trailing_pair is not None:
         # the unseen 1_m after the trailing pair digit a = trailing_pair:
         # z = [0, a, 1 + 1/t] with t the continuation; beta = 1 + 1/t
@@ -400,7 +342,7 @@ def _build_system(rd: _Reading) -> _System:
         m_zt = F_MAT * IntMatrix2(1, a, 0, 1) * F_MAT * R_MAT * F_MAT
         bm = R_MAT * F_MAT * m_zt.inverse()
         ext = list(rd.digits) + [(a, None), (1, "m")]
-        cons.append(("<", bm, _alpha_matrix(ext, len(ext) - 1)))
+        cons.append((-1, bm, _alpha_matrix(ext, len(ext) - 1)))
     return _System(cons, rd.y_lo, rd.y_hi, rd.z_lo, rd.z_hi, rd.z_hi_closed)
 
 
@@ -412,14 +354,14 @@ def _z_at(sys_: _System, y) -> Optional[Fraction]:
     """
     lo, hi = sys_.z_lo, sys_.z_hi
     pinned = None
-    for op, bm, am in sys_.constraints:
+    for sign, bm, am in sys_.constraints:
         alpha = _lft_at(am, y)
         if alpha is None or not (0 < alpha <= 1):
             return None
         T = n_transform(alpha)
         binv = bm.inverse()
         zstar = _lft_at(binv, T)
-        if op == "=":
+        if sign == 0:
             if zstar is None:
                 return None
             if pinned is not None and pinned != zstar:
@@ -431,7 +373,7 @@ def _z_at(sys_: _System, y) -> Optional[Fraction]:
         bp = _lft_at(bm, probe)
         if bp is None:
             return None
-        want_gt = op == ">"
+        want_gt = sign > 0
         if zstar is None:
             # beta never reaches T on the line; constant side decides
             if (bp > T) != want_gt:
@@ -468,7 +410,7 @@ def _y_breakpoints(sys_: _System) -> list:
     """Sorted y-values in [y_lo, y_hi] where the feasible z-set can change."""
     cands: list = [sys_.y_lo, sys_.y_hi]
     mats = []
-    for op, bm, am in sys_.constraints:
+    for _sign, bm, am in sys_.constraints:
         psi = bm.inverse() * N_MAT * am  # z-boundary curve psi(y)
         mats.append(psi)
         if psi.c != 0:
@@ -589,15 +531,10 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     if hit is not None:
         return BlockVerdict(w, "edge-forbidden",
                             reason="contains %s at %d" % ("".join(hit[1]), hit[0]))
-    body, y_pin = w, None
-    if anchored:
-        if not w or w[0] != "J":
-            return BlockVerdict(w, "whole-forbidden",
-                                reason="initial words start with J")
-        body, y_pin = w[1:], Fraction(0)
-        if body[:1] == ("R",):
-            body, y_pin = body[1:], Fraction(1)
-    readings = _block_readings(body, y_pin)
+    if anchored and w[:1] != ("J",):
+        return BlockVerdict(w, "whole-forbidden",
+                            reason="initial words start with J")
+    readings = _block_readings(w, anchored)
     if not readings:
         return BlockVerdict(w, "whole-forbidden",
                             reason="no segment factorization")
@@ -757,7 +694,7 @@ def follower_separation(j: int, k: int) -> dict:
         head = [3] + [2] * (4 * jj + 2)
         tail = central_head_to_tail(head)
         digits = ([(d, None) for d in head] + [(1, "c")]
-                  + [(d, _digit_tag(d)) for d in tail])
+                  + [_standalone(d) for d in tail])
         word = cutting_from_mgcf(mgcf_from_annotated(
             AnnotatedDigits(0, tuple(digits), True)))
         ci = next(i for i, t in enumerate(word) if t.startswith("C"))

@@ -2,8 +2,9 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from modcut.cli import main
+from modcut.cli import WORD_KINDS, main
 
 
 @pytest.fixture
@@ -196,3 +197,73 @@ def test_bench_small(runner):
 
 def test_bench_domain(runner):
     assert invoke(runner, "bench", "50").exit_code == 3
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every command exits 0, 2, 3 or 4 and raises nothing
+#
+# Arguments come from fixed lists; --limit/--max-len stay <= 40, forbidden
+# always runs with --max-head <= 1 and --max-len <= 10, --jobs and bench are
+# never drawn (no worker processes, no timing runs), and no number uses an
+# exponent, which Fraction would parse for ever.
+
+NUMBERS = ["0", "1", "-1", "7", "1/2", "-1/2", "5/14", "-5/14", "2/7", "0.25",
+           "1/0", "inf", "-inf", "x", "", "(1*sqrt(3)-1)/2",
+           "(-1*sqrt(2)+1)/2", "(0+1*sqrt(4))/1", "(1+1*sqrt(5))/0"]
+INTS = ["-1", "0", "1", "2", "9", "40", "x", ""]
+WORDS = ["J", "JLLC1LLLLJ", "JRRCRRRRJ", "JLLJLLJ", "JLLJRJLLLJ", "LC1R",
+         "LLJLL", "JJ", "C1", "J,L,L", "C3", "X", "", "0;2,1,4", "0;2,x",
+         "-1;1,2", "FRRFRFRRRRF", "DDRDDDD", "RQ"]
+HEADS = ["1", "2", "2,2", "3,2", "0", "1,x", "", ","]
+KINDS = list(WORD_KINDS) + ["bogus"]
+
+
+@st.composite
+def argvs(draw):
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def maybe(*tokens):
+        return list(tokens) if draw(st.booleans()) else []
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    def usually(*tokens):  # a required option is left out now and then
+        return [] if rarely() else list(tokens)
+
+    cmd = pick(["expand", "convert", "trace", "block", "central", "forbidden",
+                "corners"])
+    if cmd == "expand":
+        args = [pick(KINDS), pick(NUMBERS)] + maybe("--limit", pick(INTS))
+    elif cmd == "convert":
+        args = ([pick(WORDS)] + usually("--from", pick(KINDS))
+                + usually("--to", pick(KINDS)))
+    elif cmd == "trace":
+        args = (usually("--geodesic", pick(NUMBERS) + "," + pick(NUMBERS))
+                + maybe("--limit", pick(INTS)))
+    elif cmd == "block":
+        args = ([pick(WORDS)] + maybe("--anchored")
+                + maybe("--max-len", pick(INTS)))
+    elif cmd == "central":
+        args = [pick(HEADS)]
+    elif cmd == "forbidden":
+        args = (usually("--max-len", pick(["-1", "0", "2", "5", "10", "x"]))
+                + ["--max-head", pick(["-1", "0", "1", "x"])])
+    else:
+        args = pick([["--theta", pick(NUMBERS)], ["--surd", pick(INTS)]])
+        if rarely():  # both or neither
+            args = pick([[], ["--theta", pick(NUMBERS), "--surd", pick(INTS)]])
+        args += maybe("--limit", pick(INTS))
+    junk = [pick(["extra", "--bogus"])] if rarely() else []
+    return [cmd] + args + maybe("--json") + junk
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_cli_exit_codes_on_fuzzed_argv(argv):
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code in (0, 2, 3, 4), (argv, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        argv, res.exception)
+    assert "Traceback" not in res.output, argv

@@ -1,6 +1,8 @@
-"""Import hygiene: no modcut module imports a name it never uses.
+"""Hygiene: no modcut module imports a name it never uses, and no
+module-level private name goes unreferenced across the package.
 
-``__init__.py`` is exempt, since re-exporting imported names is its job.
+``__init__.py`` is exempt from the import check, since re-exporting imported
+names is its job.
 """
 
 import ast
@@ -39,3 +41,50 @@ def test_checker_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_x`` names (dunders aside) that no module loads, reads
+    as an attribute or imports; ``sources`` maps module names to source."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return ["%s.%s" % (module, name) for module, name in defined
+            if name not in referenced]
+
+
+def test_checker_sees_unreferenced_private_names():
+    sources = {
+        "a": ("__all__ = []\n_TABLE = {}\n_lost, _kept = 1, 2\n"
+              "def _helper():\n    return _TABLE\n"
+              "def _orphan():\n    _local = 1\n    return _local\n"
+              "class _Shape:\n    pass\n"),
+        "b": ("from a import _helper\nimport a\n"
+              "def f():\n    return _helper(), a._Shape, a._kept\n"),
+    }
+    assert unreferenced_private_names(sources) == ["a._lost", "a._orphan"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text()
+               for p in Path(modcut.__file__).parent.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

@@ -169,6 +169,26 @@ def test_anchored_short_initial_words():
             assert word[:len(v.block)] == v.block, v
 
 
+def test_free_short_blocks():
+    """Every non-edge-forbidden block of length 1..6 decided free."""
+    blocks = [b for n in range(1, 7)
+              for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n)
+              if find_edge_forbidden(b) is None]
+    assert len(blocks) == 10923
+    verdicts = [decide_block(b) for b in blocks]
+    admissible = [v for v in verdicts if v.status == "admissible"]
+    assert len(admissible) == 297
+    for v in admissible:
+        word = cutting_from_mgcf(mgcf_direct(v.witness.foot, limit=4000))
+        n = len(v.block)
+        assert any(word[i:i + n] == v.block for i in range(len(word) - n + 1)), v
+    reasons = [v.reason for v in verdicts if v.status == "whole-forbidden"]
+    infeasible = [r for r in reasons
+                  if r.startswith("all ") and r.endswith(" readings infeasible")]
+    assert len(infeasible) == 90
+    assert reasons.count("no segment factorization") == 10536
+
+
 def test_anchored_realised_prefixes():
     prefixes = set()
     for q in range(3, 60):
