@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -85,7 +86,44 @@ def _run(fn) -> None:
         sys.exit(3)
 
 
-@click.group()
+# a token such as -5/14, -0.25, -1;1,2 or -inf is a value, never an option
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf$)")
+
+
+class _Command(click.Command):
+    """A command whose positional arguments may be negative numbers.
+
+    Click takes every token that starts with "-" for an option.  Here a
+    token that reads as a negative value, and is not the value of an option
+    before it, is moved behind a "--", so it stays a positional argument;
+    any other unknown option is still refused with exit code 2.
+    """
+
+    def parse_args(self, ctx, args):
+        valued = {name for p in self.params
+                  if isinstance(p, click.Option) and not p.is_flag
+                  for name in p.opts}
+        options, positional = [], []
+        rest = list(args)
+        while rest:
+            tok = rest.pop(0)
+            if tok == "--":
+                positional += rest
+                break
+            if tok.startswith("-") and not _NEGATIVE_VALUE.match(tok):
+                options.append(tok)
+                if tok in valued and rest:
+                    options.append(rest.pop(0))
+            else:
+                positional.append(tok)
+        return super().parse_args(ctx, options + ["--"] + positional)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact continued fractions and cutting sequences."""
 

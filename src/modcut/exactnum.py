@@ -7,6 +7,16 @@ a function here returns is irrational, u + v*sqrt(d) with rational u, v != 0
 and a square-free radicand d > 1.  So ``Fraction`` and ``QuadSurd`` values mix
 freely under ``+ - * / == <`` and ``math.floor``.  Comparisons between surds
 over different radicands are decided by repeated squaring with sign tracking.
+
+A ``QuadSurd`` holds its value as ints, (a + b*sqrt(d))/w in lowest terms,
+and its arithmetic runs on ints.  Hot loops go further and run on
+bare ints: a projective end x/y with x and y in Z[sqrt(d)], stored as the
+four ints (x0, x1, y0, y1) for (x0 + x1*sqrt(d)) / (y0 + y1*sqrt(d)).  A
+rational is the case d = 0 (with x1 = y1 = 0), +-inf is (1, 0, 0, 0), and a
+``QuadSurd`` is the end (a, b, w, 0).  ``surd_sign`` decides the sign of
+u + v*sqrt(d) with at most one squaring; ``end_of``, ``end_triple`` and
+``end_value`` convert between an extended real, an end and the end's reduced
+triple (u, v, w) = (u + v*sqrt(d))/w.
 """
 
 from __future__ import annotations
@@ -24,7 +34,12 @@ __all__ = [
     "PINF",
     "NINF",
     "surd",
+    "surd_sign",
     "as_surd",
+    "End",
+    "end_of",
+    "end_triple",
+    "end_value",
     "lft_apply",
     "surd_floor",
     "compare",
@@ -60,19 +75,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d
 
 
-def _isqrt_floor(p: int, q: int) -> int:
-    # floor(sqrt(p/q)) for p, q > 0
-    r = math.isqrt(p // q)
-    while (r + 1) * (r + 1) * q <= p:
-        r += 1
-    while r * r * q > p:
-        r -= 1
-    return r
-
-
-@dataclass(frozen=True)
 class QuadSurd:
     """Exact irrational value u + v*sqrt(d): v != 0, d square-free and > 1.
+
+    Stored as three ints, (a + b*sqrt(d))/w with gcd(a, b, w) = 1 and w > 0,
+    so that arithmetic and comparison run on ints; ``u`` and ``v`` are the
+    Fractions a/w and b/w.  ``QuadSurd(u, v, d)`` takes ints or Fractions;
+    the fourth argument w is for ints a, b, w already in that form.
 
     Build values with :func:`surd`, which returns a ``Fraction`` whenever the
     value is rational; arithmetic and :func:`lft_apply` keep that rule, so
@@ -80,64 +89,84 @@ class QuadSurd:
     not normalize (``as_surd`` uses it to view a rational with v = 0).
     """
 
-    u: Fraction
-    v: Fraction
-    d: int
+    __slots__ = ("a", "b", "w", "d")
+
+    def __init__(self, u, v, d: int, w: int = 1):
+        if type(u) is not int or type(v) is not int:
+            u, v = Fraction(u, w), Fraction(v, w)
+            w = math.lcm(u.denominator, v.denominator)
+            u, v = u.numerator * (w // u.denominator), v.numerator * (w // v.denominator)
+        self.a, self.b, self.w, self.d = u, v, w, d
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.a, self.w)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.b, self.w)
 
     def sign(self) -> int:
-        return _sign(self.u, self.v, self.d)
+        return surd_sign(self.a, self.b, self.d)
 
-    def _field(self, other: "QuadSurd") -> int:
-        # the radicand shared with other; v = 0 on one side adopts the other's
-        if self.v and other.v and self.d != other.d:
-            raise ValueError("mixed-radicand arithmetic is unsupported")
-        return self.d if self.v else other.d
+    def _join(self, other):
+        # other as ints (a, b, w) over one radicand with self, and that
+        # radicand; v = 0 on one side adopts the other's
+        if type(other) is QuadSurd:
+            if self.b and other.b and self.d != other.d:
+                raise ValueError("mixed-radicand arithmetic is unsupported")
+            return other.a, other.b, other.w, self.d if self.b else other.d
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator, self.d
+        return None
 
     def __add__(self, other):
-        if isinstance(other, QuadSurd):
-            return _canonical(self.u + other.u, self.v + other.v, self._field(other))
-        if isinstance(other, (int, Fraction)):
-            return _canonical(self.u + other, self.v, self.d)
-        return NotImplemented
+        o = self._join(other)
+        if o is None:
+            return NotImplemented
+        a, b, w, d = o
+        return _canonical(self.a * w + a * self.w, self.b * w + b * self.w, self.w * w, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(-self.u, -self.v, self.d)
+        return _canonical(-self.a, -self.b, self.w, self.d)
 
     def __sub__(self, other):
-        return self + -other
+        o = self._join(other)
+        if o is None:
+            return NotImplemented
+        a, b, w, d = o
+        return _canonical(self.a * w - a * self.w, self.b * w - b * self.w, self.w * w, d)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, QuadSurd):
-            d = self._field(other)
-            return _canonical(
-                self.u * other.u + self.v * other.v * d,
-                self.u * other.v + self.v * other.u,
-                d,
-            )
-        if isinstance(other, (int, Fraction)):
-            return _canonical(self.u * other, self.v * other, self.d)
-        return NotImplemented
+        o = self._join(other)
+        if o is None:
+            return NotImplemented
+        a, b, w, d = o
+        return _canonical(self.a * a + self.b * b * d, self.a * b + self.b * a, self.w * w, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Fraction | QuadSurd:
         # 1/(u + v sqrt d) = (u - v sqrt d)/(u^2 - v^2 d); the norm of an
         # irrational value is nonzero because d is not a square
-        norm = self.u * self.u - self.v * self.v * self.d
+        norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("1/0 surd")
-        return _canonical(self.u / norm, -self.v / norm, self.d)
+        return _canonical(self.w * self.a, -self.w * self.b, norm, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, QuadSurd):
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
-            return _canonical(self.u / other, self.v / other, self.d)
+            if other == 0:
+                raise ZeroDivisionError("surd / 0")
+            p, q = other.numerator, other.denominator
+            return _canonical(self.a * q, self.b * q, self.w * p, self.d)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -146,26 +175,25 @@ class QuadSurd:
         return NotImplemented
 
     def __floor__(self) -> int:
-        # estimate floor(u) + floor(v sqrt d), then adjust by exact comparisons
-        v = self.v
-        mag = _isqrt_floor(v.numerator ** 2 * self.d, v.denominator ** 2)  # floor(|v| sqrt d)
-        est = math.floor(self.u) + (mag if v > 0 else -mag - 1)
-        while self._cmp(est) < 0:
-            est -= 1
-        while self._cmp(est + 1) >= 0:
-            est += 1
-        return est
+        # floor((a + b sqrt d)/w) = floor((a + floor(b sqrt d))/w) for w > 0
+        b = self.b
+        sq = b * b * self.d
+        r = math.isqrt(sq)
+        if b < 0 and r * r != sq:
+            r += 1
+        return (self.a + (r if b >= 0 else -r)) // self.w
 
     # total order
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            return _sign(self.u - other, self.v, self.d)
-        if not isinstance(other, QuadSurd):
-            raise TypeError("cannot compare a surd with %r" % (other,))
-        if self.v and other.v and self.d != other.d:
+        if type(other) is QuadSurd and self.b and other.b and self.d != other.d:
             # both irrational over different radicands
-            return _sign_mixed(self.u - other.u, self.v, self.d, -other.v, other.d)
-        return _sign(self.u - other.u, self.v - other.v, self._field(other))
+            return _sign_mixed(self.a * other.w - other.a * self.w, self.b * other.w, self.d,
+                               -other.b * self.w, other.d)
+        o = self._join(other)
+        if o is None:
+            raise TypeError("cannot compare a surd with %r" % (other,))
+        a, b, w, d = o
+        return surd_sign(self.a * w - a * self.w, self.b * w - b * self.w, d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -185,7 +213,7 @@ class QuadSurd:
         return NotImplemented
 
     def __hash__(self):
-        if self.v == 0:
+        if self.b == 0:
             return hash(self.u)
         return hash((self.u, self.v, self.d))
 
@@ -193,8 +221,11 @@ class QuadSurd:
         return "QuadSurd(%s)" % format_extreal(self)
 
 
-def _sign(u: Fraction, v: Fraction, d: int) -> int:
-    """Sign of u + v*sqrt(d)."""
+def surd_sign(u, v, d: int) -> int:
+    """Sign of u + v*sqrt(d), by at most one squaring.
+
+    u and v are ints or Fractions; d > 0, or d = 0 with v = 0 (a rational).
+    """
     su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
     if su * sv >= 0:
         return su or sv
@@ -203,21 +234,27 @@ def _sign(u: Fraction, v: Fraction, d: int) -> int:
     return su if lhs > rhs else (sv if lhs < rhs else 0)
 
 
-def _sign_mixed(a: Fraction, b: Fraction, p: int, c: Fraction, q: int) -> int:
+def _sign_mixed(a, b, p: int, c, q: int) -> int:
     """Sign of a + b*sqrt(p) + c*sqrt(q), p != q both square-free > 1."""
     # s = a + b*sqrt(p) lives in one field; t = c*sqrt(q)
-    ss, ts = _sign(a, b, p), (c > 0) - (c < 0)
+    ss, ts = surd_sign(a, b, p), (c > 0) - (c < 0)
     if ss * ts >= 0:
         return ss or ts
     # opposite signs: compare s^2 = a^2 + b^2 p + 2ab sqrt(p) with t^2 = c^2 q
-    diff = _sign(a * a + b * b * p - c * c * q, 2 * a * b, p)
+    diff = surd_sign(a * a + b * b * p - c * c * q, 2 * a * b, p)
     return ss if diff > 0 else (ts if diff < 0 else 0)
 
 
-def _canonical(u: Fraction, v: Fraction, d: int) -> Fraction | QuadSurd:
-    # u + v*sqrt(d) for a d that is already square-free (or v = 0): the
-    # arithmetic of one field, which need not factor d again as surd() does
-    return QuadSurd(u, v, d) if v else u
+def _canonical(a: int, b: int, w: int, d: int) -> Fraction | QuadSurd:
+    # (a + b*sqrt(d))/w for w != 0 and a d that is already square-free (or
+    # b = 0): the arithmetic of one field, which need not factor d again as
+    # surd() does
+    if not b:
+        return Fraction(a, w)
+    g = math.gcd(a, b, w)
+    if w < 0:
+        g = -g
+    return QuadSurd(a // g, b // g, d, w // g)
 
 
 def surd(u, v=0, d: int = 0) -> Fraction | QuadSurd:
@@ -335,10 +372,18 @@ class IntMatrix2:
         return "IntMatrix2[[%d,%d],[%d,%d]]" % (self.a, self.b, self.c, self.d)
 
 
-def lft_apply(m: IntMatrix2, x: ExtReal) -> ExtReal:
-    """Apply the linear fractional map of m to x, with the usual inf conventions."""
+def lft_apply(m: IntMatrix2, x: ExtReal | End) -> ExtReal | End:
+    """Apply the linear fractional map of m to x, with the usual inf conventions.
+
+    A projective end x = (x0, x1, y0, y1) maps to the end m (x, y): a 2x2
+    integer matrix-vector product, left unreduced.
+    """
     if m.det() == 0:
         raise ValueError("singular matrix in lft_apply")
+    if type(x) is tuple:
+        x0, x1, y0, y1 = x
+        return (m.a * x0 + m.b * y0, m.a * x1 + m.b * y1,
+                m.c * x0 + m.d * y0, m.c * x1 + m.d * y1)
     if is_infinite(x):
         if m.c == 0:
             return PINF
@@ -349,6 +394,53 @@ def lft_apply(m: IntMatrix2, x: ExtReal) -> ExtReal:
     if den == 0:
         return PINF
     return (m.a * x + m.b) / den
+
+
+# ---------------------------------------------------------------------------
+# projective ends over Z[sqrt(d)]
+
+End = tuple[int, int, int, int]  # (x0, x1, y0, y1): (x0 + x1 sqrt d)/(y0 + y1 sqrt d)
+
+
+def end_of(x: ExtReal) -> tuple[End, int]:
+    """x as a projective end, with its radicand (0 for a rational or +-inf).
+
+    A finite x comes out as (u + v*sqrt(d))/w in lowest terms with w > 0, so
+    y1 = 0; +inf and -inf are both (1, 0, 0, 0).
+    """
+    if is_infinite(x):
+        return (1, 0, 0, 0), 0
+    if isinstance(x, QuadSurd):
+        return (x.a, x.b, x.w, 0), x.d if x.b else 0
+    x = Fraction(x)
+    return (x.numerator, 0, x.denominator, 0), 0
+
+
+def end_triple(e: End, d: int) -> tuple[int, int, int]:
+    """The reduced triple (u, v, w) of an end, whose value is (u + v*sqrt(d))/w.
+
+    gcd(u, v, w) = 1 and w > 0; infinity is (1, 0, 0).  Two ends over one
+    radicand have the same value if and only if their triples are equal.
+    """
+    x0, x1, y0, y1 = e
+    if not (y0 or y1):
+        return 1, 0, 0
+    # x/y = x conj(y) / N(y), and N(y) != 0: d is not a square, or y1 = 0
+    u, v, w = x0 * y0 - d * x1 * y1, x1 * y0 - x0 * y1, y0 * y0 - d * y1 * y1
+    g = math.gcd(u, v, w)
+    if w < 0:
+        g = -g
+    return u // g, v // g, w // g
+
+
+def end_value(e: End, d: int) -> ExtReal:
+    """The canonical extended real of an end: PINF, a Fraction or a QuadSurd."""
+    u, v, w = end_triple(e, d)
+    if not w:
+        return PINF
+    if not v:
+        return Fraction(u, w)
+    return QuadSurd(u, v, d, w)
 
 
 def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
@@ -436,12 +528,10 @@ def parse_extreal(text: str) -> ExtReal:
 def format_extreal(x: ExtReal) -> str:
     if is_infinite(x):
         return "inf" if x.positive else "-inf"
-    if isinstance(x, QuadSurd) and x.v == 0:
+    if isinstance(x, QuadSurd) and x.b == 0:
         x = x.u  # the rational view made by as_surd
     if not isinstance(x, QuadSurd):
         return str(x)
-    w = math.lcm(x.u.denominator, x.v.denominator)
-    u = x.u.numerator * (w // x.u.denominator)
-    v = x.v.numerator * (w // x.v.denominator)
+    (u, v, w, _), _ = end_of(x)
     sgn = "+" if v >= 0 else "-"
     return "(%d%s%d*sqrt(%d))/%d" % (u, sgn, abs(v), x.d, w)

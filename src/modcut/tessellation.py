@@ -2,31 +2,41 @@
 
 The fundamental domain F is |z| >= 1, |Re z| <= 1/2.  A geodesic is stored by
 its ideal endpoints (head, foot) and repeatedly pulled back so that the
-current representative always crosses the interior of F.  Along a geodesic
-the squared absolute value is affine in x: |z|^2 = (a+b) x - a b for the
-semicircle with feet a, b, which makes every exit-side decision an exact
-comparison in the endpoint field.  Exit through the right edge emits R, the
-left edge L, the bottom arc J; passing exactly through a corner
+current representative always crosses the interior of F.  Each end is a
+projective pair x/y with x, y in Z[sqrt(d)] (``exactnum.End``; d = 0 for
+rational ends, and infinity is 1/0), so a pull-back is ``lft_apply`` of the
+inverse generator on an end, a 2x2 integer matrix-vector product, and no
+fraction is ever reduced.  Along the semicircle
+with feet a, b the squared absolute value is affine in x,
+|z|^2 = (a+b) x - a b, so every exit-side decision is the sign of a small
+polynomial in the coordinates: b - a, a + b and 2ab + 2 -+ (a + b), each
+cleared of denominators by the sign of y_a y_b.  Exit through the right edge
+emits R, the left edge L, the bottom arc J; passing exactly through a corner
 (+-1/2 + sqrt(3)/2 i) emits C1/C2 and applies the corner matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import (
     BudgetError,
+    End,
     ExtReal,
     IntMatrix2,
     NINF,
     PINF,
     QuadSurd,
+    end_of,
+    end_triple,
+    end_value,
     is_infinite,
     lft_apply,
     sqrt_exact,
+    surd_sign,
 )
 from .cutting import CUTTING_MATS
 
@@ -41,8 +51,11 @@ __all__ = [
     "render_trace_svg",
 ]
 
-_HALF = Fraction(1, 2)
+# each generator as (a, b, c, d), and its inverse
+_MATS = {sym: astuple(m) for sym, m in CUTTING_MATS.items()}
 _INVERSES = {sym: m.inverse() for sym, m in CUTTING_MATS.items()}
+# heading right (+1) or left (-1): the side and the corner the geodesic exits by
+_EXITS = {1: ("R", "C2"), -1: ("L", "C1")}
 
 
 @dataclass(frozen=True)
@@ -58,12 +71,35 @@ class GeodesicSpec:
         return GeodesicSpec(h, f)
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    symbol: str
-    h: IntMatrix2  # cumulative domain matrix h_j = g_1 ... g_j
-    head: ExtReal  # the geodesic's ends, pulled back by h
-    foot: ExtReal
+    """One crossing: its symbol and the integer state the tracer reached.
+
+    ``h`` (the cumulative domain matrix h_j = g_1 ... g_j) and ``head`` and
+    ``foot`` (the geodesic's ends pulled back by h) are built when read.
+    """
+
+    __slots__ = ("symbol", "_h", "_head", "_foot", "_d")
+
+    def __init__(self, symbol: str, h: tuple[int, int, int, int],
+                 head: End, foot: End, d: int):
+        self.symbol = symbol
+        self._h, self._head, self._foot, self._d = h, head, foot, d
+
+    @property
+    def h(self) -> IntMatrix2:
+        return IntMatrix2(*self._h)
+
+    @property
+    def head(self) -> ExtReal:
+        return end_value(self._head, self._d)
+
+    @property
+    def foot(self) -> ExtReal:
+        return end_value(self._foot, self._d)
+
+    def __repr__(self):
+        return "TraceStep(%s, %r, head=%r, foot=%r)" % (
+            self.symbol, self.h, self.head, self.foot)
 
 
 @dataclass(frozen=True)
@@ -79,81 +115,73 @@ class NonTransverseError(ValueError):
     pass
 
 
-def _as_frac_pair(x: ExtReal) -> Optional[tuple[int, int]]:
-    if is_infinite(x):
-        return (1, 0)
-    if isinstance(x, QuadSurd):
-        return None
-    return (x.numerator, x.denominator)
-
-
-def _check_admissible(g: GeodesicSpec) -> GeodesicSpec:
-    g = g.normalized()
-    h, f = g.head, g.foot
-    if h == f:
+def _check_admissible(head: End, foot: End, d: int) -> None:
+    # ends straight from end_of: y1 = 0, and y0 > 0 unless the end is infinite
+    (xa0, xa1, ya, _), (xb0, xb1, yb, _) = head, foot
+    c0, c1 = xa0 * yb - xb0 * ya, xa1 * yb - xb1 * ya  # x_a y_b - x_b y_a
+    if not (c0 or c1):
         raise ValueError("head and foot coincide")
-    ph, pf = _as_frac_pair(h), _as_frac_pair(f)
-    if ph is not None and pf is not None:
-        det = ph[0] * pf[1] - pf[0] * ph[1]
-        if abs(det) == 2:
-            raise NonTransverseError("geodesic lies in the tessellation edge set")
-    if is_infinite(h) or is_infinite(f):
-        th = f if is_infinite(h) else h
-        if not -_HALF < th < _HALF:
+    if not d and abs(c0) == 2:
+        raise NonTransverseError("geodesic lies in the tessellation edge set")
+    if not (ya and yb):
+        # the finite end x/y, y > 0, must satisfy -y < 2x < y
+        x0, x1, y = (xb0, xb1, yb) if ya == 0 else (xa0, xa1, ya)
+        if not surd_sign(2 * x0 + y, 2 * x1, d) > 0 > surd_sign(2 * x0 - y, 2 * x1, d):
             raise ValueError("vertical geodesic misses the interior of F")
-        return g
+        return
     # the geodesic crosses the interior of F iff |z|^2 = (a+b)x - ab exceeds
-    # 1 somewhere on [-1/2, 1/2]; the linear form peaks at the end x = +-1/2
-    # on the side of a + b
-    apb = h + f
-    edge = _HALF if apb >= 0 else -_HALF
-    if apb * edge - h * f <= 1:
+    # 1 somewhere on [-1/2, 1/2]; the linear form peaks at the end x = e/2,
+    # e = sign(a + b), where it exceeds 1 iff 2ab + 2 - e(a + b) < 0
+    s0, s1 = xa0 * yb + xb0 * ya, xa1 * yb + xb1 * ya
+    e = 1 if surd_sign(s0, s1, d) >= 0 else -1
+    q0 = 2 * (xa0 * xb0 + d * xa1 * xb1 + ya * yb) - e * s0
+    q1 = 2 * (xa0 * xb1 + xa1 * xb0) - e * s1
+    if surd_sign(q0, q1, d) >= 0:
         raise ValueError("geodesic misses the interior of F")
-    return g
 
 
 def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
     """Stream of crossings of the tessellation, pulled back step by step."""
-    g = _check_admissible(g)
-    head, foot = g.head, g.foot
-    h_mat = IntMatrix2(1, 0, 0, 1)
+    g = g.normalized()
+    (xa0, xa1, ya0, ya1), da = end_of(g.head)
+    (xb0, xb1, yb0, yb1), db = end_of(g.foot)
+    if da and db and da != db:
+        raise ValueError("the ends lie in two different quadratic fields")
+    d = da or db
+    _check_admissible((xa0, xa1, ya0, ya1), (xb0, xb1, yb0, yb1), d)
+    h0, h1, h2, h3 = 1, 0, 0, 1
     for _ in range(limit):
-        if is_infinite(foot):
+        if not (yb0 or yb1):
             return  # upward vertical: enters the cusp, trace terminates
-        if is_infinite(head):
+        if not (ya0 or ya1):
             sym = "J"
         else:
-            a, b = head, foot
-            apb = a + b
-            if a < b:  # heading right: the arc, the corner or the right side
-                if apb < 0:
-                    xj = (a * b + 1) / apb  # x of the crossing with |z| = 1
-                    if xj < _HALF:
-                        sym = "J"
-                    elif xj == _HALF:
-                        sym = "C2"
-                    else:
-                        sym = "R"
-                else:
-                    assert b > _HALF
-                    sym = "R"
+            # a = xa/ya, b = xb/yb: each test is the sign of a polynomial in
+            # the coordinates times s = sign(ya yb)
+            p0, p1 = ya0 * yb0 + d * ya1 * yb1, ya0 * yb1 + ya1 * yb0
+            s = surd_sign(p0, p1, d)
+            q0, q1 = xa0 * yb0 + d * xa1 * yb1, xa0 * yb1 + xa1 * yb0
+            r0, r1 = xb0 * ya0 + d * xb1 * ya1, xb0 * ya1 + xb1 * ya0
+            e = 1 if surd_sign(r0 - q0, r1 - q1, d) == s else -1  # sign(b - a)
+            side, corner = _EXITS[e]
+            if surd_sign(q0 + r0, q1 + r1, d) == -e * s:  # sign(a + b) = -e
+                # the arc |z| = 1 is met at x = (ab + 1)/(a + b), inside the
+                # edge x = e/2 iff 2ab + 2 - e(a + b) > 0 and at the corner
+                # iff it is 0
+                k = s * surd_sign(
+                    2 * (xa0 * xb0 + d * xa1 * xb1 + p0) - e * (q0 + r0),
+                    2 * (xa0 * xb1 + xa1 * xb0 + p1) - e * (q1 + r1), d)
+                sym = "J" if k > 0 else (corner if k == 0 else side)
             else:
-                if apb > 0:
-                    xj = (a * b + 1) / apb
-                    if xj > -_HALF:
-                        sym = "J"
-                    elif xj == -_HALF:
-                        sym = "C1"
-                    else:
-                        sym = "L"
-                else:
-                    assert b < -_HALF
-                    sym = "L"
+                sym = side
         inv = _INVERSES[sym]
-        head = lft_apply(inv, head)
-        foot = lft_apply(inv, foot)
-        h_mat = h_mat * CUTTING_MATS[sym]
-        yield TraceStep(sym, h_mat, head, foot)
+        xa0, xa1, ya0, ya1 = lft_apply(inv, (xa0, xa1, ya0, ya1))
+        xb0, xb1, yb0, yb1 = lft_apply(inv, (xb0, xb1, yb0, yb1))
+        a, b, c, dd = _MATS[sym]
+        h0, h1, h2, h3 = (h0 * a + h1 * c, h0 * b + h1 * dd,
+                          h2 * a + h3 * c, h2 * b + h3 * dd)
+        yield TraceStep(sym, (h0, h1, h2, h3), (xa0, xa1, ya0, ya1),
+                        (xb0, xb1, yb0, yb1), d)
 
 
 def trace_word(g: GeodesicSpec, limit: int = 200) -> tuple[str, ...]:
@@ -268,11 +296,13 @@ def periodic_corner_count(d: int, limit: int = 5000) -> int:
     if d <= 1 or math.isqrt(d) ** 2 == d:
         raise ValueError("d must be a nonsquare integer > 1")
     rt = sqrt_exact(d)
-    seen: dict[tuple, int] = {(-rt, rt): 0}
+    (head, r), (foot, _) = end_of(-rt), end_of(rt)
+    # states are keyed by the reduced triples of the pulled-back ends
+    seen = {(end_triple(head, r), end_triple(foot, r)): 0}
     syms: list[str] = []
     for step in trace(GeodesicSpec(-rt, rt), limit):
         syms.append(step.symbol)
-        state = (step.head, step.foot)
+        state = (end_triple(step._head, r), end_triple(step._foot, r))
         if state in seen:
             return sum(1 for s in syms[seen[state]:] if s.startswith("C"))
         seen[state] = len(syms)

@@ -58,6 +58,27 @@ def test_expand_errors(runner):
     assert invoke(runner, "expand", "ocf", "5/14", "--limit", "0").exit_code == 3
 
 
+def test_expand_negative_positional(runner):
+    for args in (("ocf", "-5/14"), ("ocf", "--", "-5/14"),
+                 ("--limit", "9", "ocf", "-5/14"), ("ocf", "-5/14", "--json")):
+        res = invoke(runner, "expand", *args)
+        assert res.exit_code == 0, args
+        assert "-1;1,1,1,4" in res.output
+    assert invoke(runner, "expand", "ocf", "-0.25").output.strip() == "-1;1,3"
+    assert invoke(runner, "expand", "mgcf", "-inf").exit_code == 3
+    res = invoke(runner, "convert", "-1;1,1,1,4", "--from", "ocf", "--to", "ocf")
+    assert res.exit_code == 3  # an ACF word needs a0 >= 0
+
+
+def test_unknown_options_still_refused(runner):
+    for args in (("expand", "ocf", "-x"), ("expand", "ocf", "5/14", "--bogus"),
+                 ("expand", "ocf", "-5/14", "-l", "3"),
+                 ("forbidden", "--max-len", "5", "-1")):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2, args
+        assert "Traceback" not in res.output
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -109,6 +130,13 @@ def test_trace_svg(runner, tmp_path):
 
 def test_trace_bad_endpoints(runner):
     assert invoke(runner, "trace", "--geodesic", "1/2").exit_code == 2
+
+
+def test_trace_two_radicands_is_a_domain_error(runner):
+    res = invoke(runner, "trace", "--geodesic",
+                 "(0+1*sqrt(2))/1,(0+1*sqrt(3))/1")
+    assert res.exit_code == 3
+    assert res.output.startswith("domain error:")
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +235,16 @@ def test_bench_domain(runner):
 # never drawn (no worker processes, no timing runs), and no number uses an
 # exponent, which Fraction would parse for ever.
 
-NUMBERS = ["0", "1", "-1", "7", "1/2", "-1/2", "5/14", "-5/14", "2/7", "0.25",
-           "1/0", "inf", "-inf", "x", "", "(1*sqrt(3)-1)/2",
-           "(-1*sqrt(2)+1)/2", "(0+1*sqrt(4))/1", "(1+1*sqrt(5))/0"]
+NUMBERS = ["0", "1", "-1", "7", "-7", "1/2", "-1/2", "5/14", "-5/14", "2/7",
+           "-2/7", "0.25", "-0.25", "1/0", "-1/0", "inf", "-inf", "x", "",
+           "(1*sqrt(3)-1)/2", "(-1*sqrt(2)+1)/2", "(-1-1*sqrt(3))/2",
+           "(-3+1*sqrt(13))/2", "(-1*sqrt(5)-1)/4", "(0+1*sqrt(4))/1",
+           "(1+1*sqrt(5))/0"]
 INTS = ["-1", "0", "1", "2", "9", "40", "x", ""]
 WORDS = ["J", "JLLC1LLLLJ", "JRRCRRRRJ", "JLLJLLJ", "JLLJRJLLLJ", "LC1R",
          "LLJLL", "JJ", "C1", "J,L,L", "C3", "X", "", "0;2,1,4", "0;2,x",
-         "-1;1,2", "FRRFRFRRRRF", "DDRDDDD", "RQ"]
-HEADS = ["1", "2", "2,2", "3,2", "0", "1,x", "", ","]
+         "-1;1,2", "-2;1,3", "FRRFRFRRRRF", "DDRDDDD", "RQ"]
+HEADS = ["1", "2", "2,2", "3,2", "0", "-1,2", "1,x", "", ","]
 KINDS = list(WORD_KINDS) + ["bogus"]
 
 

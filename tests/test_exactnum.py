@@ -1,7 +1,9 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from modcut.exactnum import (
     IntMatrix2,
@@ -10,6 +12,9 @@ from modcut.exactnum import (
     ParseError,
     QuadSurd,
     compare,
+    end_of,
+    end_triple,
+    end_value,
     format_extreal,
     is_infinite,
     lft_apply,
@@ -19,6 +24,7 @@ from modcut.exactnum import (
     squarefree_split,
     surd,
     surd_floor,
+    surd_sign,
 )
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
@@ -68,6 +74,9 @@ def test_matrix_ops():
     assert IntMatrix2(1, 2, 3, 4).det() == -2
     assert lft_apply(IntMatrix2(2, 1, 1, 1), Fraction(1, 2)) == Fraction(4, 3)
     assert lft_apply(IntMatrix2(1, 0, 0, 1), PINF) is PINF
+    assert lft_apply(IntMatrix2(2, 1, 1, 1), (1, 0, 2, 0)) == (4, 0, 3, 0)
+    with pytest.raises(ValueError):
+        lft_apply(IntMatrix2(1, 2, 2, 4), (1, 0, 2, 0))
 
 
 @given(fracs, fracs)
@@ -152,6 +161,40 @@ def test_square_of_a_surd(a, b, d):
         assert (sq.u, sq.v, sq.d) == (a * a + b * b * d, 2 * a * b, d)
 
 
+def _pair(x):
+    # (u, v) of a value u + v*sqrt(d), rationals included
+    return (x.u, x.v) if isinstance(x, QuadSurd) else (Fraction(x), Fraction(0))
+
+
+def _lowest_terms(x):
+    return type(x) is QuadSurd and x.w > 0 and math.gcd(x.a, x.b, x.w) == 1
+
+
+@given(small, nonzero, radicands, small, small, st.booleans())
+def test_surd_arithmetic_matches_fraction_pairs(u, v, d, p, q, rational):
+    # the int-backed QuadSurd against (u, v) arithmetic on Fractions
+    x = surd(u, v, d)
+    y = p if rational else surd(p, q, d)
+    p, q = _pair(y)
+    assert (x.a, x.b, x.d) == (u * x.w, v * x.w, d) and _lowest_terms(x)
+    assert QuadSurd(u, v, d) == x and hash(x) == hash((u, v, d))
+    results = [
+        ((u + p, v + q), x + y),
+        ((u - p, v - q), x - y),
+        ((u * p + v * q * d, u * q + v * p), x * y),
+    ]
+    norm = p * p - q * q * d
+    if norm:
+        results.append((((u * p - v * q * d) / norm, (v * p - u * q) / norm), x / y))
+    for (eu, ev), z in results:
+        assert _pair(z) == (eu, ev)
+        assert type(z) is Fraction if not ev else _lowest_terms(z)
+    assert _pair(-x) == (-u, -v) and _pair(p - x) == (p - u, -v)
+    n = math.floor(x)
+    assert surd_sign(u - n, v, d) >= 0 > surd_sign(u - n - 1, v, d)
+    assert compare(x, y) == surd_sign(u - p, v - q, d)
+
+
 coefficients = st.integers(-9, 9)
 
 
@@ -164,3 +207,70 @@ def test_lft_apply_on_a_fraction(a, b, c, d, x):
         assert y is PINF
     else:
         assert _is_canonical_fraction(y, (a * x + b) / (c * x + d))
+
+
+# the projective-end kernel: x/y with x, y in Z[sqrt(d)]
+
+
+def _decimal_sign(u: int, v: int, d: int) -> int:
+    # |u + v sqrt(d)| >= 1/(|u| + |v| sqrt(d)) for a non-square d, so this
+    # many digits decide the sign
+    with localcontext() as ctx:
+        ctx.prec = 2 * len(str(abs(u) + abs(v) * d)) + 20
+        x = Decimal(u) + Decimal(v) * Decimal(d).sqrt()
+    return (x > 0) - (x < 0)
+
+
+@given(fracs, fracs)
+def test_surd_sign_matches_fraction_comparison(a, b):
+    # the sign of b - a read off the two ends, as the tracer reads it
+    (xa, _, ya, _), da = end_of(a)
+    (xb, _, yb, _), db = end_of(b)
+    assert da == db == 0 and ya > 0 and yb > 0
+    assert surd_sign(xb * ya - xa * yb, 0, 0) == (b > a) - (b < a)
+
+
+@given(small, small, st.integers(min_value=1, max_value=300))
+def test_surd_sign_on_a_square_radicand(u, v, s):
+    # u + v*sqrt(s*s) is the rational u + v*s; opposite signs take the squaring
+    x = u + v * s
+    assert surd_sign(u, v, s * s) == (x > 0) - (x < 0)
+    assert surd_sign(-v * s, v, s * s) == 0  # equal squares: the value is 0
+
+
+@given(small, nonzero, radicands)
+def test_surd_sign_matches_quadsurd(u, v, d):
+    x = surd(u, v, d)
+    (x0, x1, w, y1), r = end_of(x)
+    assert (r, y1) == (d, 0) and w > 0
+    assert surd_sign(x0, x1, d) == x.sign() == _decimal_sign(x0, x1, d)
+
+
+@given(small, small, radicands, st.integers(-5, 5), st.integers(-5, 5))
+def test_end_triple_is_a_canonical_key(u, v, d, p, q):
+    assume(p or q)
+    x = surd(u, v, d)
+    (x0, x1, y0, y1), _ = end_of(x)
+    # the same value with numerator and denominator times p + q*sqrt(d)
+    e = (x0 * p + d * x1 * q, x0 * q + x1 * p, y0 * p + d * y1 * q, y0 * q + y1 * p)
+    assert end_triple(e, d) == end_triple((x0, x1, y0, y1), d)
+    u3, v3, w3 = end_triple(e, d)
+    assert w3 > 0 and math.gcd(u3, v3, w3) == 1
+    y = end_value(e, d)
+    assert y == x and type(y) is type(x)
+
+
+@given(small, small, radicands, st.tuples(*[st.integers(-5, 5)] * 4))
+def test_lft_apply_on_an_end(u, v, d, entries):
+    m = IntMatrix2(*entries)
+    assume(m.det())
+    x = surd(u, v, d)
+    e, _ = end_of(x)
+    y, z = end_value(lft_apply(m, e), d), lft_apply(m, x)
+    assert y == z and type(y) is type(z)
+
+
+def test_end_of_infinity():
+    assert end_of(PINF) == end_of(NINF) == ((1, 0, 0, 0), 0)
+    assert end_triple((-3, 0, 0, 0), 0) == (1, 0, 0)
+    assert end_value((1, 0, 0, 0), 5) is PINF

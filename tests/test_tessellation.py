@@ -1,12 +1,15 @@
+import inspect
 import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
-from modcut.cutting import cutting_from_mgcf
-from modcut.exactnum import PINF, sqrt_exact
-from modcut.mgcf import mgcf_direct
+from modcut.cf import ocf_digits
+from modcut.cutting import cutting_from_mgcf, cutting_matrix
+from modcut.exactnum import PINF, lft_apply, sqrt_exact, squarefree_split, surd
+from modcut.mgcf import annotate_ones, mgcf_direct, mgcf_from_annotated
 from modcut.tessellation import (
     GeodesicSpec,
     NonTransverseError,
@@ -75,6 +78,14 @@ def test_non_transverse_rejected():
         trace_word(GeodesicSpec(Fraction(0), Fraction(0)))
 
 
+def test_geodesic_touching_only_a_corner_is_rejected():
+    # |z|^2 = (a+b)x - ab reaches 1 on [-1/2, 1/2] only at the corner x = 1/2
+    for a, b in ((Fraction(-1, 3), Fraction(7, 5)), (Fraction(7, 5), Fraction(-1, 3))):
+        with pytest.raises(ValueError, match="misses the interior"):
+            trace_word(GeodesicSpec(a, b))
+    assert trace_word(GeodesicSpec(Fraction(-1, 3), Fraction(3, 2)), limit=1)
+
+
 def test_svg_render(tmp_path):
     g = GeodesicSpec(Fraction(-5, 2), Fraction(5, 2))
     steps = list(trace(g, limit=8))
@@ -83,3 +94,97 @@ def test_svg_render(tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") >= len(steps)
+
+
+# the tracer's integer state against the values it stands for
+
+
+def _check_steps(g, limit=40):
+    try:
+        steps = list(trace(g, limit))
+    except ValueError:
+        reject()  # the geodesic misses the interior of F
+    g = g.normalized()
+    for j, step in enumerate(steps, 1):
+        assert step.h == cutting_matrix([s.symbol for s in steps[:j]])
+        inv = step.h.inverse()
+        for got, end in ((step.head, g.head), (step.foot, g.foot)):
+            want = lft_apply(inv, end)
+            assert got == want and type(got) is type(want), (g, j)
+
+
+ends = st.fractions(min_value=-6, max_value=6, max_denominator=40)
+
+
+@given(st.one_of(st.just(PINF), ends), ends)
+def test_trace_state_on_rational_ends(a, b):
+    _check_steps(GeodesicSpec(a, b))
+
+
+numerators = st.integers(-20, 20)
+surd_radicands = st.sampled_from([2, 3, 5, 6, 7, 13, 21, 133])
+
+
+@given(surd_radicands, st.integers(1, 6), numerators, numerators, numerators,
+       numerators, st.booleans())
+def test_trace_state_on_surd_ends(d, w, u1, v1, u2, v2, vertical):
+    head = PINF if vertical else surd(Fraction(u1, w), Fraction(v1, w), d)
+    _check_steps(GeodesicSpec(head, surd(Fraction(u2, w), Fraction(v2, w), d)))
+
+
+def test_trace_is_a_generator_and_two_radicands_fail_first():
+    assert inspect.isgeneratorfunction(trace)
+    steps = trace(GeodesicSpec(sqrt_exact(2), sqrt_exact(3)))
+    with pytest.raises(ValueError):
+        next(steps)
+
+
+def _corner_count_by_values(d, limit=5000):
+    """periodic_corner_count keyed by the pulled-back values themselves."""
+    rt = sqrt_exact(d)
+    seen = {(-rt, rt): 0}
+    syms = []
+    for step in trace(GeodesicSpec(-rt, rt), limit):
+        syms.append(step.symbol)
+        state = (step.head, step.foot)
+        if state in seen:
+            return sum(1 for s in syms[seen[state]:] if s.startswith("C"))
+        seen[state] = len(syms)
+    return None
+
+
+def test_periodic_corner_count_matches_value_keyed_walk():
+    for d in range(2, 301):
+        if math.isqrt(d) ** 2 != d:
+            assert periodic_corner_count(d) == _corner_count_by_values(d), d
+
+
+PREFIX = 48
+# each OCF digit of these feet adds at least two MGCF symbols, so this many
+# digits cover the prefix even after the undetermined last run
+DIGITS = PREFIX // 2 + 3
+
+
+def _surd_feet(d):
+    """Three feet in [-1/2, 1/2) from Q(sqrt(d))."""
+    rt = sqrt_exact(d)
+    for x in (rt, -rt, (rt + 1) / 3):
+        yield x - math.floor(x + HALF)
+
+
+def test_surd_routes_agree():
+    """The three routes give one 48-symbol prefix on quadratic irrationals."""
+    for d in range(2, 151):
+        if squarefree_split(d)[1] != d:
+            continue
+        for theta in _surd_feet(d):
+            word = mgcf_direct(theta, limit=PREFIX)
+            assert len(word) == PREFIX, theta
+            # the tagging route; its last digit's run of R is undetermined
+            tagged = mgcf_from_annotated(
+                annotate_ones(ocf_digits(theta, limit=DIGITS), theta))
+            determined = tagged.rstrip("R")
+            assert len(determined) >= PREFIX, theta
+            assert determined[:PREFIX] == word, theta
+            traced = trace_word(GeodesicSpec(PINF, theta), limit=PREFIX)
+            assert traced == cutting_from_mgcf(word), theta
