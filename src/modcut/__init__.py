@@ -23,7 +23,6 @@ from .cutting import (
     find_edge_forbidden,
     mgcf_from_cutting,
     parse_cutting,
-    parse_segments,
 )
 from .tessellation import (
     GeodesicSpec,
@@ -41,16 +40,13 @@ from .automata import (
     unbounded_lookahead_demo,
 )
 from .shiftspace import (
-    AmbiguityQuery,
     BlockVerdict,
     central_block,
     central_head_to_tail,
     decide_block,
-    edge_forbidden_blocks,
     enumerate_minimal_forbidden,
     excluded_initial,
     follower_separation,
-    is_ambiguous,
     random_cross_check,
     verdict_json,
 )

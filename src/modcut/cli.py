@@ -230,6 +230,8 @@ def trace_cmd(geodesic, limit, svg_path, as_json):
         if len(parts) != 2:
             raise ParseError("--geodesic takes two comma-separated endpoints")
         g = GeodesicSpec(parse_extreal(parts[0]), parse_extreal(parts[1]))
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
         steps = list(trace_geodesic(g, limit=limit))
         word = format_cutting([s.symbol for s in steps])
         if svg_path:

@@ -14,11 +14,10 @@ tracer (a left-corner crossing resolves as JRJ ~ LJL, the C1 matrix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactnum import IntMatrix2, ParseError
-from .cf import R_MAT, _rewrite
+from .cf import R_MAT, _rewrite, digits_to_acf
 from .mgcf import annotated_from_mgcf
 
 __all__ = [
@@ -26,11 +25,10 @@ __all__ = [
     "MGCF_TO_CUTTING",
     "CUTTING_TO_MGCF",
     "CuttingWord",
-    "Segment",
-    "SegmentParse",
+    "EDGE_FORBIDDEN",
     "cutting_from_mgcf",
     "mgcf_from_cutting",
-    "parse_segments",
+    "find_edge_forbidden",
     "acf_from_cutting",
     "parse_cutting",
     "format_cutting",
@@ -94,6 +92,18 @@ def mgcf_from_cutting(word: Sequence[str]) -> str:
     return "".join(_rewrite(CUTTING_TO_MGCF, "even", word))
 
 
+def acf_from_cutting(word: Sequence[str]) -> str:
+    """Vertical cutting word -> ACF word prefix (strip tags, emit digits).
+
+    The word is read in MGCF letters by the codec's segment reader.  Stream
+    semantics: the trailing F that would close a terminating expansion is
+    never emitted, so the output is a valid prefix whether or not the
+    underlying expansion continues.
+    """
+    ad = annotated_from_mgcf(mgcf_from_cutting(word))
+    return digits_to_acf(ad.digits()).removesuffix("F")
+
+
 # ---------------------------------------------------------------------------
 # edge-forbidden scanning (shared with shiftspace)
 
@@ -118,87 +128,6 @@ def find_edge_forbidden(word: Sequence[str]) -> Optional[tuple[int, CuttingWord]
             if w[i : i + len(blk)] == blk:
                 return i, blk
     return None
-
-
-# ---------------------------------------------------------------------------
-# segment factorization of vertical cutting words
-
-
-@dataclass(frozen=True)
-class Segment:
-    digits: tuple[tuple[int, Optional[str]], ...]  # (digit, tag)
-
-
-@dataclass(frozen=True)
-class SegmentParse:
-    a0: Optional[int]
-    segments: tuple[Segment, ...]
-    incomplete_suffix: CuttingWord
-    suffix_encodings: tuple[tuple, ...]  # possible digit readings of the suffix
-
-
-def parse_segments(word: Sequence[str]) -> SegmentParse:
-    """Greedy unique factorization of a vertical cutting word.
-
-    The word must start with J-bar.  A trailing letter run is reported as an
-    incomplete suffix together with its consistent digit readings:
-    ("ge", k) for a_next >= k, and ("pair", k-1, "m") for a_next = k-1
-    followed by a 1_m.  A bare single-letter run (no separator at all) is
-    accepted and reported entirely as an incomplete suffix.
-    """
-    w = tuple(word)
-    hit = find_edge_forbidden(w)
-    if hit is not None:
-        raise ParseError("edge-forbidden factor %s at %d" % ("".join(hit[1]), hit[0]))
-    if w and all(t == w[0] for t in w) and w[0] in ("L", "R"):
-        a0, segments, suffix = None, [], w
-    else:
-        if not w or w[0] != "J":
-            raise ParseError("vertical cutting words start with J")
-        mg = mgcf_from_cutting(w)
-        ad = annotated_from_mgcf(mg)
-        a0 = ad.a0
-        # the a0 = -1 opening J L holds the first 1_m
-        pairs = ad.tail[1:] if a0 == -1 else ad.tail
-        segments = []
-        i = 0
-        while i < len(pairs):
-            # a digit and the 1_m or 1_c closing it form one segment
-            nxt = pairs[i + 1] if i + 1 < len(pairs) else None
-            n = 2 if nxt in ((1, "m"), (1, "c")) else 1
-            segments.append(Segment(pairs[i:i + n]))
-            i += n
-        # an incomplete word ends in a run of R, one letter per token
-        suffix = () if ad.finite else w[len(mg.rstrip("R")):]
-    encodings: list[tuple] = []
-    if suffix:
-        k = len(suffix)
-        encodings.append(("ge", k))
-        if k >= 2:
-            encodings.append(("pair", k - 1, "m"))
-    return SegmentParse(a0, tuple(segments), suffix, tuple(encodings))
-
-
-def acf_from_cutting(word: Sequence[str]) -> str:
-    """Vertical cutting word -> ACF word prefix (strip tags, emit digits).
-
-    Stream semantics: the trailing F that would close a terminating expansion
-    is never emitted, so the output is a valid prefix whether or not the
-    underlying expansion continues.
-    """
-    sp = parse_segments(word)
-    if sp.a0 is None:
-        raise ParseError("not a vertical cutting word")
-    if sp.a0 < 0:
-        raise ValueError("ACF words are defined for theta > 0 only (a0 >= 0)")
-    digits = [d for seg in sp.segments for (d, _t) in seg.digits]
-    from .cf import OcfDigits, digits_to_acf
-
-    od = OcfDigits(sp.a0, tuple(digits), True)
-    wacf = digits_to_acf(od)
-    if digits and wacf.endswith("F"):
-        wacf = wacf[:-1]
-    return wacf
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
 
 
 def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
-    """Segment codec: annotated digits -> MGCF word."""
+    """The segment codec: annotated digits -> MGCF word."""
     tail = list(ad.tail)
     out = []
     if ad.a0 == 0:

@@ -61,10 +61,7 @@ from .cutting import (
 from .tessellation import GeodesicSpec
 
 __all__ = [
-    "AmbiguityQuery",
     "BlockVerdict",
-    "edge_forbidden_blocks",
-    "is_ambiguous",
     "central_head_to_tail",
     "central_block",
     "decide_block",
@@ -75,48 +72,10 @@ __all__ = [
     "verdict_json",
 ]
 
-INFTY = "inf"  # head marker for initial sequences
-
-
-# ---------------------------------------------------------------------------
-# ambiguity (interval intersection after applying N)
-
-
-@dataclass(frozen=True)
-class AmbiguityQuery:
-    head: tuple  # d1..dn, d1 may be INFTY
-    tail: tuple[int, ...]  # b1..bm
-
-    def deltas(self) -> tuple[Fraction, Fraction]:
-        h = list(self.head)
-        if not h:
-            raise ValueError("empty head")
-        if h[0] == INFTY:
-            v = _cf0(reversed(h[1:]))
-            return v, v
-        d0 = _cf0(reversed(h))
-        d1 = _cf0(list(reversed(h[:-1])) + [h[-1] + 1])
-        return d0, d1
-
-    def betas(self) -> tuple[Fraction, Fraction]:
-        b = list(self.tail)
-        b0 = ocf_value(OcfDigits(1, tuple(b)))
-        b1 = ocf_value(OcfDigits(1, tuple(b[:-1]) + (b[-1] + 1,))) if b else Fraction(2)
-        return b0, b1
-
 
 def _cf0(tail: Iterable[int]) -> Fraction:
     """The value [0; tail]."""
     return ocf_value(OcfDigits(0, tuple(tail)))
-
-
-def is_ambiguous(q: AmbiguityQuery) -> bool:
-    d0, d1 = q.deltas()
-    b0, b1 = q.betas()
-    n0, n1 = n_transform(d0), n_transform(d1)
-    lo_n, hi_n = min(n0, n1), max(n0, n1)
-    lo_b, hi_b = min(b0, b1), max(b0, b1)
-    return max(lo_n, lo_b) <= min(hi_n, hi_b)
 
 
 def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
@@ -466,10 +425,6 @@ class BlockVerdict:
     @property
     def forbidden(self) -> bool:
         return self.status != "admissible"
-
-
-def edge_forbidden_blocks() -> list[CuttingWord]:
-    return list(EDGE_FORBIDDEN)
 
 
 def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:

@@ -222,10 +222,10 @@ def test_criterion_12_benchmark():
     rows = []
     for n in (1000, 2000, 4000):
         w = full[:n]
-        # the fastest of three runs, in this process's CPU time, which other
+        # the fastest of five runs, in this process's CPU time, which other
         # processes on the machine do not add to
         times = []
-        for _ in range(3):
+        for _ in range(5):
             t0 = time.process_time()
             _word, stats = mgcf_from_acf(w)
             times.append(time.process_time() - t0)

@@ -56,6 +56,9 @@ def test_expand_errors(runner):
     assert invoke(runner, "expand", "ocf", "nonsense").exit_code == 2
     assert invoke(runner, "expand", "mgcf", "7").exit_code == 3
     assert invoke(runner, "expand", "ocf", "5/14", "--limit", "0").exit_code == 3
+    for limit in ("0", "-2"):
+        res = invoke(runner, "trace", "--geodesic", "inf,1/3", "--limit", limit)
+        assert res.exit_code == 3, limit
 
 
 def test_expand_negative_positional(runner):

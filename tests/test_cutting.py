@@ -14,7 +14,6 @@ from modcut.cutting import (
     format_cutting,
     mgcf_from_cutting,
     parse_cutting,
-    parse_segments,
 )
 from modcut.exactnum import ParseError
 from modcut.cf import acf_of
@@ -69,35 +68,19 @@ def test_edge_forbidden_scan():
     assert len(EDGE_FORBIDDEN) == 9
 
 
-def test_parse_segments_known():
-    sp = parse_segments(parse_cutting("JLLJRJ"))
-    assert sp.a0 == 0
-    assert [seg.digits for seg in sp.segments] == [((2, None),), ((1, "h"),)]
-    assert sp.incomplete_suffix == ()
-
-
-def test_parse_segments_suffix_readings():
-    sp = parse_segments(parse_cutting("JLLJRRR"))
-    assert sp.incomplete_suffix == ("R", "R", "R")
-    assert ("ge", 3) in sp.suffix_encodings
-    assert ("pair", 2, "m") in sp.suffix_encodings
-
-
-def test_parse_segments_negative_opening():
-    w = cutting_from_mgcf(mgcf_direct(Fraction(-1, 3)))
-    sp = parse_segments(w)
-    assert sp.a0 == -1
-
-
 def test_acf_from_cutting_matches():
+    for word, acf in [("JLLJRJ", "FRRFR"),
+                      ("JLLJRRR", "FRR"),  # a trailing run is no digit yet
+                      ("JLLC1LLJ", "FRRFRFRR")]:
+        assert acf_from_cutting(parse_cutting(word)) == acf, word
+    with pytest.raises(ValueError):  # a0 = -1 has no ACF word
+        acf_from_cutting(cutting_from_mgcf(mgcf_direct(Fraction(-1, 3))))
     for f in small_rationals(30):
         if f <= 0:
             continue
         w = cutting_from_mgcf(mgcf_direct(f, limit=500))
-        if any(t.startswith("C") for t in w):
-            continue  # corner words encode the balanced case, not plain digits
-        acf = acf_from_cutting(w)
-        assert acf_of(f).startswith(acf), f
+        # the closing F of a terminating expansion is never emitted
+        assert acf_from_cutting(w) + "F" == acf_of(f), f
 
 
 def test_text_format():

@@ -1,5 +1,6 @@
-"""Hygiene: no modcut module imports a name it never uses, and no
-module-level private name goes unreferenced across the package.
+"""Hygiene: no modcut module imports a name it never uses, no
+module-level private name goes unreferenced across the package, and the
+package re-exports only names its modules declare public.
 
 ``__init__.py`` is exempt from the import check, since re-exporting imported
 names is its job.
@@ -88,3 +89,14 @@ def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text()
                for p in Path(modcut.__file__).parent.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def test_reexports_are_public():
+    init = Path(modcut.__file__)
+    missing = []
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = getattr(modcut, node.module).__all__
+            missing += ["%s.%s" % (node.module, alias.name)
+                        for alias in node.names if alias.name not in public]
+    assert missing == []

@@ -5,23 +5,18 @@ from fractions import Fraction
 import pytest
 
 from modcut.cutting import (
-    EDGE_FORBIDDEN,
     corner_resolutions,
     cutting_from_mgcf,
     find_edge_forbidden,
 )
 from modcut.mgcf import mgcf_direct
 from modcut.shiftspace import (
-    INFTY,
-    AmbiguityQuery,
     central_block,
     central_head_to_tail,
     decide_block,
-    edge_forbidden_blocks,
     enumerate_minimal_forbidden,
     excluded_initial,
     follower_separation,
-    is_ambiguous,
     random_cross_check,
     verdict_json,
 )
@@ -85,10 +80,6 @@ def test_edge_forbidden_short_circuit():
     v = decide_block(W("JLLJJ"))
     assert v.status == "edge-forbidden"
     assert "JJ" in v.reason
-
-
-def test_edge_forbidden_blocks_listing():
-    assert tuple(edge_forbidden_blocks()) == EDGE_FORBIDDEN
 
 
 def test_verdicts_are_sound_on_corpus():
@@ -210,14 +201,6 @@ def test_follower_separation():
     assert vj.forbidden != vk.forbidden
     with pytest.raises(ValueError):
         follower_separation(2, 2)
-
-
-def test_is_ambiguous():
-    # point-valued head marker: delta = [0,2] = 1/2, N(1/2) = 5/4
-    assert is_ambiguous(AmbiguityQuery((INFTY, 2), (4,)))  # 5/4 in [6/5, 5/4]
-    assert not is_ambiguous(AmbiguityQuery((INFTY, 2), (2,)))  # outside [4/3, 3/2]
-    with pytest.raises(ValueError):
-        AmbiguityQuery((), (2,)).deltas()
 
 
 def test_verdict_json_shape():

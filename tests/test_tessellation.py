@@ -128,8 +128,13 @@ surd_radicands = st.sampled_from([2, 3, 5, 6, 7, 13, 21, 133])
 @given(surd_radicands, st.integers(1, 6), numerators, numerators, numerators,
        numerators, st.booleans())
 def test_trace_state_on_surd_ends(d, w, u1, v1, u2, v2, vertical):
-    head = PINF if vertical else surd(Fraction(u1, w), Fraction(v1, w), d)
-    _check_steps(GeodesicSpec(head, surd(Fraction(u2, w), Fraction(v2, w), d)))
+    foot = surd(Fraction(u2, w), Fraction(v2, w), d)
+    if vertical:
+        # a vertical geodesic meets F only with its foot in the strip
+        head, foot = PINF, foot - math.floor(foot + HALF)
+    else:
+        head = surd(Fraction(u1, w), Fraction(v1, w), d)
+    _check_steps(GeodesicSpec(head, foot))
 
 
 def test_trace_is_a_generator_and_two_radicands_fail_first():
