@@ -232,8 +232,6 @@ class HomographicMachine:
         self.m = m
         self.em = IntMatrix2(1, 0, 0, 1)  # matrix of the emitted prefix
         self.emitted: list[str] = []
-        self.absorbed = 0
-        self.max_lag = 0
 
     def _endpoints(self):
         m = self.m
@@ -256,7 +254,6 @@ class HomographicMachine:
             self.m = self.m * F_MAT
         else:
             raise ParseError("bad additive-word letter %r" % sym)
-        self.absorbed += 1
         out = []
         while True:
             ch = self._emit_ready()
@@ -271,7 +268,6 @@ class HomographicMachine:
                 self.em = self.em * F_MAT
             out.append(ch)
             self.emitted.append(ch)
-        self.max_lag = max(self.max_lag, self.absorbed - len(self.emitted))
         return out
 
     def finish(self) -> str:

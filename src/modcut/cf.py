@@ -27,7 +27,6 @@ from .exactnum import (
 
 __all__ = [
     "OcfDigits",
-    "ConvergentPair",
     "ocf_digits",
     "ocf_value",
     "convergents",
@@ -102,48 +101,26 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
 
 
 def ocf_value(digits: OcfDigits) -> Fraction:
-    """Exact value of a terminating digit sequence."""
+    """Exact value of a terminating digit sequence: p_n/q_n of its last
+    convergent."""
     if not digits.finite:
         raise ValueError("value of a non-terminating prefix is undefined")
-    v = Fraction(0)
-    for a in reversed(digits.tail):
-        v = 1 / (a + v)
-    return digits.a0 + v
+    *_, m = convergents(digits)
+    return Fraction(m.a, m.c)
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
-    """The matrix [[p_n, p_{n-1}], [q_n, q_{n-1}]] of consecutive convergents."""
+def convergents(digits: OcfDigits) -> Iterator[IntMatrix2]:
+    """The convergent matrices [[p_n, p_{n-1}], [q_n, q_{n-1}]], the products
+    [[a0,1],[1,0]] ... [[a_n,1],[1,0]].
 
-    m: IntMatrix2
-
-    @property
-    def p(self) -> int:
-        return self.m.a
-
-    @property
-    def q(self) -> int:
-        return self.m.c
-
-    @property
-    def p_prev(self) -> int:
-        return self.m.b
-
-    @property
-    def q_prev(self) -> int:
-        return self.m.d
-
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-
-def convergents(digits: OcfDigits) -> Iterator[ConvergentPair]:
-    """Stream of convergent matrices [[a0,1],[1,0]] ... [[a_n,1],[1,0]]."""
+    The n-th maps t to [a0; a1, ..., a_n, t], so it times F = [[0,1],[1,0]]
+    maps y to [a0; a1, ..., a_n + y].
+    """
     m = IntMatrix2(digits.a0, 1, 1, 0)
-    yield ConvergentPair(m)
+    yield m
     for a in digits.tail:
         m = m * IntMatrix2(a, 1, 1, 0)
-        yield ConvergentPair(m)
+        yield m
 
 
 # ---------------------------------------------------------------------------

@@ -166,19 +166,16 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     if ref != digits.all_digits() or (digits.finite and not check.finite):
         raise ValueError("digits are not the expansion of theta")
     pairs: list[tuple[int, Optional[str]]] = []
-    convs = list(convergents(digits))
-    tail = digits.tail
-    for i, a in enumerate(tail):
+    # a = a_{n+1} beside the n-th convergent [[p_n, p_{n-1}], [q_n, q_{n-1}]]
+    for n, (a, m) in enumerate(zip(digits.tail, convergents(digits))):
         if a != 1:
             pairs.append((a, None))
             continue
-        if i == 0:
+        if n == 0:
             pairs.append((1, "m"))
             continue
-        n = i  # a = a_{n+1} with n = i >= 1
-        cp = convs[n]
-        alpha = Fraction(cp.q_prev, cp.q)
-        beta = (cp.q_prev * theta - cp.p_prev) / (cp.p - cp.q * theta)
+        alpha = Fraction(m.d, m.c)
+        beta = (m.d * theta - m.b) / (m.a - m.c * theta)
         pairs.append((1, _TAG_OF_SIGN[compare(beta, n_transform(alpha))]))
     return AnnotatedDigits(digits.a0, tuple(pairs), digits.finite)
 
@@ -324,31 +321,23 @@ def mgcf_from_acf(word: str):
     # the last run is only a lower bound on the next digit: drop it
     digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]
-    # convergent q's
-    q_prev, q = 1, 0
-    qs = [(q, q_prev)]
-    for a in [digits[0]] + list(tail):
-        q_prev, q = q, a * q + q_prev
-        qs.append((q, q_prev))
     steps = 0
     pairs: list[tuple[int, Optional[str]]] = []
     resolved = len(tail)
-    for i, a in enumerate(tail):
+    for n, (a, m) in enumerate(zip(tail, convergents(OcfDigits(digits[0], tail)))):
         if a != 1:
             pairs.append((a, None))
             continue
-        if i == 0:
+        if n == 0:
             pairs.append((1, "m"))
             continue
-        n = i
-        qn, qn_prev = qs[n + 1]
-        suffix = list(tail[i:])
+        suffix = list(tail[n:])
         # N(alpha) below every possible tail value beta means beta > N(alpha)
-        n_alpha = n_transform(Fraction(qn_prev, qn))
+        n_alpha = n_transform(Fraction(m.d, m.c))
         sign = -_cmp_vs_prefix_interval(n_alpha, suffix)
         steps += len(suffix)
         if sign == 0:
-            resolved = i  # undecidable from this prefix; stop here
+            resolved = n  # undecidable from this prefix; stop here
             break
         pairs.append((1, _TAG_OF_SIGN[sign]))
     ad = AnnotatedDigits(digits[0], tuple(pairs[:resolved]), False)

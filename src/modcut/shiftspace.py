@@ -6,18 +6,24 @@ reader that ``mgcf.annotated_from_mgcf`` uses, between a head piece (the end
 of a digit begun before the block) and a tail piece (a digit the block cuts
 off).  A reading is complete digits with their 1-tags plus free boundary
 variables y (head continuation, the value [0; e1, e2, ...] of the digits
-preceding the block read outward) and z (tail continuation).  Each tagged 1
-at digit index i contributes one exact linear-fractional constraint
+preceding the block read outward) and z (tail continuation), each in a box
+kept on the reading.  Each tagged 1 at digit index i contributes one exact
+linear-fractional constraint
 
     beta_i(z)  >  N(alpha_i(y))   for 1_h,
     beta_i(z)  <  N(alpha_i(y))   for 1_m,
     beta_i(z)  =  N(alpha_i(y))   for 1_c,
 
-with alpha_i = [0, d_{i-1}, ..., d_0 + y] and beta_i = [1, d_{i+1}, ...,
-d_last + z].  The block is whole-forbidden iff every reading's system is
-infeasible over the open box; feasibility is decided exactly by isolating
-the y-values where constraint curves cross (integer quadratics) and testing
-a rational sample point in every cell.  An initial word is the same system
+with alpha_i = [0; d_{i-1}, ..., d_0 + y] and beta_i = [1; d_{i+1}, ...,
+d_last + z].  Both are convergent matrices (``cf.convergents``): with C(ds)
+the last convergent of [0; ds], alpha_i = C(d_{i-1}, ..., d_0) F and
+beta_i = R C(d_{i+1}, ..., d_last) F.  A constraint is the one record
+(sign, beta_i, alpha_i, psi_i), where psi_i = beta_i^-1 N alpha_i is the
+curve z = psi_i(y) on which it is tight.  The block is whole-forbidden iff
+every reading's constraints are infeasible over the open box; feasibility is
+decided exactly by isolating the y-values where the curves psi_i cross each
+other or the box (integer quadratics) and testing a rational sample point in
+every cell.  An initial word is the same system
 with y pinned to one value (0, or 1 after the J R opening), tested at that
 point.  Admissible verdicts come with a rational witness geodesic re-checked
 against the tracer.
@@ -34,10 +40,11 @@ from .exactnum import (
     IntMatrix2,
     PINF,
     ParseError,
+    lft_apply,
     rational_between,
     sqrt_exact,
 )
-from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, ocf_digits, ocf_value
+from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
     N_MAT,
     AnnotatedDigits,
@@ -73,11 +80,6 @@ __all__ = [
 ]
 
 
-def _cf0(tail: Iterable[int]) -> Fraction:
-    """The value [0; tail]."""
-    return ocf_value(OcfDigits(0, tuple(tail)))
-
-
 def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
     """Tail digits b1..bm making head,1_c,tail central.
 
@@ -87,7 +89,7 @@ def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
     """
     if not head or any(d < 1 for d in head):
         raise ValueError("head digits must be positive")
-    alpha = _cf0(reversed(head))
+    alpha = ocf_value(OcfDigits(0, tuple(reversed(head))))
     d = ocf_digits(n_transform(alpha))
     if d.a0 != 1:
         raise AssertionError("N maps (0,1] into (1,2]")
@@ -222,23 +224,10 @@ def _tail_readings(digs, tail: str) -> list[_Reading]:
 # exact feasibility of a reading
 
 
-def _alpha_matrix(digits, i) -> IntMatrix2:
-    """alpha_i = [0, d_{i-1}, ..., d_0 + y] as an LFT of y."""
-    m = IntMatrix2(1, digits[0][0], 0, 1) if i > 0 else IntMatrix2(1, 0, 0, 1)
-    for k in range(1, i):
-        m = IntMatrix2(digits[k][0], 1, 1, 0) * m
-    return F_MAT * m if i > 0 else m  # i == 0: alpha = y itself
-
-
-def _beta_matrix(digits, i) -> IntMatrix2:
-    """beta_i = 1 + [0, d_{i+1}, ..., d_last + z] as an LFT of z."""
-    last = len(digits) - 1
-    if i == last:
-        return R_MAT
-    m = IntMatrix2(1, digits[last][0], 0, 1)
-    for k in range(last - 1, i, -1):
-        m = IntMatrix2(digits[k][0], 1, 1, 0) * m
-    return R_MAT * F_MAT * m
+def _cf_matrix(ds) -> IntMatrix2:
+    """The last convergent of [0; ds]: t -> [0; ds, t]."""
+    *_, m = convergents(OcfDigits(0, tuple(ds)))
+    return m
 
 
 def _quad_roots(A: int, B: int, C: int):
@@ -257,83 +246,66 @@ def _quad_roots(A: int, B: int, C: int):
     return [(-B + s) * half, (-B - s) * half]
 
 
-def _lft_at(m: IntMatrix2, x: Fraction):
-    den = m.c * x + m.d
-    if den == 0:
-        return None
-    return (m.a * x + m.b) / den
-
-
-@dataclass
-class _System:
-    constraints: list  # (sign of beta - N(alpha), beta_mat, alpha_mat)
-    y_lo: Fraction  # y in (y_lo, y_hi), or y = y_lo when they are equal
-    y_hi: Fraction
-    z_lo: Fraction
-    z_hi: Fraction
-    z_hi_closed: bool = False
-
-    def satisfied(self, y, z) -> bool:
-        for sign, bm, am in self.constraints:
-            beta = _lft_at(bm, z)
-            alpha = _lft_at(am, y)
-            if beta is None or alpha is None:
-                return False
-            nv = n_transform(alpha)
-            if (beta > nv) - (beta < nv) != sign:
-                return False
-        return True
-
-
 _SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
 
 
-def _build_system(rd: _Reading) -> _System:
-    cons = []
-    for i, (v, tag) in enumerate(rd.digits):
-        if tag in _SIGN_OF_TAG:
-            cons.append((_SIGN_OF_TAG[tag], _beta_matrix(rd.digits, i),
-                         _alpha_matrix(rd.digits, i)))
+def _constraints(rd: _Reading) -> list:
+    """One record (sign, beta, alpha, psi) per tagged 1 of the reading: the
+    tag wants sign(beta(z) - N(alpha(y))) = sign, and psi = beta^-1 N alpha
+    is the z-boundary curve z = psi(y)."""
+    ds = [v for v, _tag in rd.digits]
+    tagged = [(_SIGN_OF_TAG[tag], R_MAT * _cf_matrix(ds[i + 1:]) * F_MAT,
+               _cf_matrix(ds[:i][::-1]) * F_MAT)
+              for i, (_v, tag) in enumerate(rd.digits) if tag in _SIGN_OF_TAG]
     if rd.trailing_pair is not None:
-        # the unseen 1_m after the trailing pair digit a = trailing_pair:
-        # z = [0, a, 1 + 1/t] with t the continuation; beta = 1 + 1/t
+        # the unseen 1_m after the trailing pair digit a: z = [0; a, 1, t]
+        # with t the continuation, and beta = 1 + 1/t
         a = rd.trailing_pair
-        m_zt = F_MAT * IntMatrix2(1, a, 0, 1) * F_MAT * R_MAT * F_MAT
-        bm = R_MAT * F_MAT * m_zt.inverse()
-        ext = list(rd.digits) + [(a, None), (1, "m")]
-        cons.append((-1, bm, _alpha_matrix(ext, len(ext) - 1)))
-    return _System(cons, rd.y_lo, rd.y_hi, rd.z_lo, rd.z_hi, rd.z_hi_closed)
+        tagged.append((-1, R_MAT * F_MAT * _cf_matrix((a, 1)).inverse(),
+                       _cf_matrix([a] + ds[::-1]) * F_MAT))
+    return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
 
 
-def _z_at(sys_: _System, y) -> Optional[Fraction]:
-    """A rational z solving the system at fixed rational y, or None.
+def _satisfied(cons: list, y, z) -> bool:
+    for sign, bm, am, _psi in cons:
+        beta = lft_apply(bm, z)
+        alpha = lft_apply(am, y)
+        if beta is PINF or alpha is PINF:
+            return False
+        nv = n_transform(alpha)
+        if (beta > nv) - (beta < nv) != sign:
+            return False
+    return True
+
+
+def _z_at(rd: _Reading, cons: list, y) -> Optional[Fraction]:
+    """A rational z solving the constraints at fixed rational y, or None.
 
     The open z-interval satisfying every inequality is narrowed first; an
     equality constraint pins z, which must then lie inside it.
     """
-    lo, hi = sys_.z_lo, sys_.z_hi
+    lo, hi = rd.z_lo, rd.z_hi
     pinned = None
-    for sign, bm, am in sys_.constraints:
-        alpha = _lft_at(am, y)
-        if alpha is None or not (0 < alpha <= 1):
+    for sign, bm, am, psi in cons:
+        alpha = lft_apply(am, y)
+        if alpha is PINF or not (0 < alpha <= 1):
             return None
-        T = n_transform(alpha)
-        binv = bm.inverse()
-        zstar = _lft_at(binv, T)
+        zstar = lft_apply(psi, y)  # beta(zstar) = N(alpha); PINF at a pole
         if sign == 0:
-            if zstar is None:
+            if zstar is PINF:
                 return None
             if pinned is not None and pinned != zstar:
                 return None
             pinned = zstar
             continue
+        T = n_transform(alpha)
         # beta is monotone on (z_lo, z_hi); probe a point to orient
         probe = (lo + hi) / 2
-        bp = _lft_at(bm, probe)
-        if bp is None:
+        bp = lft_apply(bm, probe)
+        if bp is PINF:
             return None
         want_gt = sign > 0
-        if zstar is None:
+        if zstar is PINF:
             # beta never reaches T on the line; constant side decides
             if (bp > T) != want_gt:
                 return None
@@ -358,23 +330,20 @@ def _z_at(sys_: _System, y) -> Optional[Fraction]:
     # terminating expansions realize the closed endpoints: z = 0 when
     # the tail stops at the block's final separator, z = z_hi when a
     # partial trailing digit is the word's last
-    if not ok and pinned == sys_.z_lo == 0 and lo == sys_.z_lo:
+    if not ok and pinned == rd.z_lo == 0 and lo == rd.z_lo:
         ok = True
-    if not ok and sys_.z_hi_closed and pinned == sys_.z_hi == hi:
+    if not ok and rd.z_hi_closed and pinned == rd.z_hi == hi:
         ok = True
     return pinned if ok else None
 
 
-def _y_breakpoints(sys_: _System) -> list:
+def _y_breakpoints(rd: _Reading, cons: list) -> list:
     """Sorted y-values in [y_lo, y_hi] where the feasible z-set can change."""
-    cands: list = [sys_.y_lo, sys_.y_hi]
-    mats = []
-    for _sign, bm, am in sys_.constraints:
-        psi = bm.inverse() * N_MAT * am  # z-boundary curve psi(y)
-        mats.append(psi)
+    cands: list = [rd.y_lo, rd.y_hi]
+    for _sign, _bm, am, psi in cons:
         if psi.c != 0:
             cands.append(Fraction(-psi.d, psi.c))  # pole
-        for zb in (sys_.z_lo, sys_.z_hi):
+        for zb in (rd.z_lo, rd.z_hi):
             # psi(y) = zb: (a - zb c) y + (b - zb d) = 0
             a = psi.a - zb * psi.c
             b = psi.b - zb * psi.d
@@ -382,30 +351,30 @@ def _y_breakpoints(sys_: _System) -> list:
                 cands.append(Fraction(b * -1, a))
         if am.c != 0:
             cands.append(Fraction(-am.d, am.c))
-    for p in range(len(mats)):
-        for q in range(p + 1, len(mats)):
-            m1, m2 = mats[p], mats[q]
+    for p in range(len(cons)):
+        for q in range(p + 1, len(cons)):
+            m1, m2 = cons[p][3], cons[q][3]
             A = m1.a * m2.c - m2.a * m1.c
             B = m1.a * m2.d + m1.b * m2.c - m2.a * m1.d - m2.b * m1.c
             C = m1.b * m2.d - m2.b * m1.d
             cands.extend(_quad_roots(A, B, C))
     # canonical values: equal breakpoints are equal set members
-    return sorted({c for c in cands if sys_.y_lo <= c <= sys_.y_hi})
+    return sorted({c for c in cands if rd.y_lo <= c <= rd.y_hi})
 
 
-def _feasible(sys_: _System) -> Optional[tuple[Fraction, Fraction]]:
+def _feasible(rd: _Reading, cons: list) -> Optional[tuple[Fraction, Fraction]]:
     """Exact feasibility; returns a rational solution or None.
 
     A pinned y is tested at its one value; a free y at one rational point in
     every cell between consecutive breakpoints.
     """
-    if sys_.y_lo == sys_.y_hi:
-        ys: Iterable = [sys_.y_lo]
+    if rd.y_lo == rd.y_hi:
+        ys: Iterable = [rd.y_lo]
     else:
-        inside = _y_breakpoints(sys_)
+        inside = _y_breakpoints(rd, cons)
         ys = (rational_between(a, b) for a, b in zip(inside, inside[1:]))
     for y in ys:
-        z = _z_at(sys_, y)
+        z = _z_at(rd, cons, y)
         if z is not None:
             return (y, z)
     return None
@@ -433,8 +402,8 @@ def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
     The head continuation digits come from the two continued fraction
     representations of y (their lengths differ by one), since the parity of
     the head digit count fixes on which side of the strip the block's
-    letters fall; values outside [-1/2, 1/2) are shifted by -1, which
-    corresponds to the a0 = -1 word opening.
+    letters fall; values >= 1/2 are shifted by -1, which corresponds to the
+    a0 = -1 word opening.
     """
     tail = list(ocf_digits(z).tail) if z else []
     body = [v for v, _t in rd.digits]
@@ -449,22 +418,9 @@ def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
     out = []
     for head in heads:
         digits = head + body + tail
-        if not digits:
-            continue
-        if digits[-1] == 1:
-            if len(digits) >= 2:
-                digits = digits[:-2] + [digits[-2] + 1]
-            else:
-                continue
-        try:
-            od = OcfDigits(0, tuple(digits), True)
-        except ValueError:
-            continue
-        theta = ocf_value(od)
-        if theta >= Fraction(1, 2):
-            theta -= 1
-        if -Fraction(1, 2) <= theta < Fraction(1, 2):
-            out.append(theta)
+        if digits:
+            theta = ocf_value(OcfDigits(0, tuple(digits)))
+            out.append(theta - 1 if theta >= Fraction(1, 2) else theta)
     return out
 
 
@@ -495,16 +451,16 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
                             reason="no segment factorization")
     solutions = []
     for rd in readings:
-        sys_ = _build_system(rd)
-        sol = _feasible(sys_)
+        cons = _constraints(rd)
+        sol = _feasible(rd, cons)
         if sol is not None:
-            solutions.append((rd, sys_, sol))
+            solutions.append((rd, cons, sol))
     if not solutions:
         return BlockVerdict(w, "whole-forbidden",
                             reason="all %d readings infeasible" % len(readings))
     # construct a tracer-checked witness
-    for rd, sys_, sol in solutions:
-        for y, z in _witness_candidates(sys_, *sol):
+    for rd, cons, sol in solutions:
+        for y, z in _witness_candidates(rd, cons, *sol):
             for theta in _theta_from(rd, y, z):
                 if theta == 0:
                     continue
@@ -515,14 +471,14 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
                         reason="feasible but no rational witness found")
 
 
-def _witness_candidates(sys_: _System, y: Fraction, z: Fraction):
+def _witness_candidates(rd: _Reading, cons: list, y: Fraction, z: Fraction):
     yield (y, z)
-    if sys_.y_lo == sys_.y_hi:
+    if rd.y_lo == rd.y_hi:
         return  # a pinned y has no other point to try
     rng = random.Random(1729)
     for _ in range(60):
-        yy = Fraction(rng.randint(1, 400), 401) * (sys_.y_hi - sys_.y_lo) + sys_.y_lo
-        zz = _z_at(sys_, yy)
+        yy = Fraction(rng.randint(1, 400), 401) * (rd.y_hi - rd.y_lo) + rd.y_lo
+        zz = _z_at(rd, cons, yy)
         if zz is not None:
             yield (yy, zz)
 
@@ -534,12 +490,12 @@ def random_cross_check(w: Sequence[str], verdict: BlockVerdict,
         return True
     rng = random.Random(seed)
     for rd in _block_readings(tuple(w)):
-        sys_ = _build_system(rd)
+        cons = _constraints(rd)
         for _ in range(samples):
-            y = Fraction(rng.randint(1, 997), 998) * (sys_.y_hi - sys_.y_lo)
+            y = Fraction(rng.randint(1, 997), 998) * (rd.y_hi - rd.y_lo)
             zi = Fraction(rng.randint(1, 997), 998)
-            z = sys_.z_lo + zi * (sys_.z_hi - sys_.z_lo)
-            if sys_.satisfied(y, z):
+            z = rd.z_lo + zi * (rd.z_hi - rd.z_lo)
+            if _satisfied(cons, y, z):
                 return False
     return True
 
@@ -583,9 +539,9 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
                                 jobs: int = 1) -> list[CuttingWord]:
     """Edge-forbidden blocks plus central-derived minimal forbidden blocks.
 
-    Heads range over {1,2}^n for n <= max_head plus all heads with digit sum
-    <= 8; each central sequence's eight prefix/resolution/suffix words are
-    decided and the forbidden ones kept.
+    Heads range over {1,2}^n for n <= max_head; each central sequence's eight
+    prefix/resolution/suffix words are decided and the minimal forbidden
+    ones kept.
     """
     heads = []
     for n in range(1, max_head + 1):
@@ -615,13 +571,9 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
             verdicts = dict(zip(uniq, pool.map(decide_block, uniq)))
     else:
         verdicts = {blk: decide_block(blk) for blk in uniq}
-    seen_blocks: dict[CuttingWord, None] = {}
     result: list[CuttingWord] = [b for b in EDGE_FORBIDDEN if len(b) <= max_len]
-    for blk in candidates:
-        if verdicts[blk].forbidden and len(blk) <= max_len and blk not in seen_blocks:
-            if not _is_minimal(blk):
-                continue
-            seen_blocks[blk] = None
+    for blk in uniq:
+        if verdicts[blk].forbidden and len(blk) <= max_len and _is_minimal(blk):
             result.append(blk)
     return result
 

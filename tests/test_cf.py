@@ -49,11 +49,27 @@ def test_surd_prefix():
     assert d.all_digits() == (1, 1, 2, 1, 2, 1, 2, 1)
 
 
-def test_convergents():
-    cps = list(convergents(ocf_digits(Fraction(5, 14))))
-    assert cps[-1].value() == Fraction(5, 14)
-    for cp in cps:
-        assert abs(cp.m.det()) == 1
+def fold_value(digits):
+    """[a0; a1, ..., an] folded from the last digit, as Fractions."""
+    v = Fraction(0)
+    for a in reversed(digits.tail):
+        v = 1 / (a + v)
+    return digits.a0 + v
+
+
+@given(st.integers(-50, 50), st.lists(st.integers(1, 60), max_size=25))
+def test_convergents(a0, tail):
+    digits = OcfDigits(a0, tuple(tail))
+    ms = list(convergents(digits))
+    assert len(ms) == len(digits)
+    # the n-th matrix is [[p_n, p_{n-1}], [q_n, q_{n-1}]]
+    for n, m in enumerate(ms):
+        assert Fraction(m.a, m.c) == fold_value(OcfDigits(a0, tuple(tail[:n])))
+        assert m.det() == (-1) ** (n + 1)
+    for prev, m in zip(ms, ms[1:]):
+        assert (prev.a, prev.c) == (m.b, m.d)
+    assert ocf_value(digits) == fold_value(digits)
+    assert ocf_value(digits) == Fraction(ms[-1].a, ms[-1].c)
 
 
 def test_acf_words():

@@ -1,6 +1,7 @@
 """Hygiene: no modcut module imports a name it never uses, no
-module-level private name goes unreferenced across the package, and the
-package re-exports only names its modules declare public.
+module-level private name goes unreferenced across the package, no class
+stores an attribute that nothing reads, and the package re-exports only
+names its modules declare public.
 
 ``__init__.py`` is exempt from the import check, since re-exporting imported
 names is its job.
@@ -100,3 +101,61 @@ def test_reexports_are_public():
             missing += ["%s.%s" % (node.module, alias.name)
                         for alias in node.names if alias.name not in public]
     assert missing == []
+
+
+def write_only_attributes(sources: dict[str, str], readers=()) -> list[str]:
+    """``module.Class.x`` for each ``self.x`` that a method in ``sources``
+    (module name -> source) stores, when no module of ``sources`` or
+    ``readers`` loads an attribute ``x`` outside an assignment to ``self.x``
+    itself (so ``self.x = max(self.x, v)`` is not a read)."""
+    stored = set()
+    loaded = set()
+    for source in list(sources.values()) + list(readers):
+        tree = ast.parse(source)
+        own_loads = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                own = {t.attr for t in targets if isinstance(t, ast.Attribute)
+                       and isinstance(t.value, ast.Name) and t.value.id == "self"}
+                own_loads.update(id(n) for n in ast.walk(node)
+                                 if isinstance(n, ast.Attribute) and n.attr in own)
+        loaded.update(n.attr for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                      and id(n) not in own_loads)
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                stored.update((module, cls.name, n.attr) for n in ast.walk(cls)
+                              if isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Store)
+                              and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return ["%s.%s.%s" % key for key in sorted(stored) if key[2] not in loaded]
+
+
+def test_checker_sees_write_only_attributes():
+    sources = {"a": ("class Machine:\n"
+                     "    def __init__(self):\n"
+                     "        self.count = 0\n"
+                     "        self.peak = 0\n"
+                     "        self.kept = 1\n"
+                     "        self.read_elsewhere = 2\n"
+                     "    def step(self):\n"
+                     "        self.count += 1\n"
+                     "        self.peak = max(self.peak, self.count)\n"
+                     "        return self.kept\n")}
+    readers = ["def f(m):\n    return m.read_elsewhere\n"]
+    assert write_only_attributes(sources, readers) == ["a.Machine.peak"]
+    assert write_only_attributes(sources) == ["a.Machine.peak",
+                                              "a.Machine.read_elsewhere"]
+
+
+def test_no_write_only_attributes():
+    """Every attribute a modcut class stores is read somewhere in the
+    package, its tests or the benchmark harness."""
+    root = Path(__file__).resolve().parent.parent
+    sources = {p.stem: p.read_text()
+               for p in Path(modcut.__file__).parent.glob("*.py")}
+    readers = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
+               for p in root.glob(pattern)]
+    assert write_only_attributes(sources, readers) == []

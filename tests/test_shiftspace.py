@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +21,14 @@ from modcut.shiftspace import (
     random_cross_check,
     verdict_json,
 )
+
+
+def verdict_digest(verdicts) -> str:
+    """sha256 of one "block status foot reason" line per verdict."""
+    lines = ["%s %s %s %s" % ("".join(v.block), v.status,
+                              v.witness.foot if v.witness else None, v.reason)
+             for v in verdicts]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def W(text):
@@ -152,6 +161,10 @@ def test_anchored_short_initial_words():
     blocks = [b for b in blocks if find_edge_forbidden(b) is None]
     assert len(blocks) == 8781
     verdicts = [decide_block(b, anchored=True) for b in blocks]
+    # every status, witness foot and reason, frozen when the witnesses were
+    # tracer-checked (a changed witness fails here, not only in the bench refs)
+    assert verdict_digest(verdicts) == (
+        "0f1170166ed6b1b06feb68b3e8709966a261b6465fd71c109b5f017403864a93")
     admissible = [v for v in verdicts if v.status == "admissible"]
     assert len(admissible) == 75
     for v in admissible:
@@ -167,6 +180,8 @@ def test_free_short_blocks():
               if find_edge_forbidden(b) is None]
     assert len(blocks) == 10923
     verdicts = [decide_block(b) for b in blocks]
+    assert verdict_digest(verdicts) == (
+        "8d21e16be41b5ca4c5e21659e497e1113e951dcc2821ae49206e4bf2ae7be782")
     admissible = [v for v in verdicts if v.status == "admissible"]
     assert len(admissible) == 297
     for v in admissible:
