@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .exactnum import IntMatrix2, ParseError
+from .exactnum import PINF, IntMatrix2, ParseError, compare, lft_apply
 from .cf import (
     ACF_TO_FAREY,
     F_MAT,
@@ -233,17 +233,12 @@ class HomographicMachine:
         self.em = IntMatrix2(1, 0, 0, 1)  # matrix of the emitted prefix
         self.emitted: list[str] = []
 
-    def _endpoints(self):
-        m = self.m
-        e0 = Fraction(m.b, m.d) if m.d else None  # m(0); None = infinite
-        e1 = Fraction(m.a, m.c) if m.c else None  # m(inf)
-        return e0, e1
-
     def _emit_ready(self) -> Optional[str]:
-        e0, e1 = self._endpoints()
-        if (e0 is None or e0 > 1) and (e1 is None or e1 > 1):
+        # the sides of 1 that m(0) and m(inf) lie on; a pole is PINF, above 1
+        s0, s1 = (compare(lft_apply(self.m, x), 1) for x in (0, PINF))
+        if s0 > 0 and s1 > 0:
             return "R"
-        if e0 is not None and e1 is not None and e0 < 1 and e1 < 1:
+        if s0 < 0 and s1 < 0:
             return "F"
         return None
 

@@ -83,10 +83,10 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
     in a digit 1 except the single-digit case).  For surd x the first
     ``limit`` digits are produced with finite=False.
     """
-    if is_infinite(x):
-        raise ValueError("cannot expand inf")
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if is_infinite(x):
+        raise ValueError("cannot expand inf")
     a0 = surd_floor(x)
     digits = [a0]
     rest = x - a0
@@ -174,14 +174,9 @@ def acf_of(x: ExtReal, limit: int = 64) -> str:
 
 
 def farey_of(x: ExtReal, limit: int = 64) -> str:
-    """Farey-tree word R^{a0} D^{a1} R^{a2} D^{a3} ... of x > 0."""
-    if is_infinite(x) or compare(x, 0) <= 0:
-        raise ValueError("farey_of requires finite x > 0")
-    d = ocf_digits(x, limit)
-    parts = []
-    for i, a in enumerate(d.all_digits()):
-        parts.append(("R" if i % 2 == 0 else "D") * a)
-    return "".join(parts)
+    """Farey-tree word R^{a0} D^{a1} R^{a2} D^{a3} ... of x > 0: the additive
+    word read through ``ACF_TO_FAREY``."""
+    return acf_to_farey(acf_of(x, limit))
 
 
 # One table per direction: (state, letter) -> (next state, printed letters).

@@ -65,39 +65,43 @@ __all__ = ["main"]
 WORD_KINDS = ("ocf", "acf", "farey", "mgcf", "cutting")
 
 
-def _emit(payload, as_json: bool, text: str) -> None:
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True))
-    else:
-        click.echo(text)
-
-
-def _run(fn) -> None:
-    try:
-        fn()
-    except ParseError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(2)
-    except BudgetError as exc:
-        click.echo("budget exceeded: %s" % exc, err=True)
-        sys.exit(4)
-    except (ValueError, ZeroDivisionError) as exc:
-        click.echo("domain error: %s" % exc, err=True)
-        sys.exit(3)
-
-
 # a token such as -5/14, -0.25, -1;1,2 or -inf is a value, never an option
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf$)")
 
 
 class _Command(click.Command):
-    """A command whose positional arguments may be negative numbers.
+    """A command with one error and output contract, whose positional
+    arguments may be negative numbers.
+
+    The body returns (payload, text): ``--json``, which every command takes,
+    prints the payload as one JSON object (or array), and otherwise the text
+    is printed.  A ParseError exits 2, a BudgetError 4 and any other
+    ValueError or a ZeroDivisionError 3, each with one line on stderr.
 
     Click takes every token that starts with "-" for an option.  Here a
     token that reads as a negative value, and is not the value of an option
     before it, is moved behind a "--", so it stays a positional argument;
     any other unknown option is still refused with exit code 2.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--json", "as_json"], is_flag=True))
+
+    def invoke(self, ctx):
+        as_json = ctx.params.pop("as_json")
+        try:
+            payload, text = super().invoke(ctx)
+        except ParseError as exc:
+            click.echo("parse error: %s" % exc, err=True)
+            sys.exit(2)
+        except BudgetError as exc:
+            click.echo("budget exceeded: %s" % exc, err=True)
+            sys.exit(4)
+        except (ValueError, ZeroDivisionError) as exc:
+            click.echo("domain error: %s" % exc, err=True)
+            sys.exit(3)
+        click.echo(json.dumps(payload, sort_keys=True) if as_json else text)
 
     def parse_args(self, ctx, args):
         valued = {name for p in self.params
@@ -148,19 +152,12 @@ _EXPAND = {
 @click.argument("theta")
 @click.option("--limit", type=int, default=64, show_default=True,
               help="maximum digits/symbols for non-terminating expansions")
-@click.option("--json", "as_json", is_flag=True)
-def expand(kind, theta, limit, as_json):
+def expand(kind, theta, limit):
     """Expansion of an exact number THETA in the representation KIND."""
-
-    def go():
-        x = parse_extreal(theta)
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        word = _EXPAND[kind](x, limit)
-        _emit({"kind": kind, "theta": format_extreal(x), "limit": limit,
-               "word": word}, as_json, word)
-
-    _run(go)
+    x = parse_extreal(theta)
+    word = _EXPAND[kind](x, limit)
+    return {"kind": kind, "theta": format_extreal(x), "limit": limit,
+            "word": word}, word
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +186,21 @@ _FROM_ACF = {
 @click.argument("word")
 @click.option("--from", "src", type=click.Choice(WORD_KINDS), required=True)
 @click.option("--to", "dst", type=click.Choice(WORD_KINDS), required=True)
-@click.option("--json", "as_json", is_flag=True)
-def convert(word, src, dst, as_json):
+def convert(word, src, dst):
     """Convert WORD between digit/word representations.
 
     MGCF <-> cutting is the exact parity letter map (tags preserved);
     every other route factors through the additive word and so drops
     1-tags (ACF -> MGCF re-derives the tags forced by the prefix).
     """
-
-    def go():
-        if {src, dst} == {"mgcf", "cutting"}:
-            if src == "mgcf":
-                out = format_cutting(cutting_from_mgcf(word))
-            else:
-                out = mgcf_from_cutting(parse_cutting(word))
+    if {src, dst} == {"mgcf", "cutting"}:
+        if src == "mgcf":
+            out = format_cutting(cutting_from_mgcf(word))
         else:
-            out = _FROM_ACF[dst](_TO_ACF[src](word))
-        _emit({"from": src, "to": dst, "input": word, "word": out},
-              as_json, out)
-
-    _run(go)
+            out = mgcf_from_cutting(parse_cutting(word))
+    else:
+        out = _FROM_ACF[dst](_TO_ACF[src](word))
+    return {"from": src, "to": dst, "input": word, "word": out}, out
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +212,18 @@ def convert(word, src, dst, as_json):
               help="ideal endpoints head,foot (exact number format)")
 @click.option("--limit", type=int, default=200, show_default=True)
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--json", "as_json", is_flag=True)
-def trace_cmd(geodesic, limit, svg_path, as_json):
+def trace_cmd(geodesic, limit, svg_path):
     """Cutting sequence of the oriented geodesic across the tessellation."""
-
-    def go():
-        parts = geodesic.split(",")
-        if len(parts) != 2:
-            raise ParseError("--geodesic takes two comma-separated endpoints")
-        g = GeodesicSpec(parse_extreal(parts[0]), parse_extreal(parts[1]))
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        steps = list(trace_geodesic(g, limit=limit))
-        word = format_cutting([s.symbol for s in steps])
-        if svg_path:
-            render_trace_svg(g, steps, svg_path)
-        _emit({"head": format_extreal(g.head), "foot": format_extreal(g.foot),
-               "limit": limit, "word": word,
-               "svg": svg_path}, as_json, word)
-
-    _run(go)
+    parts = geodesic.split(",")
+    if len(parts) != 2:
+        raise ParseError("--geodesic takes two comma-separated endpoints")
+    g = GeodesicSpec(parse_extreal(parts[0]), parse_extreal(parts[1]))
+    steps = list(trace_geodesic(g, limit=limit))
+    word = format_cutting([s.symbol for s in steps])
+    if svg_path:
+        render_trace_svg(g, steps, svg_path)
+    return {"head": format_extreal(g.head), "foot": format_extreal(g.foot),
+            "limit": limit, "word": word, "svg": svg_path}, word
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +236,21 @@ def trace_cmd(geodesic, limit, svg_path, as_json):
               help="decide as an initial word read from the cusp")
 @click.option("--max-len", type=int, default=64, show_default=True,
               help="refuse blocks longer than this")
-@click.option("--json", "as_json", is_flag=True)
-def block(word, anchored, max_len, as_json):
+def block(word, anchored, max_len):
     """Admissibility verdict for a cutting-word factor WORD."""
-
-    def go():
-        w = parse_cutting(word)
-        if len(w) > max_len:
-            raise BudgetError("block length %d exceeds --max-len %d"
-                              % (len(w), max_len))
-        v = decide_block(w, anchored=anchored)
-        payload = verdict_json(v)
-        payload["anchored"] = anchored
-        text = payload["status"]
-        if payload["witness"]:
-            text += " witness=%s->%s" % (payload["witness"]["head"],
-                                         payload["witness"]["foot"])
-        if payload["reason"]:
-            text += " (%s)" % payload["reason"]
-        _emit(payload, as_json, text)
-
-    _run(go)
+    w = parse_cutting(word)
+    if len(w) > max_len:
+        raise BudgetError("block length %d exceeds --max-len %d"
+                          % (len(w), max_len))
+    payload = verdict_json(decide_block(w, anchored=anchored))
+    payload["anchored"] = anchored
+    text = payload["status"]
+    if payload["witness"]:
+        text += " witness=%s->%s" % (payload["witness"]["head"],
+                                     payload["witness"]["foot"])
+    if payload["reason"]:
+        text += " (%s)" % payload["reason"]
+    return payload, text
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +259,19 @@ def block(word, anchored, max_len, as_json):
 
 @main.command()
 @click.argument("head")
-@click.option("--json", "as_json", is_flag=True)
-def central(head, as_json):
+def central(head):
     """Balanced tail and cutting word for HEAD digits "d1,d2,..."."""
-
-    def go():
-        digits = [parse_int(p) for p in head.split(",") if p.strip()]
-        if not digits:
-            raise ParseError("empty head")
-        tail = central_head_to_tail(digits)
-        cb = central_block(digits)
-        word = format_cutting(cb[0]) if cb else None
-        theta = str(cb[1]) if cb else None
-        text = "tail=%s word=%s theta=%s" % (
-            ",".join(map(str, tail)) or "-", word or "-", theta or "-")
-        _emit({"head": digits, "tail": list(tail), "word": word,
-               "theta": theta}, as_json, text)
-
-    _run(go)
+    digits = [parse_int(p) for p in head.split(",") if p.strip()]
+    if not digits:
+        raise ParseError("empty head")
+    tail = central_head_to_tail(digits)
+    cb = central_block(digits)
+    word = format_cutting(cb[0]) if cb else None
+    theta = str(cb[1]) if cb else None
+    text = "tail=%s word=%s theta=%s" % (
+        ",".join(map(str, tail)) or "-", word or "-", theta or "-")
+    return {"head": digits, "tail": list(tail), "word": word,
+            "theta": theta}, text
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +283,13 @@ def central(head, as_json):
               help="maximum block length to report")
 @click.option("--max-head", type=int, default=3, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-def forbidden(max_len, max_head, jobs, as_json):
+def forbidden(max_len, max_head, jobs):
     """Minimal forbidden blocks up to --max-len."""
-
-    def go():
-        if max_len < 2:
-            raise ValueError("--max-len must be >= 2")
-        blocks = enumerate_minimal_forbidden(max_len, max_head=max_head,
-                                             jobs=jobs)
-        words = [format_cutting(b) for b in blocks]
-        _emit(words, as_json, "\n".join(words))
-
-    _run(go)
+    if max_len < 2:
+        raise ValueError("--max-len must be >= 2")
+    blocks = enumerate_minimal_forbidden(max_len, max_head=max_head, jobs=jobs)
+    words = [format_cutting(b) for b in blocks]
+    return words, "\n".join(words)
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +302,17 @@ def forbidden(max_len, max_head, jobs, as_json):
 @click.option("--surd", "disc", type=int, default=None,
               help="positive non-square d; corner count of the sqrt(d) geodesic")
 @click.option("--limit", type=int, default=5000, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-def corners(theta, disc, limit, as_json):
+def corners(theta, disc, limit):
     """Corner hits of a vertical geodesic, or the periodic corner count."""
-
-    def go():
-        if (theta is None) == (disc is None):
-            raise ParseError("give exactly one of --theta / --surd")
-        if theta is not None:
-            hits = corner_hits_vertical(parse_extreal(theta))
-            rows = [{"r": str(h.r), "t": format_extreal(h.t_value())}
-                    for h in hits]
-            text = "\n".join("t=%s (r=%s)" % (r["t"], r["r"]) for r in rows)
-            _emit({"theta": theta, "hits": rows}, as_json,
-                  text if rows else "no corner hits")
-        else:
-            n = periodic_corner_count(disc, limit=limit)
-            _emit({"surd": disc, "corner_count": n}, as_json, str(n))
-
-    _run(go)
+    if (theta is None) == (disc is None):
+        raise ParseError("give exactly one of --theta / --surd")
+    if theta is None:
+        n = periodic_corner_count(disc, limit=limit)
+        return {"surd": disc, "corner_count": n}, str(n)
+    hits = corner_hits_vertical(parse_extreal(theta))
+    rows = [{"r": str(h.r), "t": format_extreal(h.t_value())} for h in hits]
+    text = "\n".join("t=%s (r=%s)" % (r["t"], r["r"]) for r in rows)
+    return {"theta": theta, "hits": rows}, text or "no corner hits"
 
 
 # ---------------------------------------------------------------------------
@@ -363,43 +321,37 @@ def corners(theta, disc, limit, as_json):
 
 @main.command()
 @click.argument("ell", type=int)
-@click.option("--json", "as_json", is_flag=True)
-def bench(ell, as_json):
+def bench(ell):
     """Time the additive-word to MGCF conversion at lengths ELL, 2*ELL, 4*ELL.
 
     The input is the additive expansion of (sqrt(3)-1)/2; reports the fitted
     time exponent and the maximum retained digit count.
     """
-
-    def go():
-        if ell < 100:
-            raise ValueError("ell must be >= 100")
-        theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
-        full = acf_of(theta, limit=4 * ell)
-        rows = []
-        for n in (ell, 2 * ell, 4 * ell):
-            w = full[:n]
-            t0 = time.perf_counter()
-            _out, stats = mgcf_from_acf(w)
-            dt = time.perf_counter() - t0
-            rows.append({"length": n, "seconds": dt,
-                         "retained_digits": stats["retained_digits"]})
-        xs = [math.log(r["length"]) for r in rows]
-        ys = [math.log(max(r["seconds"], 1e-9)) for r in rows]
-        xbar, ybar = sum(xs) / 3, sum(ys) / 3
-        slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-                 / sum((x - xbar) ** 2 for x in xs))
-        payload = {"ell": ell, "rows": rows, "exponent": slope,
-                   "max_retained_digits": max(r["retained_digits"]
-                                              for r in rows)}
-        text = "\n".join("n=%d t=%.4fs retained=%d"
-                         % (r["length"], r["seconds"], r["retained_digits"])
-                         for r in rows)
-        text += "\nexponent=%.3f max_retained=%d" % (
-            slope, payload["max_retained_digits"])
-        _emit(payload, as_json, text)
-
-    _run(go)
+    if ell < 100:
+        raise ValueError("ell must be >= 100")
+    theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
+    full = acf_of(theta, limit=4 * ell)
+    rows = []
+    for n in (ell, 2 * ell, 4 * ell):
+        w = full[:n]
+        t0 = time.perf_counter()
+        _out, stats = mgcf_from_acf(w)
+        dt = time.perf_counter() - t0
+        rows.append({"length": n, "seconds": dt,
+                     "retained_digits": stats["retained_digits"]})
+    xs = [math.log(r["length"]) for r in rows]
+    ys = [math.log(max(r["seconds"], 1e-9)) for r in rows]
+    xbar, ybar = sum(xs) / 3, sum(ys) / 3
+    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / sum((x - xbar) ** 2 for x in xs))
+    payload = {"ell": ell, "rows": rows, "exponent": slope,
+               "max_retained_digits": max(r["retained_digits"] for r in rows)}
+    text = "\n".join("n=%d t=%.4fs retained=%d"
+                     % (r["length"], r["seconds"], r["retained_digits"])
+                     for r in rows)
+    text += "\nexponent=%.3f max_retained=%d" % (
+        slope, payload["max_retained_digits"])
+    return payload, text
 
 
 if __name__ == "__main__":

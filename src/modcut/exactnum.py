@@ -16,7 +16,10 @@ rational is the case d = 0 (with x1 = y1 = 0), +-inf is (1, 0, 0, 0), and a
 ``QuadSurd`` is the end (a, b, w, 0).  ``surd_sign`` decides the sign of
 u + v*sqrt(d) with at most one squaring; ``end_of``, ``end_triple`` and
 ``end_value`` convert between an extended real, an end and the end's reduced
-triple (u, v, w) = (u + v*sqrt(d))/w.
+triple (u, v, w) = (u + v*sqrt(d))/w, which ``end_value`` reduces as
+``QuadSurd`` arithmetic does.  ``lft_apply`` is the one Moebius action: a
+2x2 integer matrix-vector product on an end, and a value is mapped as its
+end, so m(inf) and a pole need no rule of their own.
 """
 
 from __future__ import annotations
@@ -245,16 +248,22 @@ def _sign_mixed(a, b, p: int, c, q: int) -> int:
     return ss if diff > 0 else (ts if diff < 0 else 0)
 
 
+def _lowest_terms(a: int, b: int, w: int) -> tuple[int, int, int]:
+    # (a, b, w) over gcd(a, b, w), signed so that w > 0; w != 0
+    g = math.gcd(a, b, w)
+    if w < 0:
+        g = -g
+    return a // g, b // g, w // g
+
+
 def _canonical(a: int, b: int, w: int, d: int) -> Fraction | QuadSurd:
     # (a + b*sqrt(d))/w for w != 0 and a d that is already square-free (or
     # b = 0): the arithmetic of one field, which need not factor d again as
     # surd() does
     if not b:
         return Fraction(a, w)
-    g = math.gcd(a, b, w)
-    if w < 0:
-        g = -g
-    return QuadSurd(a // g, b // g, d, w // g)
+    a, b, w = _lowest_terms(a, b, w)
+    return QuadSurd(a, b, d, w)
 
 
 def surd(u, v=0, d: int = 0) -> Fraction | QuadSurd:
@@ -375,25 +384,18 @@ class IntMatrix2:
 def lft_apply(m: IntMatrix2, x: ExtReal | End) -> ExtReal | End:
     """Apply the linear fractional map of m to x, with the usual inf conventions.
 
-    A projective end x = (x0, x1, y0, y1) maps to the end m (x, y): a 2x2
-    integer matrix-vector product, left unreduced.
+    The map is one 2x2 integer matrix-vector product on a projective end.  An
+    end x = (x0, x1, y0, y1) comes back as the end m (x, y), left unreduced;
+    a value goes in as ``end_of(x)`` and comes back through ``end_value``, so
+    a pole and both infinities map as ends do (a pole to PINF).
     """
     if m.det() == 0:
         raise ValueError("singular matrix in lft_apply")
-    if type(x) is tuple:
-        x0, x1, y0, y1 = x
-        return (m.a * x0 + m.b * y0, m.a * x1 + m.b * y1,
-                m.c * x0 + m.d * y0, m.c * x1 + m.d * y1)
-    if is_infinite(x):
-        if m.c == 0:
-            return PINF
-        return Fraction(m.a, m.c)
-    if isinstance(x, int):
-        x = Fraction(x)  # int / int would be a float
-    den = m.c * x + m.d
-    if den == 0:
-        return PINF
-    return (m.a * x + m.b) / den
+    e, d = (x, None) if type(x) is tuple else end_of(x)
+    x0, x1, y0, y1 = e
+    image = (m.a * x0 + m.b * y0, m.a * x1 + m.b * y1,
+             m.c * x0 + m.d * y0, m.c * x1 + m.d * y1)
+    return image if d is None else end_value(image, d)
 
 
 # ---------------------------------------------------------------------------
@@ -416,31 +418,27 @@ def end_of(x: ExtReal) -> tuple[End, int]:
     return (x.numerator, 0, x.denominator, 0), 0
 
 
+def _over_norm(e: End, d: int) -> tuple[int, int, int]:
+    # x/y = x conj(y) / N(y) as an unreduced triple; N(y) = 0 only for y = 0,
+    # the infinite end, since d is not a square or y1 = 0
+    x0, x1, y0, y1 = e
+    return x0 * y0 - d * x1 * y1, x1 * y0 - x0 * y1, y0 * y0 - d * y1 * y1
+
+
 def end_triple(e: End, d: int) -> tuple[int, int, int]:
     """The reduced triple (u, v, w) of an end, whose value is (u + v*sqrt(d))/w.
 
     gcd(u, v, w) = 1 and w > 0; infinity is (1, 0, 0).  Two ends over one
     radicand have the same value if and only if their triples are equal.
     """
-    x0, x1, y0, y1 = e
-    if not (y0 or y1):
-        return 1, 0, 0
-    # x/y = x conj(y) / N(y), and N(y) != 0: d is not a square, or y1 = 0
-    u, v, w = x0 * y0 - d * x1 * y1, x1 * y0 - x0 * y1, y0 * y0 - d * y1 * y1
-    g = math.gcd(u, v, w)
-    if w < 0:
-        g = -g
-    return u // g, v // g, w // g
+    u, v, w = _over_norm(e, d)
+    return _lowest_terms(u, v, w) if w else (1, 0, 0)
 
 
 def end_value(e: End, d: int) -> ExtReal:
     """The canonical extended real of an end: PINF, a Fraction or a QuadSurd."""
-    u, v, w = end_triple(e, d)
-    if not w:
-        return PINF
-    if not v:
-        return Fraction(u, w)
-    return QuadSurd(u, v, d, w)
+    u, v, w = _over_norm(e, d)
+    return _canonical(u, v, w, d) if w else PINF
 
 
 def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
@@ -458,11 +456,10 @@ def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
     f = surd_floor(lo)
     if compare(f + 1, hi) < 0:
         return Fraction(f + 1)
-    # both in [f, f+1]: find a rational between the reciprocals of the
-    # fractional parts, then flip back
-    a, b = lo - f, hi - f
-    inner = rational_between(1 / b, 1 / a if a != 0 else PINF)
-    return f + 1 / inner
+    # both in [f, f+1]: g(z) = 1/(z - f) maps (lo, hi) onto (g(hi), g(lo)),
+    # with g(f) = inf; find a rational there and map it back
+    g = IntMatrix2(0, 1, 1, -f)
+    return lft_apply(g.inverse(), rational_between(lft_apply(g, hi), lft_apply(g, lo)))
 
 
 # ---------------------------------------------------------------------------

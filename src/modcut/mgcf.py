@@ -66,6 +66,8 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
 
     Terminates for rational theta; emits up to ``limit`` symbols otherwise.
     """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     if is_infinite(theta):
         raise ValueError("theta must be finite")
     if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
@@ -155,9 +157,10 @@ class AnnotatedDigits:
 def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     """Tag every digit 1 of the expansion of theta with h, m, or c.
 
-    For a_{n+1} = 1 with n >= 1, alpha_n = q_{n-1}/q_n and
-    beta_n = -(p_{n-1} - q_{n-1} theta)/(p_n - q_n theta); the tag is h, c, m
-    according to beta_n >, =, < N(alpha_n).  a_1 = 1 is always tagged m.
+    For a_{n+1} = 1 with n >= 1, alpha_n = q_{n-1}/q_n and beta_n is theta
+    pulled back by the n-th convergent, -(p_{n-1} - q_{n-1} theta)/(p_n - q_n
+    theta); the tag is h, c, m according to beta_n >, =, < N(alpha_n).
+    a_1 = 1 is always tagged m.
     """
     if is_infinite(theta):
         raise ValueError("theta must be finite")
@@ -174,8 +177,7 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
         if n == 0:
             pairs.append((1, "m"))
             continue
-        alpha = Fraction(m.d, m.c)
-        beta = (m.d * theta - m.b) / (m.a - m.c * theta)
+        alpha, beta = Fraction(m.d, m.c), lft_apply(m.inverse(), theta)
         pairs.append((1, _TAG_OF_SIGN[compare(beta, n_transform(alpha))]))
     return AnnotatedDigits(digits.a0, tuple(pairs), digits.finite)
 

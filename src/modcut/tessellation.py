@@ -141,7 +141,12 @@ def _check_admissible(head: End, foot: End, d: int) -> None:
 
 
 def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
-    """Stream of crossings of the tessellation, pulled back step by step."""
+    """Stream of crossings of the tessellation, pulled back step by step.
+
+    At most ``limit`` steps; a limit below 1 is a ValueError.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     g = g.normalized()
     (xa0, xa1, ya0, ya1), da = end_of(g.head)
     (xb0, xb1, yb0, yb1), db = end_of(g.foot)
@@ -300,7 +305,8 @@ def periodic_corner_count(d: int, limit: int = 5000) -> int:
     # states are keyed by the reduced triples of the pulled-back ends
     seen = {(end_triple(head, r), end_triple(foot, r)): 0}
     syms: list[str] = []
-    for step in trace(GeodesicSpec(-rt, rt), limit):
+    # a budget below one step runs out before the first crossing
+    for step in trace(GeodesicSpec(-rt, rt), limit) if limit >= 1 else ():
         syms.append(step.symbol)
         state = (end_triple(step._head, r), end_triple(step._foot, r))
         if state in seen:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from modcut.cf import ocf_digits
 from modcut.mgcf import mgcf_direct
 
 
@@ -12,6 +13,14 @@ def rationals(qmax, qmin=2):
         for p in range(-(q - 1) // 2, (q + 1) // 2):
             if p != 0 and 2 * abs(p) < q and math.gcd(abs(p), q) == 1:
                 yield Fraction(p, q)
+
+
+
+def farey_word(x, limit=64):
+    """Farey-tree word R^a0 D^a1 R^a2 ... of x > 0, read off the digits
+    directly: a reference for the ACF -> Farey table."""
+    return "".join(("R" if i % 2 == 0 else "D") * a
+                   for i, a in enumerate(ocf_digits(x, limit).all_digits()))
 
 
 @pytest.fixture(scope="session")

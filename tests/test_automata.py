@@ -17,11 +17,13 @@ from modcut.automata import (
     mgcf_to_cutting_machine,
     run,
 )
-from modcut.cf import acf_of, acf_to_farey, farey_of, ocf_digits, digits_to_acf
+from modcut.cf import acf_of, acf_to_farey, ocf_digits, digits_to_acf
 from modcut.cutting import acf_from_cutting, cutting_from_mgcf
 from modcut.exactnum import PINF, IntMatrix2, ParseError
 from modcut.mgcf import N_MAT, mgcf_direct
 from modcut.tessellation import GeodesicSpec, trace_word
+
+from conftest import farey_word
 
 
 def small_rationals(qmax):
@@ -35,7 +37,7 @@ def test_acf_farey_machines_match_functions():
     for f in small_rationals(40):
         w = acf_of(f)
         fw = "".join(run(acf_to_farey_machine(), w))
-        assert fw == farey_of(f)
+        assert fw == farey_word(f)
         assert "".join(run(farey_to_acf_machine(), fw)) == w
 
 

@@ -18,7 +18,9 @@ from modcut.cf import (
     ocf_value,
     parse_digits,
 )
-from modcut.exactnum import ParseError, sqrt_exact
+from modcut.exactnum import NINF, PINF, ParseError, sqrt_exact
+
+from conftest import farey_word
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 pos_fracs = fracs.map(lambda x: abs(x)).filter(lambda x: x > 0)
@@ -88,7 +90,18 @@ def test_acf_digit_roundtrip(x):
 def test_acf_farey_inverse(x):
     w = acf_of(x)
     assert farey_to_acf(acf_to_farey(w)) == w
-    assert acf_to_farey(w) == farey_of(x)
+    assert acf_to_farey(w) == farey_of(x) == farey_word(x)
+
+
+def test_farey_of_surd_prefixes_and_domain():
+    x = (sqrt_exact(7) - 1) * Fraction(1, 3)
+    for limit in (1, 2, 5, 17):
+        assert farey_of(x, limit) == farey_word(x, limit)
+    for bad in (Fraction(0), Fraction(-1, 3), -x, PINF, NINF):
+        with pytest.raises(ValueError):
+            farey_of(bad)
+    with pytest.raises(ValueError):
+        farey_of(x, limit=0)
 
 
 def test_acf_value():

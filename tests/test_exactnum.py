@@ -260,14 +260,51 @@ def test_end_triple_is_a_canonical_key(u, v, d, p, q):
     assert y == x and type(y) is type(x)
 
 
-@given(small, small, radicands, st.tuples(*[st.integers(-5, 5)] * 4))
-def test_lft_apply_on_an_end(u, v, d, entries):
-    m = IntMatrix2(*entries)
-    assume(m.det())
+def _moebius_reference(m, x):
+    # the action written out in Fraction/QuadSurd arithmetic: (a x + b)/(c x + d),
+    # +-inf maps to a/c (PINF when c = 0), and a pole maps to PINF
+    if m.det() == 0:
+        raise ValueError("singular matrix")
+    if is_infinite(x):
+        return PINF if m.c == 0 else Fraction(m.a, m.c)
+    if isinstance(x, int):
+        x = Fraction(x)
+    den = m.c * x + m.d
+    return PINF if den == 0 else (m.a * x + m.b) / den
+
+
+extended_reals = st.one_of(
+    st.integers(-50, 50), small, st.sampled_from([PINF, NINF]),
+    st.builds(surd, small, nonzero, radicands))
+
+
+@given(st.tuples(*[st.integers(-5, 5)] * 4), extended_reals)
+def test_lft_apply_on_an_end(entries, x):
+    # a value maps as the reference does, singular m included; so does its
+    # end after a first step s, which makes y1 nonzero for a surd
+    m, s = IntMatrix2(*entries), IntMatrix2(2, 1, 1, 1)
+    e, d = end_of(x)
+    try:
+        want = _moebius_reference(m, x), _moebius_reference(m, _moebius_reference(s, x))
+    except ValueError:
+        for arg in (x, e):
+            with pytest.raises(ValueError):
+                lft_apply(m, arg)
+        return
+    got = lft_apply(m, x), end_value(lft_apply(m, lft_apply(s, e)), d)
+    for y, z in zip(got, want):
+        assert y == z and type(y) is type(z)
+
+
+@given(small, nonzero, radicands)
+def test_rational_between_a_surd_and_an_int(u, v, d):
+    # an int end within 1 of the surd is mapped exactly, with no float
+    # reciprocal on the way
     x = surd(u, v, d)
-    e, _ = end_of(x)
-    y, z = end_value(lft_apply(m, e), d), lft_apply(m, x)
-    assert y == z and type(y) is type(z)
+    n = math.floor(x)
+    for lo, hi in ((n, x), (x, n + 1)):
+        m = rational_between(lo, hi)
+        assert type(m) is Fraction and lo < m < hi
 
 
 def test_end_of_infinity():

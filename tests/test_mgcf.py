@@ -59,6 +59,14 @@ def test_direct_surd_periodic():
     assert w == ("JRRJRJ" + "RRJRJ" * 5)[:30] or w.startswith("JRRJRJRRJRJ")
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_direct_limit_below_one_is_an_error(limit):
+    # a word cut to nothing would pass for a complete one
+    for theta in (Fraction(5, 14), (sqrt_exact(3) - 1) * Fraction(1, 2)):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            mgcf_direct(theta, limit=limit)
+
+
 def test_annotate_sign_cases():
     for tail, tag in (((2, 1, 4), "c"), ((2, 1, 3), "h"), ((2, 1, 5), "m")):
         od = OcfDigits(0, tail, True)

@@ -8,7 +8,7 @@ from hypothesis import given, reject, strategies as st
 
 from modcut.cf import ocf_digits
 from modcut.cutting import cutting_from_mgcf, cutting_matrix
-from modcut.exactnum import PINF, lft_apply, sqrt_exact, squarefree_split, surd
+from modcut.exactnum import PINF, BudgetError, lft_apply, sqrt_exact, squarefree_split, surd
 from modcut.mgcf import annotate_ones, mgcf_direct, mgcf_from_annotated
 from modcut.tessellation import (
     GeodesicSpec,
@@ -84,6 +84,16 @@ def test_geodesic_touching_only_a_corner_is_rejected():
         with pytest.raises(ValueError, match="misses the interior"):
             trace_word(GeodesicSpec(a, b))
     assert trace_word(GeodesicSpec(Fraction(-1, 3), Fraction(3, 2)), limit=1)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_trace_limit_below_one_is_an_error(limit):
+    for g in (GeodesicSpec(PINF, Fraction(5, 14)), GeodesicSpec(Fraction(-5, 2), Fraction(5, 2))):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            list(trace(g, limit=limit))
+    # a corner count's step budget below 1 stays a budget error
+    with pytest.raises(BudgetError, match="within %d steps" % limit):
+        periodic_corner_count(13, limit=limit)
 
 
 def test_svg_render(tmp_path):
