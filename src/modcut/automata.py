@@ -112,6 +112,19 @@ def max_lag(t: Transducer, corpus: Iterable[Iterable[str]]) -> int:
     return worst
 
 
+def _feed(t: Transducer, state, word: Word):
+    """Run ``word`` through t from ``state``: (state, printed), or None where
+    t has no edge."""
+    printed: list[str] = []
+    for ch in word:
+        edge = t.transitions.get((state, ch))
+        if edge is None:
+            return None
+        state, out = edge
+        printed += out
+    return state, tuple(printed)
+
+
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
     """Machine whose runs equal feeding t1's output into t2, state-by-state."""
     initial = (t1.initial, t2.initial)
@@ -123,35 +136,19 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     while queue:
         s1, s2 = queue.pop()
         # final flush: t1's final word through t2, then t2's own flush
-        w1 = t1.finals.get(s1)
-        if w1 is not None:
-            s2f, buf = s2, []
-            ok = True
-            for ch in w1:
-                try:
-                    s2f, w2 = t2.step(s2f, ch)
-                except ParseError:
-                    ok = False
-                    break
-                buf.extend(w2)
-            if ok and s2f in t2.finals:
-                finals[(s1, s2)] = tuple(buf) + tuple(t2.finals[s2f])
+        if s1 in t1.finals:
+            fed = _feed(t2, s2, t1.finals[s1])
+            if fed is not None and fed[0] in t2.finals:
+                finals[(s1, s2)] = fed[1] + tuple(t2.finals[fed[0]])
         for a in alphabet:
             if (s1, a) not in t1.transitions:
                 continue
             n1, w1 = t1.transitions[(s1, a)]
-            n2, buf = s2, []
-            ok = True
-            for ch in w1:
-                try:
-                    n2, w2 = t2.step(n2, ch)
-                except ParseError:
-                    ok = False
-                    break
-                buf.extend(w2)
-            if not ok:
+            fed = _feed(t2, s2, w1)
+            if fed is None:
                 continue
-            trans[((s1, s2), a)] = ((n1, n2), tuple(buf))
+            n2, out = fed
+            trans[((s1, s2), a)] = ((n1, n2), out)
             if (n1, n2) not in seen:
                 seen.add((n1, n2))
                 queue.append((n1, n2))

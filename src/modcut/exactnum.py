@@ -408,13 +408,15 @@ def end_of(x: ExtReal) -> tuple[End, int]:
     """x as a projective end, with its radicand (0 for a rational or +-inf).
 
     A finite x comes out as (u + v*sqrt(d))/w in lowest terms with w > 0, so
-    y1 = 0; +inf and -inf are both (1, 0, 0, 0).
+    y1 = 0; +inf and -inf are both (1, 0, 0, 0).  Anything but an int, a
+    Fraction, a QuadSurd or +-inf is a TypeError.
     """
     if is_infinite(x):
         return (1, 0, 0, 0), 0
     if isinstance(x, QuadSurd):
         return (x.a, x.b, x.w, 0), x.d if x.b else 0
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("not an exact extended real: %r" % (x,))
     return (x.numerator, 0, x.denominator, 0), 0
 
 

@@ -61,10 +61,22 @@ _TAG_OF_SIGN = {1: "h", 0: "c", -1: "m"}
 # direct simulation
 
 
+def _meet(lu, qu: int, lv, qv: int):
+    """The s at which rows u and v have equal squared norms l^2 + q^2 s,
+    (lu^2 - lv^2) / (qv^2 - qu^2), where l = p - q theta and qu^2 != qv^2."""
+    return (lu - lv) * (lu + lv) * Fraction(1, qv * qv - qu * qu)
+
+
 def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     """MGCF word of theta in [-1/2, 1/2) by direct lattice reduction.
 
-    Terminates for rational theta; emits up to ``limit`` symbols otherwise.
+    The reduced basis rows (p1, q1), (p2, q2) of the lattice spanned by the
+    rows of P * B_t(theta) have squared norms (p - q theta)^2 + q^2 s in
+    s = t^2.  As s falls from +infinity, every symbol is an event where two
+    rows' norms meet (``_meet``): J where the rows swap, R where row 2 meets
+    row 1 + row 2, L where it meets row 1 - row 2, and C where J and R fall
+    at the same s.  Terminates for rational theta; emits up to ``limit``
+    symbols otherwise.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -72,34 +84,18 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
         raise ValueError("theta must be finite")
     if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
         raise ValueError("theta outside [-1/2, 1/2)")
-    rows = [(1, 0), (0, 1)]
+    p1, q1, p2, q2 = 1, 0, 0, 1
     s_cur = None  # None means +infinity
     word: list[str] = []
-
-    def aff(row):
-        # squared norm (p - q theta)^2 + q^2 s as (constant, slope)
-        p, q = row
-        lin = theta * (-q) + p
-        return lin * lin, q * q
-
     while len(word) < limit:
-        (p1, q1), (p2, q2) = rows
-        A1, B1 = aff(rows[0])
-        A2, B2 = aff(rows[1])
+        l1, l2 = theta * -q1 + p1, theta * -q2 + p2
         cands = []  # (s_star, kind)
-        if B2 > B1:
-            s = (A1 - A2) * Fraction(1, B2 - B1)
-            cands.append((s, "J"))
+        if q2 > q1:
+            cands.append((_meet(l1, q1, l2, q2), "J"))
         if q1 > 0:
-            w = (p1 + p2, q1 + q2)
-            Aw, Bw = aff(w)
-            s = (A2 - Aw) * Fraction(1, Bw - B2)
-            cands.append((s, "R"))
+            cands.append((_meet(l1 + l2, q1 + q2, l2, q2), "R"))
         if q1 > 2 * q2:
-            w = (p1 - p2, q1 - q2)
-            Aw, Bw = aff(w)
-            s = (A2 - Aw) * Fraction(1, Bw - B2)
-            cands.append((s, "L"))
+            cands.append((_meet(l1 - l2, q1 - q2, l2, q2), "L"))
         valid = [(s, k) for (s, k) in cands if s > 0 and (s_cur is None or s < s_cur)]
         if not valid:
             break
@@ -111,18 +107,14 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
             sym = kinds.pop()
         else:  # pragma: no cover - impossible tie combinations
             raise AssertionError("unexpected simultaneous events %s" % kinds)
-        old_rows = [rows[0], rows[1]]
         if sym == "J":
-            rows = [old_rows[1], old_rows[0]]
+            p1, q1, p2, q2 = p2, q2, p1, q1
         elif sym == "R":
-            rows = [old_rows[0], (p1 + p2, q1 + q2)]
-            assert q1 + q2 > q2
+            p2, q2 = p1 + p2, q1 + q2
         elif sym == "L":
-            rows = [old_rows[0], (p1 - p2, q1 - q2)]
-            assert q1 - q2 > q2
+            p2, q2 = p1 - p2, q1 - q2
         else:  # C
-            rows = [(p1 + p2, q1 + q2), old_rows[1]]
-            assert q1 + q2 > q1
+            p1, q1 = p1 + p2, q1 + q2
         word.append(sym)
         s_cur = best
     return "".join(word)

@@ -42,7 +42,7 @@ from .exactnum import (
     ParseError,
     lft_apply,
     rational_between,
-    sqrt_exact,
+    surd,
 )
 from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
@@ -231,7 +231,7 @@ def _cf_matrix(ds) -> IntMatrix2:
 
 
 def _quad_roots(A: int, B: int, C: int):
-    """Real roots of A x^2 + B x + C (exact)."""
+    """Real roots of A x^2 + B x + C (exact); a double root is listed twice."""
     if A == 0:
         if B == 0:
             return []
@@ -239,11 +239,7 @@ def _quad_roots(A: int, B: int, C: int):
     D = B * B - 4 * A * C
     if D < 0:
         return []
-    if D == 0:
-        return [Fraction(-B, 2 * A)]
-    s = sqrt_exact(D)
-    half = Fraction(1, 2 * A)
-    return [(-B + s) * half, (-B - s) * half]
+    return [surd(Fraction(-B, 2 * A), Fraction(e, 2 * A), D) for e in (1, -1)]
 
 
 _SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
@@ -298,30 +294,22 @@ def _z_at(rd: _Reading, cons: list, y) -> Optional[Fraction]:
                 return None
             pinned = zstar
             continue
-        T = n_transform(alpha)
         # beta is monotone on (z_lo, z_hi); probe a point to orient
         probe = (lo + hi) / 2
         bp = lft_apply(bm, probe)
         if bp is PINF:
             return None
-        want_gt = sign > 0
+        good = (bp > n_transform(alpha)) == (sign > 0)  # the probe's side
         if zstar is PINF:
-            # beta never reaches T on the line; constant side decides
-            if (bp > T) != want_gt:
+            # beta never reaches N(alpha) on the line; one side throughout
+            if not good:
                 return None
             continue
-        side_of_probe = bp > T
-        if side_of_probe == want_gt:
-            # probe's side is the good one: the interval containing probe
-            if zstar <= probe:
-                lo = max(lo, zstar)
-            else:
-                hi = min(hi, zstar)
+        # the good side of zstar: the probe's side if good, else the other
+        if good == (zstar <= probe):
+            lo = max(lo, zstar)
         else:
-            if zstar <= probe:
-                hi = min(hi, zstar)
-            else:
-                lo = max(lo, zstar)
+            hi = min(hi, zstar)
         if lo >= hi:
             return None
     if pinned is None:
@@ -535,8 +523,7 @@ def central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]
     return word, theta
 
 
-def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
-                                jobs: int = 1) -> list[CuttingWord]:
+def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[CuttingWord]:
     """Edge-forbidden blocks plus central-derived minimal forbidden blocks.
 
     Heads range over {1,2}^n for n <= max_head; each central sequence's eight
@@ -563,17 +550,9 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3,
             for pre in ("L", "R"):
                 for suf in ("L", "R"):
                     candidates.append((pre,) + w1 + res + w2 + (suf,))
-    uniq = list(dict.fromkeys(candidates))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = dict(zip(uniq, pool.map(decide_block, uniq)))
-    else:
-        verdicts = {blk: decide_block(blk) for blk in uniq}
     result: list[CuttingWord] = [b for b in EDGE_FORBIDDEN if len(b) <= max_len]
-    for blk in uniq:
-        if verdicts[blk].forbidden and len(blk) <= max_len and _is_minimal(blk):
+    for blk in dict.fromkeys(candidates):
+        if decide_block(blk).forbidden and len(blk) <= max_len and _is_minimal(blk):
             result.append(blk)
     return result
 

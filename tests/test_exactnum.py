@@ -26,6 +26,7 @@ from modcut.exactnum import (
     surd_floor,
     surd_sign,
 )
+from modcut.tessellation import GeodesicSpec, trace
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -311,3 +312,13 @@ def test_end_of_infinity():
     assert end_of(PINF) == end_of(NINF) == ((1, 0, 0, 0), 0)
     assert end_triple((-3, 0, 0, 0), 0) == (1, 0, 0)
     assert end_value((1, 0, 0, 0), 5) is PINF
+
+
+@pytest.mark.parametrize("x", ["1/2", 0.1, 1.5, Decimal("0.5")])
+def test_inexact_inputs_are_type_errors(x):
+    with pytest.raises(TypeError):
+        end_of(x)
+    with pytest.raises(TypeError):
+        lft_apply(IntMatrix2(2, 1, 1, 1), x)
+    with pytest.raises(TypeError):
+        next(trace(GeodesicSpec(PINF, x)))
