@@ -23,16 +23,16 @@ from typing import Iterable, Mapping, Optional
 
 from .exactnum import PINF, IntMatrix2, ParseError, compare, lft_apply
 from .cf import (
+    ACF_MATS,
     ACF_TO_FAREY,
-    F_MAT,
     FAREY_TO_ACF,
     FAREY_TO_ACF_FINALS,
-    R_MAT,
     OcfDigits,
     digits_to_acf,
     ocf_digits,
     ocf_value,
     _rewrite,
+    _walk,
 )
 from .cutting import CUTTING_TO_MGCF, MGCF_TO_CUTTING
 from .mgcf import annotate_ones
@@ -62,12 +62,6 @@ class Transducer:
     initial: object
     transitions: Mapping[tuple, tuple]  # (state, in) -> (next, out word)
     finals: Mapping[object, Word] = field(default_factory=dict)
-
-    def step(self, state, sym):
-        key = (state, sym)
-        if key not in self.transitions:
-            raise ParseError("no edge from state %r on %r" % (state, sym))
-        return self.transitions[key]
 
     def to_json(self) -> str:
         edges = [
@@ -102,7 +96,7 @@ def max_lag(t: Transducer, corpus: Iterable[Iterable[str]]) -> int:
     for stream in corpus:
         state, consumed, printed = t.initial, 0, 0
         for sym in stream:
-            state, w = t.step(state, sym)
+            state, w = _walk(t.transitions, state, (sym,))
             consumed += 1
             if w:  # the first letter of w trails the most
                 worst = max(worst, consumed - printed - 1)
@@ -115,13 +109,10 @@ def max_lag(t: Transducer, corpus: Iterable[Iterable[str]]) -> int:
 def _feed(t: Transducer, state, word: Word):
     """Run ``word`` through t from ``state``: (state, printed), or None where
     t has no edge."""
-    printed: list[str] = []
-    for ch in word:
-        edge = t.transitions.get((state, ch))
-        if edge is None:
-            return None
-        state, out = edge
-        printed += out
+    try:
+        state, printed = _walk(t.transitions, state, word)
+    except ParseError:
+        return None
     return state, tuple(printed)
 
 
@@ -240,24 +231,17 @@ class HomographicMachine:
         return None
 
     def absorb(self, sym: str) -> list[str]:
-        if sym == "R":
-            self.m = self.m * R_MAT
-        elif sym == "F":
-            self.m = self.m * F_MAT
-        else:
+        if sym not in ACF_MATS:
             raise ParseError("bad additive-word letter %r" % sym)
+        self.m = self.m * ACF_MATS[sym]
         out = []
         while True:
             ch = self._emit_ready()
             if ch is None:
                 break
-            if ch == "R":
-                self.m = IntMatrix2(self.m.a - self.m.c, self.m.b - self.m.d,
-                                    self.m.c, self.m.d)
-                self.em = self.em * R_MAT
-            else:
-                self.m = IntMatrix2(self.m.c, self.m.d, self.m.a, self.m.b)
-                self.em = self.em * F_MAT
+            g = ACF_MATS[ch]
+            self.m = g.inverse() * self.m
+            self.em = self.em * g
             out.append(ch)
             self.emitted.append(ch)
         return out

@@ -41,6 +41,7 @@ __all__ = [
     "format_digits",
     "F_MAT",
     "R_MAT",
+    "ACF_MATS",
     "ACF_TO_FAREY",
     "FAREY_TO_ACF",
     "FAREY_TO_ACF_FINALS",
@@ -48,6 +49,8 @@ __all__ = [
 
 F_MAT = IntMatrix2(0, 1, 1, 0)
 R_MAT = IntMatrix2(1, 1, 0, 1)
+# additive letter -> its matrix
+ACF_MATS = {"R": R_MAT, "F": F_MAT}
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,9 @@ FAREY_TO_ACF = {
 FAREY_TO_ACF_FINALS = {"int": (), "odd": ("F",), "even": ("F",)}
 
 
-def _rewrite(table, state, word: Iterable[str], finals=None) -> list[str]:
-    """Letters printed by a deterministic table run over word from state."""
+def _walk(table, state, word: Iterable[str]) -> tuple[object, list[str]]:
+    """Run a deterministic table over word from state: (end state, printed
+    letters)."""
     out: list[str] = []
     for i, sym in enumerate(word):
         try:
@@ -210,6 +214,13 @@ def _rewrite(table, state, word: Iterable[str], finals=None) -> list[str]:
             raise ParseError("no edge from state %r on %r (input position %d)"
                              % (state, sym, i)) from None
         out += printed
+    return state, out
+
+
+def _rewrite(table, state, word: Iterable[str], finals=None) -> list[str]:
+    """Letters printed by a deterministic table run over word from state,
+    then the final word of the state it ends in."""
+    state, out = _walk(table, state, word)
     if finals is not None:
         out += finals.get(state, ())
     return out
@@ -229,12 +240,9 @@ def acf_value(word: str) -> Fraction:
     """Value of a finite ACF word (matrix product applied to inf)."""
     m = IntMatrix2(1, 0, 0, 1)
     for ch in word:
-        if ch == "R":
-            m = m * R_MAT
-        elif ch == "F":
-            m = m * F_MAT
-        else:
+        if ch not in ACF_MATS:
             raise ParseError("bad ACF letter %r" % ch)
+        m = m * ACF_MATS[ch]
     if m.c == 0:
         raise ValueError("word has infinite value")
     return Fraction(m.a, m.c)

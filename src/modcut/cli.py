@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -27,6 +27,7 @@ from .exactnum import (
     sqrt_exact,
 )
 from .cf import (
+    _acf_runs,
     acf_of,
     acf_to_digits,
     acf_to_farey,
@@ -65,10 +66,6 @@ __all__ = ["main"]
 WORD_KINDS = ("ocf", "acf", "farey", "mgcf", "cutting")
 
 
-# a token such as -5/14, -0.25, -1;1,2 or -inf is a value, never an option
-_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf$)")
-
-
 class _Command(click.Command):
     """A command with one error and output contract, whose positional
     arguments may be negative numbers.
@@ -78,14 +75,15 @@ class _Command(click.Command):
     is printed.  A ParseError exits 2, a BudgetError 4 and any other
     ValueError or a ZeroDivisionError 3, each with one line on stderr.
 
-    Click takes every token that starts with "-" for an option.  Here a
-    token that reads as a negative value, and is not the value of an option
-    before it, is moved behind a "--", so it stays a positional argument;
-    any other unknown option is still refused with exit code 2.
+    Click's ``ignore_unknown_options`` keeps a token such as -5/14, -0.25,
+    -1;1,2 or -inf positional.  Any other unknown option then fills an
+    argument slot, where the value parser refuses it, or is an extra
+    argument, which click refuses; both exit 2.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.context_settings["ignore_unknown_options"] = True
         self.params.append(click.Option(["--json", "as_json"], is_flag=True))
 
     def invoke(self, ctx):
@@ -102,25 +100,6 @@ class _Command(click.Command):
             click.echo("domain error: %s" % exc, err=True)
             sys.exit(3)
         click.echo(json.dumps(payload, sort_keys=True) if as_json else text)
-
-    def parse_args(self, ctx, args):
-        valued = {name for p in self.params
-                  if isinstance(p, click.Option) and not p.is_flag
-                  for name in p.opts}
-        options, positional = [], []
-        rest = list(args)
-        while rest:
-            tok = rest.pop(0)
-            if tok == "--":
-                positional += rest
-                break
-            if tok.startswith("-") and not _NEGATIVE_VALUE.match(tok):
-                options.append(tok)
-                if tok in valued and rest:
-                    options.append(rest.pop(0))
-            else:
-                positional.append(tok)
-        return super().parse_args(ctx, options + ["--"] + positional)
 
 
 class _Group(click.Group):
@@ -164,10 +143,16 @@ def expand(kind, theta, limit):
 # convert
 
 
+def _acf_word(word: str) -> str:
+    """An additive word, unchanged once the ACF scanner has accepted it."""
+    _acf_runs(word)
+    return word
+
+
 # kind -> word -> additive word, and back
 _TO_ACF = {
     "ocf": lambda word: digits_to_acf(parse_digits(word)),
-    "acf": lambda word: word,
+    "acf": _acf_word,
     "farey": farey_to_acf,
     "mgcf": lambda word: acf_from_cutting(cutting_from_mgcf(word)),
     "cutting": lambda word: acf_from_cutting(parse_cutting(word)),
@@ -338,11 +323,9 @@ def bench(ell):
         dt = time.perf_counter() - t0
         rows.append({"length": n, "seconds": dt,
                      "retained_digits": stats["retained_digits"]})
-    xs = [math.log(r["length"]) for r in rows]
-    ys = [math.log(max(r["seconds"], 1e-9)) for r in rows]
-    xbar, ybar = sum(xs) / 3, sum(ys) / 3
-    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-             / sum((x - xbar) ** 2 for x in xs))
+    slope = statistics.linear_regression(
+        [math.log(r["length"]) for r in rows],
+        [math.log(max(r["seconds"], 1e-9)) for r in rows]).slope
     payload = {"ell": ell, "rows": rows, "exponent": slope,
                "max_retained_digits": max(r["retained_digits"] for r in rows)}
     text = "\n".join("n=%d t=%.4fs retained=%d"

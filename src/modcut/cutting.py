@@ -14,6 +14,7 @@ tracer (a left-corner crossing resolves as JRJ ~ LJL, the C1 matrix).
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
 from .exactnum import IntMatrix2, ParseError
@@ -134,29 +135,20 @@ def find_edge_forbidden(word: Sequence[str]) -> Optional[tuple[int, CuttingWord]
 # text format: letters with C1/C2 tokens, e.g. "JRRC1..." or "J,R,R,C1"
 
 
+_TOKEN = re.compile(r"C[12]|[LRJ]")
+
+
 def parse_cutting(text: str) -> CuttingWord:
     t = text.strip()
     if "," in t:
-        toks = [p.strip() for p in t.split(",") if p.strip()]
-        for tok in toks:
-            if tok not in CUTTING_MATS:
-                raise ParseError("bad cutting token %r" % tok)
-        return tuple(toks)
-    toks = []
-    i = 0
-    while i < len(t):
-        ch = t[i]
-        if ch == "C":
-            if i + 1 >= len(t) or t[i + 1] not in "12":
-                raise ParseError("corner token must be C1 or C2 (position %d)" % i)
-            toks.append("C" + t[i + 1])
-            i += 2
-        elif ch in "LRJ":
-            toks.append(ch)
-            i += 1
-        else:
-            raise ParseError("bad cutting letter %r at %d" % (ch, i))
-    return tuple(toks)
+        toks = tuple(p.strip() for p in t.split(",") if p.strip())
+        ok = all(tok in CUTTING_MATS for tok in toks)
+    else:
+        toks = tuple(_TOKEN.findall(t))
+        ok = "".join(toks) == t  # the tokens cover the whole text
+    if not ok:
+        raise ParseError("bad cutting word %r" % text)
+    return toks
 
 
 def format_cutting(word: Sequence[str]) -> str:

@@ -310,12 +310,11 @@ def mgcf_from_acf(word: str):
     Only symbols forced by the available digits are emitted; tags of
     interior 1s are decided by comparing N(alpha_n) against the interval of
     possible tail values.  Returns (mgcf_word, stats) where stats has the
-    retained digit count and comparison-step count.
+    retained digit count.
     """
     # the last run is only a lower bound on the next digit: drop it
     digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]
-    steps = 0
     pairs: list[tuple[int, Optional[str]]] = []
     resolved = len(tail)
     for n, (a, m) in enumerate(zip(tail, convergents(OcfDigits(digits[0], tail)))):
@@ -329,15 +328,13 @@ def mgcf_from_acf(word: str):
         # N(alpha) below every possible tail value beta means beta > N(alpha)
         n_alpha = n_transform(Fraction(m.d, m.c))
         sign = -_cmp_vs_prefix_interval(n_alpha, suffix)
-        steps += len(suffix)
         if sign == 0:
             resolved = n  # undecidable from this prefix; stop here
             break
         pairs.append((1, _TAG_OF_SIGN[sign]))
     ad = AnnotatedDigits(digits[0], tuple(pairs[:resolved]), False)
     out = mgcf_from_annotated(ad)
-    stats = {"retained_digits": len(digits), "compare_steps": steps}
-    return out, stats
+    return out, {"retained_digits": len(digits)}
 
 
 # ---------------------------------------------------------------------------

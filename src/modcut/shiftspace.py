@@ -25,8 +25,9 @@ decided exactly by isolating the y-values where the curves psi_i cross each
 other or the box (integer quadratics) and testing a rational sample point in
 every cell.  An initial word is the same system
 with y pinned to one value (0, or 1 after the J R opening), tested at that
-point.  Admissible verdicts come with a rational witness geodesic re-checked
-against the tracer.
+point.  Admissible verdicts come with a rational witness geodesic whose
+lattice-reduction word (``mgcf_direct``, at most 4000 symbols) contains the
+block; the tracer is not consulted.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from .exactnum import (
 from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
     N_MAT,
-    AnnotatedDigits,
     _read_segments,
     _standalone,
     _TAG_OF_SIGN,
     mgcf_direct,
-    mgcf_from_annotated,
     n_transform,
 )
 from .cutting import (
@@ -446,7 +445,7 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     if not solutions:
         return BlockVerdict(w, "whole-forbidden",
                             reason="all %d readings infeasible" % len(readings))
-    # construct a tracer-checked witness
+    # a witness foot whose mgcf_direct word contains the block
     for rd, cons, sol in solutions:
         for y, z in _witness_candidates(rd, cons, *sol):
             for theta in _theta_from(rd, y, z):
@@ -471,15 +470,19 @@ def _witness_candidates(rd: _Reading, cons: list, y: Fraction, z: Fraction):
             yield (yy, zz)
 
 
-def random_cross_check(w: Sequence[str], verdict: BlockVerdict,
-                       samples: int = 300, seed: int = 7) -> bool:
+# random points per reading, and their seed, in random_cross_check
+_CROSS_CHECK_SAMPLES = 300
+_CROSS_CHECK_SEED = 7
+
+
+def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
     """Random rational sampling must never contradict an infeasible verdict."""
     if verdict.status != "whole-forbidden":
         return True
-    rng = random.Random(seed)
+    rng = random.Random(_CROSS_CHECK_SEED)
     for rd in _block_readings(tuple(w)):
         cons = _constraints(rd)
-        for _ in range(samples):
+        for _ in range(_CROSS_CHECK_SAMPLES):
             y = Fraction(rng.randint(1, 997), 998) * (rd.y_hi - rd.y_lo)
             zi = Fraction(rng.randint(1, 997), 998)
             z = rd.z_lo + zi * (rd.z_hi - rd.z_lo)
@@ -544,8 +547,7 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[Cutting
         if theta in seen_theta:
             continue
         seen_theta.add(theta)
-        ci = next(i for i, t in enumerate(core) if t.startswith("C"))
-        w1, s, w2 = core[:ci], core[ci], core[ci + 1:]
+        w1, s, w2 = _at_corner(core)
         for res in corner_resolutions(s):
             for pre in ("L", "R"):
                 for suf in ("L", "R"):
@@ -555,6 +557,12 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[Cutting
         if decide_block(blk).forbidden and len(blk) <= max_len and _is_minimal(blk):
             result.append(blk)
     return result
+
+
+def _at_corner(word: CuttingWord) -> tuple[CuttingWord, str, CuttingWord]:
+    """The word before its first corner, that corner, and the word after."""
+    ci = next(i for i, t in enumerate(word) if t.startswith("C"))
+    return word[:ci], word[ci], word[ci + 1:]
 
 
 def _is_minimal(blk: CuttingWord) -> bool:
@@ -571,23 +579,12 @@ def follower_separation(j: int, k: int) -> dict:
     The initial words encode [0; 3, 2^(4j+2)] up to the end of the last
     2-run; continuations come from the central family with head
     [3, 2^(4j+2)].  Both are slices of the central word
-    [0; 3, 2^(4j+2), 1_c, tail], cut at its corner.
+    [0; 3, 2^(4j+2), 1_c, tail] (``central_block``), cut at its corner.
     """
     if j == k or j < 1 or k < 1:
         raise ValueError("need distinct j, k >= 1")
-
-    def split(jj):
-        head = [3] + [2] * (4 * jj + 2)
-        tail = central_head_to_tail(head)
-        digits = ([(d, None) for d in head] + [(1, "c")]
-                  + [_standalone(d) for d in tail])
-        word = cutting_from_mgcf(mgcf_from_annotated(
-            AnnotatedDigits(0, tuple(digits), True)))
-        ci = next(i for i, t in enumerate(word) if t.startswith("C"))
-        return word[:ci], word[ci], word[ci + 1:]
-
-    wj, corner, tail_j = split(j)
-    wk, _, tail_k = split(k)
+    wj, corner, tail_j = _at_corner(central_block([3] + [2] * (4 * j + 2))[0])
+    wk, _, tail_k = _at_corner(central_block([3] + [2] * (4 * k + 2))[0])
     candidates = []
     for tail in (tail_j, tail_k):
         for rep in ((corner,),) + corner_resolutions(corner):

@@ -27,8 +27,6 @@ from .exactnum import (
     End,
     ExtReal,
     IntMatrix2,
-    NINF,
-    PINF,
     QuadSurd,
     end_of,
     end_triple,
@@ -60,15 +58,11 @@ _EXITS = {1: ("R", "C2"), -1: ("L", "C1")}
 
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """Oriented geodesic from head to foot (ideal endpoints)."""
+    """Oriented geodesic from head to foot (ideal endpoints); +inf and -inf
+    are the same end."""
 
     head: ExtReal
     foot: ExtReal
-
-    def normalized(self) -> "GeodesicSpec":
-        h = PINF if self.head is NINF else self.head
-        f = PINF if self.foot is NINF else self.foot
-        return GeodesicSpec(h, f)
 
 
 class TraceStep:
@@ -147,7 +141,6 @@ def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    g = g.normalized()
     (xa0, xa1, ya0, ya1), da = end_of(g.head)
     (xb0, xb1, yb0, yb1), db = end_of(g.foot)
     if da and db and da != db:
@@ -326,7 +319,13 @@ def _mobius_f(m: IntMatrix2, z: complex) -> complex:
     return (m.a * z + m.b) / den
 
 
-def _domain_outline(m: IntMatrix2, samples: int = 24, ymax: float = 3.0):
+# points per side of a drawn domain, and the height its vertical sides end at
+_OUTLINE_SAMPLES = 24
+_OUTLINE_YMAX = 3.0
+
+
+def _domain_outline(m: IntMatrix2):
+    samples, ymax = _OUTLINE_SAMPLES, _OUTLINE_YMAX
     rho = math.sqrt(3.0) / 2.0
     pts = []
     # left edge top-down, arc left-to-right, right edge bottom-up
@@ -346,7 +345,6 @@ def render_trace_svg(g: GeodesicSpec, steps: Sequence[TraceStep], path: str) -> 
     """Deterministic SVG of the visited domains and the geodesic."""
     mats = [IntMatrix2(1, 0, 0, 1)] + [st.h for st in steps]
     outlines = [_domain_outline(m) for m in mats]
-    g = g.normalized()
     geo_pts: list[complex] = []
     if is_infinite(g.head) or is_infinite(g.foot):
         th = g.foot if is_infinite(g.head) else g.head

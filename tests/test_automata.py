@@ -111,3 +111,12 @@ def test_homographic_rejects():
         HomographicMachine(IntMatrix2(1, -1, 0, 1))
     with pytest.raises(ParseError):
         HomographicMachine(N_MAT).absorb("X")
+
+
+def test_a_stream_with_no_edge_is_a_parse_error():
+    machine = mgcf_to_cutting_machine()
+    for stream in ("JRX", "JJQ"):
+        with pytest.raises(ParseError):
+            run(machine, stream)
+        with pytest.raises(ParseError):
+            max_lag(machine, ["JRRJ", stream])

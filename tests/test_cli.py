@@ -77,7 +77,10 @@ def test_unknown_options_still_refused(runner):
     for args in (("expand", "ocf", "-x"), ("expand", "ocf", "5/14", "--bogus"),
                  ("expand", "ocf", "-5/14", "-l", "3"),
                  ("forbidden", "--max-len", "5", "-1"),
-                 ("forbidden", "--max-len", "5", "--jobs", "2")):
+                 ("forbidden", "--max-len", "5", "--jobs", "2"),
+                 ("expand", "--bogus", "ocf", "1/3"),
+                 ("block", "--bogus", "JLLJ"), ("central", "--bogus"),
+                 ("trace", "--geodesic", "inf,1/3", "-5")):
         res = invoke(runner, *args)
         assert res.exit_code == 2, args
         assert "Traceback" not in res.output
@@ -98,11 +101,17 @@ def test_convert_routes(runner):
                   "--to", "mgcf").output.strip() == "JRRJRJ"
     assert invoke(runner, "convert", "JLLJRJ", "--from", "cutting",
                   "--to", "acf").output.strip() == "FRRFR"
+    assert invoke(runner, "convert", "RFRRF", "--from", "acf",
+                  "--to", "acf").output.strip() == "RFRRF"
 
 
 def test_convert_bad_word(runner):
-    assert invoke(runner, "convert", "JQX", "--from", "cutting",
-                  "--to", "acf").exit_code == 2
+    for word, src, dst in (("JQX", "cutting", "acf"), ("xyz", "acf", "acf"),
+                           ("FF", "acf", "acf"), ("FF", "acf", "farey"),
+                           ("--bogus", "acf", "acf")):
+        res = invoke(runner, "convert", word, "--from", src, "--to", dst)
+        assert res.exit_code == 2, word
+        assert res.stderr.startswith("parse error:"), word
 
 
 def test_convert_bad_digit_is_a_parse_error(runner):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from modcut.cutting import (
     CUTTING_MATS,
@@ -91,3 +92,22 @@ def test_text_format():
         parse_cutting("JCX")
     with pytest.raises(ParseError):
         parse_cutting("JQ")
+
+
+tokens = st.lists(st.sampled_from(sorted(CUTTING_MATS)), max_size=12)
+
+
+@given(tokens)
+def test_compact_and_comma_forms_agree(toks):
+    w = tuple(toks)
+    assert parse_cutting("".join(w)) == parse_cutting(",".join(w)) == w
+
+
+@given(tokens, st.integers(0, 12),
+       st.characters(exclude_characters="LRJC12,",
+                     exclude_categories=("Z", "Cc")))
+def test_a_foreign_character_is_a_parse_error(toks, i, ch):
+    text = "".join(toks)
+    i = min(i, len(text))
+    with pytest.raises(ParseError):
+        parse_cutting(text[:i] + ch + text[i:])

@@ -8,7 +8,7 @@ from hypothesis import given, reject, strategies as st
 
 from modcut.cf import ocf_digits
 from modcut.cutting import cutting_from_mgcf, cutting_matrix
-from modcut.exactnum import PINF, BudgetError, lft_apply, sqrt_exact, squarefree_split, surd
+from modcut.exactnum import NINF, PINF, BudgetError, lft_apply, sqrt_exact, squarefree_split, surd
 from modcut.mgcf import annotate_ones, mgcf_direct, mgcf_from_annotated
 from modcut.tessellation import (
     GeodesicSpec,
@@ -114,7 +114,6 @@ def _check_steps(g, limit=40):
         steps = list(trace(g, limit))
     except ValueError:
         reject()  # the geodesic misses the interior of F
-    g = g.normalized()
     for j, step in enumerate(steps, 1):
         assert step.h == cutting_matrix([s.symbol for s in steps[:j]])
         inv = step.h.inverse()
@@ -145,6 +144,13 @@ def test_trace_state_on_surd_ends(d, w, u1, v1, u2, v2, vertical):
     else:
         head = surd(Fraction(u1, w), Fraction(v1, w), d)
     _check_steps(GeodesicSpec(head, foot))
+
+
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(5, 14), Fraction(-2, 7),
+                                   (sqrt_exact(3) - 1) * HALF])
+def test_both_infinities_are_one_end(theta):
+    assert trace_word(GeodesicSpec(NINF, theta)) == trace_word(
+        GeodesicSpec(PINF, theta))
 
 
 def test_trace_is_a_generator_and_two_radicands_fail_first():
