@@ -19,7 +19,10 @@ u + v*sqrt(d) with at most one squaring; ``end_of``, ``end_triple`` and
 triple (u, v, w) = (u + v*sqrt(d))/w, which ``end_value`` reduces as
 ``QuadSurd`` arithmetic does.  ``lft_apply`` is the one Moebius action: a
 2x2 integer matrix-vector product on an end, and a value is mapped as its
-end, so m(inf) and a pole need no rule of their own.
+end, so m(inf) and a pole need no rule of their own.  ``rational_between``
+is one Stern-Brocot walk on integer triples (u, v, w) with a radicand d that
+need not be square-free, so a caller holding quadratic roots over raw
+discriminants walks between them without factoring.
 """
 
 from __future__ import annotations
@@ -238,7 +241,8 @@ def surd_sign(u, v, d: int) -> int:
 
 
 def _sign_mixed(a, b, p: int, c, q: int) -> int:
-    """Sign of a + b*sqrt(p) + c*sqrt(q), p != q both square-free > 1."""
+    """Sign of a + b*sqrt(p) + c*sqrt(q) for any radicands p, q >= 0; a
+    zero radicand comes with a zero coefficient."""
     # s = a + b*sqrt(p) lives in one field; t = c*sqrt(q)
     ss, ts = surd_sign(a, b, p), (c > 0) - (c < 0)
     if ss * ts >= 0:
@@ -443,25 +447,76 @@ def end_value(e: End, d: int) -> ExtReal:
     return _canonical(u, v, w, d) if w else PINF
 
 
+# ---------------------------------------------------------------------------
+# reals as integer triples: (u + v*sqrt(d))/w is the four ints (u, v, w, d)
+# with w > 0 and any radicand d >= 0; a rational has v = d = 0, and +inf is
+# (1, 0, 0, 0).  A triple need not be in lowest terms and d need not be
+# square-free, but a perfect-square d must be folded into u (v = 0), so that
+# the conjugate of a nonzero value is nonzero.
+
+Real = tuple[int, int, int, int]
+
+
+def _real_cmp(x: Real, y: Real) -> int:
+    """Exact three-way comparison of two finite triples, radicands mixed."""
+    u1, v1, w1, d1 = x
+    u2, v2, w2, d2 = y
+    return _sign_mixed(u1 * w2 - u2 * w1, v1 * w2, d1, -v2 * w1, d2)
+
+
+def _real_floor(u: int, v: int, w: int, d: int) -> int:
+    # floor((u + v sqrt d)/w) = floor((u + floor(v sqrt d))/w) for w > 0
+    sq = v * v * d
+    r = math.isqrt(sq)
+    if v < 0:
+        r = -r - (r * r != sq)
+    return (u + r) // w
+
+
+def _real_recip(u: int, v: int, w: int, d: int) -> Real:
+    # w/(u + v sqrt d) = w (u - v sqrt d)/(u^2 - v^2 d), reduced; the norm is
+    # 0 only for the value 0, whose reciprocal is +inf
+    norm = u * u - v * v * d
+    if norm == 0:
+        return (1, 0, 0, 0)
+    return _lowest_terms(w * u, -w * v, norm) + (d,)
+
+
+def _between(lo: Real, hi: Real) -> tuple[int, int]:
+    """The rational p/q (q > 0, lowest terms) ``rational_between`` picks
+    strictly between a finite lo and a larger hi, which may be +inf.
+
+    A Stern-Brocot walk: the first integer above floor(lo) if it is below
+    hi; else both ends lie in [f, f+1] with f = floor(lo), and the walk
+    goes on in the image of (lo, hi) under x -> 1/(x - f), which is
+    (1/(hi - f), 1/(lo - f)), +inf when lo = f.  The answer is the
+    continued fraction [f0; f1, ..., t] of the floors and the last integer,
+    folded into the convergent matrix [[p1, p0], [q1, q0]].
+    """
+    p1, p0, q1, q0 = 1, 0, 0, 1
+    while True:
+        u, v, w, d = lo
+        f = _real_floor(u, v, w, d)
+        hu, hv, hw, hd = hi
+        if hw == 0 or surd_sign(hu - (f + 1) * hw, hv, hd) > 0:
+            t = f + 1
+            return p1 * t + p0, q1 * t + q0
+        lo, hi = _real_recip(hu - f * hw, hv, hw, hd), _real_recip(u - f * w, v, w, d)
+        p1, p0, q1, q0 = p1 * f + p0, p1, q1 * f + q0, q1
+
+
 def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
     """Some rational strictly between lo and hi (lo < hi required)."""
     if compare(lo, hi) >= 0:
         raise ValueError("empty interval")
-    if is_infinite(lo) and is_infinite(hi):
-        return Fraction(0)
     if is_infinite(lo):
+        if is_infinite(hi):
+            return Fraction(0)
         n = surd_floor(hi)
         return Fraction(n - 1 if n == hi else n)
-    if is_infinite(hi):
-        return Fraction(surd_floor(lo) + 1)
-    # Stern-Brocot style walk: first integer in (lo, hi) if any, else recurse
-    f = surd_floor(lo)
-    if compare(f + 1, hi) < 0:
-        return Fraction(f + 1)
-    # both in [f, f+1]: g(z) = 1/(z - f) maps (lo, hi) onto (g(hi), g(lo)),
-    # with g(f) = inf; find a rational there and map it back
-    g = IntMatrix2(0, 1, 1, -f)
-    return lft_apply(g.inverse(), rational_between(lft_apply(g, hi), lft_apply(g, lo)))
+    (lo_e, lo_d), (hi_e, hi_d) = end_of(lo), end_of(hi)
+    p, q = _between(end_triple(lo_e, lo_d) + (lo_d,), end_triple(hi_e, hi_d) + (hi_d,))
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ curve z = psi_i(y) on which it is tight.  The block is whole-forbidden iff
 every reading's constraints are infeasible over the open box; feasibility is
 decided exactly by isolating the y-values where the curves psi_i cross each
 other or the box (integer quadratics) and testing a rational sample point in
-every cell.  An initial word is the same system
+every cell.  All of it runs on integers: at y = y1/y2 and z = z1/z2 a
+constraint's sign is that of the bilinear form bn nd - nn bd, with
+(bn, bd) = beta_i (z1, z2) and (nn, nd) = N alpha_i (y1, y2), times the
+signs of bd and nd; the z bounds are integer pairs; and the breakpoints are
+integer triples (u + v sqrt(D))/w over each quadratic's raw discriminant D,
+sorted by the exact mixed-radicand sign, with the cell samples drawn by the
+integer walk of ``exactnum.rational_between``.  An initial word is the same system
 with y pinned to one value (0, or 1 after the J R opening), tested at that
 point.  Admissible verdicts come with a rational witness geodesic whose
 lattice-reduction word (``mgcf_direct``, at most 4000 symbols) contains the
@@ -32,18 +38,20 @@ block; the tracer is not consulted.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import (
     IntMatrix2,
     PINF,
     ParseError,
-    lft_apply,
-    rational_between,
-    surd,
+    Real,
+    _between,
+    _real_cmp,
 )
 from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
@@ -229,16 +237,28 @@ def _cf_matrix(ds) -> IntMatrix2:
     return m
 
 
-def _quad_roots(A: int, B: int, C: int):
-    """Real roots of A x^2 + B x + C (exact); a double root is listed twice."""
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _real(u: int, v: int, w: int, d: int = 0) -> Real:
+    """(u + v sqrt(d))/w, w != 0, as a triple with a positive denominator."""
+    return (u, v, w, d) if w > 0 else (-u, -v, -w, d)
+
+
+def _quad_roots(A: int, B: int, C: int) -> list[Real]:
+    """Real roots of A x^2 + B x + C as triples (-B +- sqrt(D))/(2A) over the
+    raw discriminant D, rational when D is a square; a double root is listed
+    twice."""
     if A == 0:
-        if B == 0:
-            return []
-        return [Fraction(-C, B)]
+        return [_real(-C, 0, B)] if B else []
     D = B * B - 4 * A * C
     if D < 0:
         return []
-    return [surd(Fraction(-B, 2 * A), Fraction(e, 2 * A), D) for e in (1, -1)]
+    s = math.isqrt(D)
+    if s * s == D:
+        return [_real(-B + s, 0, 2 * A), _real(-B - s, 0, 2 * A)]
+    return [_real(-B, e, 2 * A, D) for e in (1, -1)]
 
 
 _SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
@@ -261,83 +281,106 @@ def _constraints(rd: _Reading) -> list:
     return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
 
 
-def _satisfied(cons: list, y, z) -> bool:
-    for sign, bm, am, _psi in cons:
-        beta = lft_apply(bm, z)
-        alpha = lft_apply(am, y)
-        if beta is PINF or alpha is PINF:
-            return False
-        nv = n_transform(alpha)
-        if (beta > nv) - (beta < nv) != sign:
-            return False
-    return True
+def _tag_sign(bm: IntMatrix2, am: IntMatrix2, y1: int, y2: int,
+              z1: int, z2: int) -> Optional[int]:
+    """sign(beta(z) - N(alpha(y))) at y = y1/y2 and z = z1/z2, or None at a
+    pole of beta, alpha or N(alpha).
 
-
-def _z_at(rd: _Reading, cons: list, y) -> Optional[Fraction]:
-    """A rational z solving the constraints at fixed rational y, or None.
-
-    The open z-interval satisfying every inequality is narrowed first; an
-    equality constraint pins z, which must then lie inside it.
+    With (bn, bd) = beta (z1, z2) and (nn, nd) = N alpha (y1, y2), the
+    difference is (bn nd - nn bd)/(bd nd): one integer form and the signs of
+    two denominators.
     """
-    lo, hi = rd.z_lo, rd.z_hi
+    bn, bd = bm.a * z1 + bm.b * z2, bm.c * z1 + bm.d * z2
+    an, ad = am.a * y1 + am.b * y2, am.c * y1 + am.d * y2
+    nn, nd = an + 2 * ad, 2 * an + ad  # N = [[1, 2], [2, 1]]
+    if bd == 0 or ad == 0 or nd == 0:
+        return None
+    t = (bn * nd - nn * bd) * bd * nd
+    return (t > 0) - (t < 0)
+
+
+def _satisfied(cons: list, y: tuple[int, int], z: tuple[int, int]) -> bool:
+    """Whether the rationals y = y1/y2 and z = z1/z2 meet every constraint."""
+    return all(_tag_sign(bm, am, *y, *z) == sign for sign, bm, am, _psi in cons)
+
+
+def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """A rational z = (z1, z2), z2 > 0, solving the constraints at the fixed
+    rational y = (y1, y2), or None.
+
+    The open z-interval (lo, hi) satisfying every inequality is narrowed
+    first; an equality constraint pins z, which must then lie inside it.
+    Every value is an integer pair, compared by cross-multiplication.
+    """
+    y1, y2 = y
+    z_lo, z_hi = _pair(rd.z_lo), _pair(rd.z_hi)
+    (l1, l2), (h1, h2) = z_lo, z_hi
     pinned = None
     for sign, bm, am, psi in cons:
-        alpha = lft_apply(am, y)
-        if alpha is PINF or not (0 < alpha <= 1):
-            return None
-        zstar = lft_apply(psi, y)  # beta(zstar) = N(alpha); PINF at a pole
+        an, ad = am.a * y1 + am.b * y2, am.c * y1 + am.d * y2
+        if ad < 0:
+            an, ad = -an, -ad
+        if not 0 < an <= ad:
+            return None  # alpha is a pole or outside (0, 1]
+        # z* = psi(y), where beta(z*) = N(alpha); a pole when s2 = 0
+        s1, s2 = psi.a * y1 + psi.b * y2, psi.c * y1 + psi.d * y2
+        if s2 < 0:
+            s1, s2 = -s1, -s2
         if sign == 0:
-            if zstar is PINF:
+            if s2 == 0:
                 return None
-            if pinned is not None and pinned != zstar:
+            if pinned is not None and pinned[0] * s2 != s1 * pinned[1]:
                 return None
-            pinned = zstar
+            pinned = (s1, s2)
             continue
         # beta is monotone on (z_lo, z_hi); probe a point to orient
-        probe = (lo + hi) / 2
-        bp = lft_apply(bm, probe)
-        if bp is PINF:
+        p1, p2 = l1 * h2 + h1 * l2, 2 * l2 * h2  # (lo + hi)/2
+        side = _tag_sign(bm, am, y1, y2, p1, p2)
+        if side is None:
             return None
-        good = (bp > n_transform(alpha)) == (sign > 0)  # the probe's side
-        if zstar is PINF:
+        good = (side > 0) == (sign > 0)  # the probe's side
+        if s2 == 0:
             # beta never reaches N(alpha) on the line; one side throughout
             if not good:
                 return None
             continue
-        # the good side of zstar: the probe's side if good, else the other
-        if good == (zstar <= probe):
-            lo = max(lo, zstar)
-        else:
-            hi = min(hi, zstar)
-        if lo >= hi:
+        # the good side of z*: the probe's side if good, else the other
+        if good == (s1 * p2 <= p1 * s2):
+            if s1 * l2 > l1 * s2:
+                l1, l2 = s1, s2
+        elif s1 * h2 < h1 * s2:
+            h1, h2 = s1, s2
+        if l1 * h2 >= h1 * l2:
             return None
     if pinned is None:
-        return rational_between(lo, hi)
-    ok = lo < pinned < hi
+        return _between((l1, 0, l2, 0), (h1, 0, h2, 0))
+    z1, z2 = pinned
+    ok = l1 * z2 < z1 * l2 and z1 * h2 < h1 * z2
     # terminating expansions realize the closed endpoints: z = 0 when
     # the tail stops at the block's final separator, z = z_hi when a
     # partial trailing digit is the word's last
-    if not ok and pinned == rd.z_lo == 0 and lo == rd.z_lo:
+    if not ok and z1 == 0 == z_lo[0] == l1:
         ok = True
-    if not ok and rd.z_hi_closed and pinned == rd.z_hi == hi:
+    if not ok and rd.z_hi_closed and z1 * h2 == h1 * z2 and h1 * z_hi[1] == z_hi[0] * h2:
         ok = True
     return pinned if ok else None
 
 
-def _y_breakpoints(rd: _Reading, cons: list) -> list:
-    """Sorted y-values in [y_lo, y_hi] where the feasible z-set can change."""
-    cands: list = [rd.y_lo, rd.y_hi]
+def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
+    """Sorted distinct y-values in [y_lo, y_hi] where the feasible z-set can
+    change, as triples."""
+    y_lo, y_hi = ((y.numerator, 0, y.denominator, 0) for y in (rd.y_lo, rd.y_hi))
+    cands = [y_lo, y_hi]
     for _sign, _bm, am, psi in cons:
         if psi.c != 0:
-            cands.append(Fraction(-psi.d, psi.c))  # pole
-        for zb in (rd.z_lo, rd.z_hi):
-            # psi(y) = zb: (a - zb c) y + (b - zb d) = 0
-            a = psi.a - zb * psi.c
-            b = psi.b - zb * psi.d
+            cands.append(_real(-psi.d, 0, psi.c))  # pole
+        for zn, zd in (_pair(rd.z_lo), _pair(rd.z_hi)):
+            # psi(y) = zn/zd: (a zd - zn c) y + (b zd - zn d) = 0
+            a = psi.a * zd - zn * psi.c
             if a != 0:
-                cands.append(Fraction(b * -1, a))
+                cands.append(_real(zn * psi.d - psi.b * zd, 0, a))
         if am.c != 0:
-            cands.append(Fraction(-am.d, am.c))
+            cands.append(_real(-am.d, 0, am.c))
     for p in range(len(cons)):
         for q in range(p + 1, len(cons)):
             m1, m2 = cons[p][3], cons[q][3]
@@ -345,8 +388,11 @@ def _y_breakpoints(rd: _Reading, cons: list) -> list:
             B = m1.a * m2.d + m1.b * m2.c - m2.a * m1.d - m2.b * m1.c
             C = m1.b * m2.d - m2.b * m1.d
             cands.extend(_quad_roots(A, B, C))
-    # canonical values: equal breakpoints are equal set members
-    return sorted({c for c in cands if rd.y_lo <= c <= rd.y_hi})
+    inside = sorted((c for c in cands
+                     if _real_cmp(y_lo, c) <= 0 and _real_cmp(c, y_hi) <= 0),
+                    key=cmp_to_key(_real_cmp))
+    # equal values from different candidates sit side by side
+    return [c for i, c in enumerate(inside) if i == 0 or _real_cmp(inside[i - 1], c)]
 
 
 def _feasible(rd: _Reading, cons: list) -> Optional[tuple[Fraction, Fraction]]:
@@ -356,14 +402,14 @@ def _feasible(rd: _Reading, cons: list) -> Optional[tuple[Fraction, Fraction]]:
     every cell between consecutive breakpoints.
     """
     if rd.y_lo == rd.y_hi:
-        ys: Iterable = [rd.y_lo]
+        ys: Iterable = [_pair(rd.y_lo)]
     else:
         inside = _y_breakpoints(rd, cons)
-        ys = (rational_between(a, b) for a, b in zip(inside, inside[1:]))
+        ys = (_between(a, b) for a, b in zip(inside, inside[1:]))
     for y in ys:
         z = _z_at(rd, cons, y)
         if z is not None:
-            return (y, z)
+            return Fraction(*y), Fraction(*z)
     return None
 
 
@@ -465,9 +511,9 @@ def _witness_candidates(rd: _Reading, cons: list, y: Fraction, z: Fraction):
     rng = random.Random(1729)
     for _ in range(60):
         yy = Fraction(rng.randint(1, 400), 401) * (rd.y_hi - rd.y_lo) + rd.y_lo
-        zz = _z_at(rd, cons, yy)
+        zz = _z_at(rd, cons, _pair(yy))
         if zz is not None:
-            yield (yy, zz)
+            yield (yy, Fraction(*zz))
 
 
 # random points per reading, and their seed, in random_cross_check
@@ -486,7 +532,7 @@ def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
             y = Fraction(rng.randint(1, 997), 998) * (rd.y_hi - rd.y_lo)
             zi = Fraction(rng.randint(1, 997), 998)
             z = rd.z_lo + zi * (rd.z_hi - rd.z_lo)
-            if _satisfied(cons, y, z):
+            if _satisfied(cons, _pair(y), _pair(z)):
                 return False
     return True
 
@@ -554,7 +600,7 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[Cutting
                     candidates.append((pre,) + w1 + res + w2 + (suf,))
     result: list[CuttingWord] = [b for b in EDGE_FORBIDDEN if len(b) <= max_len]
     for blk in dict.fromkeys(candidates):
-        if decide_block(blk).forbidden and len(blk) <= max_len and _is_minimal(blk):
+        if len(blk) <= max_len and decide_block(blk).forbidden and _is_minimal(blk):
             result.append(blk)
     return result
 

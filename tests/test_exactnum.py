@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from modcut.exactnum import (
     IntMatrix2,
@@ -25,6 +25,8 @@ from modcut.exactnum import (
     surd,
     surd_floor,
     surd_sign,
+    _between,
+    _real_cmp,
 )
 from modcut.tessellation import GeodesicSpec, trace
 
@@ -92,6 +94,66 @@ def test_rational_between(a, b):
 def test_rational_between_infinite_ends():
     assert rational_between(NINF, Fraction(0)) < 0
     assert rational_between(Fraction(0), PINF) > 0
+
+
+def _walk_by_value(lo, hi):
+    """The value-form Stern-Brocot walk rational_between ran on Fractions
+    and QuadSurds before the integer walk: the reference it must match."""
+    if compare(lo, hi) >= 0:
+        raise ValueError("empty interval")
+    if is_infinite(lo) and is_infinite(hi):
+        return Fraction(0)
+    if is_infinite(lo):
+        n = surd_floor(hi)
+        return Fraction(n - 1 if n == hi else n)
+    if is_infinite(hi):
+        return Fraction(surd_floor(lo) + 1)
+    f = surd_floor(lo)
+    if compare(f + 1, hi) < 0:
+        return Fraction(f + 1)
+    g = IntMatrix2(0, 1, 1, -f)
+    return lft_apply(g.inverse(), _walk_by_value(lft_apply(g, hi), lft_apply(g, lo)))
+
+
+def _raw_roots(A, B, C):
+    """Both roots of A x^2 + B x + C (A != 0, discriminant D >= 0) as
+    canonical values and as raw triples (-B +- sqrt(D))/(2A) over D itself,
+    with a perfect-square D folded into u."""
+    D = B * B - 4 * A * C
+    s = math.isqrt(D)
+    out = []
+    for e in (1, -1):
+        value = surd(Fraction(-B, 2 * A), Fraction(e, 2 * A), D)
+        raw = (-B + e * s, 0, 2 * A, 0) if s * s == D else (-B, e, 2 * A, D)
+        if raw[2] < 0:
+            raw = (-raw[0], -raw[1], -raw[2], raw[3])
+        out.append((value, raw))
+    return out
+
+
+coeffs = st.integers(min_value=-30, max_value=30)
+
+
+@given(coeffs, coeffs, coeffs, coeffs, coeffs, coeffs, st.booleans(), st.booleans())
+@example(1, 0, -8, 1, -3, 2, True, False)  # D = 32 (not square-free), D = 1
+@example(3, 0, -12, 1, 0, -2, False, True)  # sqrt(144) against sqrt(8)
+@example(1, 0, -2, 2, 0, -1, True, True)  # sqrt(8)/2 and sqrt(8)/4: one radicand
+def test_rational_between_walks_roots_as_the_value_walk_did(a1, b1, c1, a2, b2, c2, s1, s2):
+    """Roots of two random integer quadratics, over mixed, non-square-free
+    and perfect-square discriminants: the integer walk picks the value walk's
+    rational, from canonical values and from raw triples alike."""
+    assume(a1 and a2 and b1 * b1 >= 4 * a1 * c1 and b2 * b2 >= 4 * a2 * c2)
+    x = _raw_roots(a1, b1, c1)[s1]
+    y = _raw_roots(a2, b2, c2)[s2]
+    assert _real_cmp(x[1], y[1]) == compare(x[0], y[0])
+    (lo, lo_raw), (hi, hi_raw) = sorted((x, y), key=lambda r: r[0])
+    assume(lo != hi)
+    m = rational_between(lo, hi)
+    assert m == _walk_by_value(lo, hi)
+    assert type(m) is Fraction and lo < m < hi
+    assert Fraction(*_between(lo_raw, hi_raw)) == m
+    for ends in ((NINF, lo), (lo, PINF), (hi, PINF)):
+        assert rational_between(*ends) == _walk_by_value(*ends)
 
 
 @given(fracs)

@@ -4,13 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from modcut.cutting import (
     corner_resolutions,
     cutting_from_mgcf,
     find_edge_forbidden,
 )
-from modcut.mgcf import mgcf_direct
+from modcut.exactnum import PINF, IntMatrix2, lft_apply
+from modcut.mgcf import mgcf_direct, n_transform
 from modcut.shiftspace import (
     central_block,
     central_head_to_tail,
@@ -20,6 +22,8 @@ from modcut.shiftspace import (
     follower_separation,
     random_cross_check,
     verdict_json,
+    _satisfied,
+    _tag_sign,
 )
 
 
@@ -143,6 +147,23 @@ def test_enumeration_counts():
     assert all(len(b) <= 29 for b in n2)
 
 
+def test_enumeration_decides_no_block_longer_than_max_len(monkeypatch):
+    import modcut.shiftspace as shiftspace
+
+    lengths = []
+    decide = shiftspace.decide_block
+
+    def counted(w, anchored=False):
+        lengths.append(len(w))
+        return decide(w, anchored)
+
+    monkeypatch.setattr(shiftspace, "decide_block", counted)
+    # max_head 2 builds central candidates of lengths 12, 13, 15 and 18
+    blocks = enumerate_minimal_forbidden(13, max_head=2)
+    assert lengths and max(lengths) <= 13
+    assert all(len(b) <= 13 for b in blocks)
+
+
 def test_anchored_initial_words():
     for f in (Fraction(5, 14), Fraction(-5, 14), Fraction(1, 3), Fraction(2, 7)):
         w = cutting_from_mgcf(mgcf_direct(f, limit=200))
@@ -225,3 +246,45 @@ def test_verdict_json_shape():
     assert doc["status"] == "admissible"
     assert set(doc) == {"block", "status", "witness", "reason"}
     assert doc["witness"]["head"] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# the tag sign on integer pairs against the value form
+
+matrices = st.tuples(*[st.integers(-6, 6)] * 4).filter(
+    lambda t: t[0] * t[3] != t[1] * t[2]).map(lambda t: IntMatrix2(*t))
+ratios = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+scales = st.integers(-3, 3).filter(bool)
+
+
+def _value_sign(bm, am, y, z):
+    """sign(beta(z) - N(alpha(y))) by lft_apply, n_transform and a Fraction
+    compare; None where beta, alpha or N(alpha) is infinite."""
+    beta, alpha = lft_apply(bm, z), lft_apply(am, y)
+    if beta is PINF or alpha is PINF:
+        return None
+    nv = n_transform(alpha)
+    if nv is PINF:
+        return None
+    return (beta > nv) - (beta < nv)
+
+
+@given(matrices, matrices, ratios, ratios, scales, scales, st.sampled_from(range(4)))
+def test_tag_sign_matches_the_value_form(bm, am, y, z, ky, kz, pole):
+    """One integer form and two denominator signs give the sign the value
+    form gives, on pairs scaled by any nonzero integer; at a pole of beta,
+    alpha or N(alpha) (pole = 1, 2, 3, where it is rational) the sign is
+    None and no tag constraint is satisfied."""
+    if pole == 1 and bm.c:
+        z = Fraction(-bm.d, bm.c)
+    if pole == 2 and am.c:
+        y = Fraction(-am.d, am.c)
+    if pole == 3 and 2 * am.a + am.c:
+        y = Fraction(-(am.d + 2 * am.b), 2 * am.a + am.c)  # alpha(y) = -1/2
+    want = _value_sign(bm, am, y, z)
+    y1, y2 = ky * y.numerator, ky * y.denominator
+    z1, z2 = kz * z.numerator, kz * z.denominator
+    assert _tag_sign(bm, am, y1, y2, z1, z2) == want
+    for sign in (-1, 0, 1):
+        # _satisfied reads no psi
+        assert _satisfied([(sign, bm, am, None)], (y1, y2), (z1, z2)) == (want == sign)
