@@ -32,8 +32,9 @@ sorted by the exact mixed-radicand sign, with the cell samples drawn by the
 integer walk of ``exactnum.rational_between``.  An initial word is the same system
 with y pinned to one value (0, or 1 after the J R opening), tested at that
 point.  Admissible verdicts come with a rational witness geodesic whose
-lattice-reduction word (``mgcf_direct``, at most 4000 symbols) contains the
-block; the tracer is not consulted.
+complete cutting word, read from its tagged digits by the segment codec
+(``_cutting_word``), contains the block, or starts with it for an initial
+word; the tracer is not consulted, and lattice reduction only at -1/2.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ from .mgcf import (
     _read_segments,
     _standalone,
     _TAG_OF_SIGN,
+    annotate_ones,
     mgcf_direct,
+    mgcf_from_annotated,
     n_transform,
 )
 from .cutting import (
@@ -457,10 +460,22 @@ def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
     return out
 
 
-def _occurs(block: CuttingWord, theta: Fraction) -> bool:
-    word = cutting_from_mgcf(mgcf_direct(theta, limit=4000))
-    n = len(block)
-    return any(word[i:i + n] == tuple(block) for i in range(len(word) - n + 1))
+def _cutting_word(theta: Fraction) -> CuttingWord:
+    """The complete cutting word of a rational foot theta in [-1/2, 1/2),
+    read from its tagged digits by the segment codec."""
+    if theta == Fraction(-1, 2):
+        # the closed end, digits [-1; 2], which the codec rejects (a0 = -1
+        # needs a1 = 1); the lattice word J stands here until ROADMAP.md
+        # item 2 settles this end
+        return cutting_from_mgcf(mgcf_direct(theta))
+    return cutting_from_mgcf(mgcf_from_annotated(annotate_ones(ocf_digits(theta), theta)))
+
+
+def _occurs(block: CuttingWord, theta: Fraction, anchored: bool) -> bool:
+    word, n = _cutting_word(theta), len(block)
+    if anchored:
+        return word[:n] == block
+    return any(word[i:i + n] == block for i in range(len(word) - n + 1))
 
 
 def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
@@ -491,13 +506,14 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     if not solutions:
         return BlockVerdict(w, "whole-forbidden",
                             reason="all %d readings infeasible" % len(readings))
-    # a witness foot whose mgcf_direct word contains the block
+    # a witness foot whose cutting word contains the block (starts with it,
+    # when anchored)
     for rd, cons, sol in solutions:
         for y, z in _witness_candidates(rd, cons, *sol):
             for theta in _theta_from(rd, y, z):
                 if theta == 0:
                     continue
-                if _occurs(w, theta):
+                if _occurs(w, theta, anchored):
                     return BlockVerdict(w, "admissible",
                                         witness=GeodesicSpec(PINF, theta))
     return BlockVerdict(w, "admissible", witness=None,
@@ -564,7 +580,7 @@ def central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]
         return None
     if theta > Fraction(1, 2):
         theta -= 1  # normalize into [-1/2, 1/2)
-    word = cutting_from_mgcf(mgcf_direct(theta, limit=4000))
+    word = _cutting_word(theta)
     if word[0] != "J" or word[-1] != "J":
         return None
     if not any(t.startswith("C") for t in word):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modcut.cutting import (
     corner_resolutions,
@@ -22,6 +22,7 @@ from modcut.shiftspace import (
     follower_separation,
     random_cross_check,
     verdict_json,
+    _cutting_word,
     _satisfied,
     _tag_sign,
 )
@@ -227,6 +228,53 @@ def test_anchored_realised_prefixes():
                 prefixes.update(w[:n] for n in range(1, 9))
     for blk in sorted(prefixes):
         assert decide_block(blk, anchored=True).status == "admissible", blk
+
+
+# ---------------------------------------------------------------------------
+# witness words: the segment codec against lattice reduction
+
+
+@st.composite
+def feet(draw):
+    """p/q in (-1/2, 1/2) with q up to 10^4, reduced."""
+    q = draw(st.integers(3, 10 ** 4))
+    return Fraction(draw(st.integers(-(q - 1) // 2, (q - 1) // 2)), q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(feet())
+@example(Fraction(1, 9999))  # the longest words: one digit of about q
+@example(Fraction(-4999, 9999))
+def test_codec_word_is_the_complete_lattice_word(theta):
+    word = _cutting_word(theta)
+    # one symbol of room: equal words here mean the lattice word ended
+    assert cutting_from_mgcf(mgcf_direct(theta, limit=len(word) + 1)) == word
+
+
+def test_central_block_matches_the_lattice_word(monkeypatch):
+    import modcut.shiftspace as shiftspace
+
+    heads = [h for n in range(1, 6) for h in itertools.product((1, 2), repeat=n)]
+    codec = [central_block(h) for h in heads]
+    assert sum(cb is not None for cb in codec) == 61
+
+    def lattice_word(theta):
+        mg = mgcf_direct(theta, limit=4000)
+        assert len(mg) < 4000  # complete
+        return cutting_from_mgcf(mg)
+
+    monkeypatch.setattr(shiftspace, "_cutting_word", lattice_word)
+    assert [central_block(h) for h in heads] == codec
+
+
+def test_foot_minus_half_keeps_the_lattice_word():
+    # The codec rejects the closed end -1/2 (digits [-1; 2]), so its word
+    # is the lattice word J, and anchored J keeps the witness -1/2.  ROADMAP
+    # item 2 settles this end and will change both on purpose.
+    assert _cutting_word(Fraction(-1, 2)) == ("J",)
+    v = decide_block(("J",), anchored=True)
+    assert v.status == "admissible"
+    assert v.witness.foot == Fraction(-1, 2)
 
 
 def test_follower_separation():
