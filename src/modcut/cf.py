@@ -18,11 +18,12 @@ from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
-    QuadSurd,
+    _real_floor,
+    _real_recip,
     compare,
+    end_of,
     is_infinite,
     parse_int,
-    surd_floor,
 )
 
 __all__ = [
@@ -84,23 +85,27 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
 
     For rational x the expansion terminates (and, by construction, never ends
     in a digit 1 except the single-digit case).  For surd x the first
-    ``limit`` digits are produced with finite=False.
+    ``limit`` digits are produced with finite=False.  The floor algorithm
+    runs on x's reduced triple (u + v*sqrt(d))/w: each digit is its floor,
+    and the rest after it goes on as the triple of 1/(x - a), the steps of
+    the integer walk behind ``rational_between``.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if is_infinite(x):
         raise ValueError("cannot expand inf")
-    a0 = surd_floor(x)
-    digits = [a0]
-    rest = x - a0
-    while rest != 0:
-        if isinstance(rest, QuadSurd) and len(digits) >= limit:
-            return OcfDigits(a0, tuple(digits[1:]), False)
-        rest = 1 / rest
-        a = surd_floor(rest)
+    # a finite end is already reduced: (u, v, w, 0) with w > 0
+    (u, v, w, _), d = end_of(x)
+    digits = []
+    while True:
+        a = _real_floor(u, v, w, d)
         digits.append(a)
-        rest = rest - a
-    return OcfDigits(a0, tuple(digits[1:]), True)
+        u -= a * w
+        if not u and not v:
+            return OcfDigits(digits[0], tuple(digits[1:]), True)
+        if v and len(digits) >= limit:
+            return OcfDigits(digits[0], tuple(digits[1:]), False)
+        u, v, w, d = _real_recip(u, v, w, d)
 
 
 def ocf_value(digits: OcfDigits) -> Fraction:
@@ -117,13 +122,14 @@ def convergents(digits: OcfDigits) -> Iterator[IntMatrix2]:
     [[a0,1],[1,0]] ... [[a_n,1],[1,0]].
 
     The n-th maps t to [a0; a1, ..., a_n, t], so it times F = [[0,1],[1,0]]
-    maps y to [a0; a1, ..., a_n + y].
+    maps y to [a0; a1, ..., a_n + y].  The recurrence p_n = a_n p_{n-1} +
+    p_{n-2} (and the same for q) runs on ints.
     """
-    m = IntMatrix2(digits.a0, 1, 1, 0)
-    yield m
+    p1, p0, q1, q0 = digits.a0, 1, 1, 0
+    yield IntMatrix2(p1, p0, q1, q0)
     for a in digits.tail:
-        m = m * IntMatrix2(a, 1, 1, 0)
-        yield m
+        p1, p0, q1, q0 = a * p1 + p0, p1, a * q1 + q0, q1
+        yield IntMatrix2(p1, p0, q1, q0)
 
 
 # ---------------------------------------------------------------------------

@@ -181,13 +181,7 @@ class QuadSurd:
         return NotImplemented
 
     def __floor__(self) -> int:
-        # floor((a + b sqrt d)/w) = floor((a + floor(b sqrt d))/w) for w > 0
-        b = self.b
-        sq = b * b * self.d
-        r = math.isqrt(sq)
-        if b < 0 and r * r != sq:
-            r += 1
-        return (self.a + (r if b >= 0 else -r)) // self.w
+        return _real_floor(self.a, self.b, self.w, self.d)
 
     # total order
     def _cmp(self, other) -> int:

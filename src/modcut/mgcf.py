@@ -26,11 +26,13 @@ from .exactnum import (
     IntMatrix2,
     ParseError,
     compare,
+    end_of,
     is_infinite,
     lft_apply,
     parse_int,
+    surd_sign,
 )
-from .cf import OcfDigits, _acf_runs, convergents, ocf_digits
+from .cf import OcfDigits, _acf_runs, convergents
 
 __all__ = [
     "N_MAT",
@@ -153,24 +155,43 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     pulled back by the n-th convergent, -(p_{n-1} - q_{n-1} theta)/(p_n - q_n
     theta); the tag is h, c, m according to beta_n >, =, < N(alpha_n).
     a_1 = 1 is always tagged m.
+
+    The digits are checked by one tail value, t = beta_n at the last
+    convergent (theta = [a0; a1, ..., a_n, t]): they begin the expansion iff
+    t > 1, or t = inf not after a final digit 1 (the other representation
+    [..., a_n + 1]); finite digits need t = inf.
     """
     if is_infinite(theta):
         raise ValueError("theta must be finite")
-    check = ocf_digits(theta, limit=len(digits) + 1)
-    ref = check.all_digits()[: len(digits)]
-    if ref != digits.all_digits() or (digits.finite and not check.finite):
+    (x0, x1, y0, y1), d = end_of(theta)
+
+    def pullback(m: IntMatrix2) -> tuple[int, int, int, int]:
+        # beta = m^-1(theta) = (b0 + b1 sqrt d)/(c0 + c1 sqrt d), by the
+        # adjugate of m, its inverse up to sign
+        return (m.d * x0 - m.b * y0, m.d * x1 - m.b * y1,
+                m.a * y0 - m.c * x0, m.a * y1 - m.c * x1)
+
+    ms = list(convergents(digits))
+    b0, b1, c0, c1 = pullback(ms[-1])
+    if not c0 and not c1:  # t = inf: theta = p_n/q_n
+        ok = not (digits.tail and digits.tail[-1] == 1)
+    else:
+        ok = not digits.finite and surd_sign(b0 - c0, b1 - c1, d) * surd_sign(c0, c1, d) > 0
+    if not ok:
         raise ValueError("digits are not the expansion of theta")
     pairs: list[tuple[int, Optional[str]]] = []
     # a = a_{n+1} beside the n-th convergent [[p_n, p_{n-1}], [q_n, q_{n-1}]]
-    for n, (a, m) in enumerate(zip(digits.tail, convergents(digits))):
+    for n, (a, m) in enumerate(zip(digits.tail, ms)):
         if a != 1:
             pairs.append((a, None))
-            continue
-        if n == 0:
+        elif n == 0:
             pairs.append((1, "m"))
-            continue
-        alpha, beta = Fraction(m.d, m.c), lft_apply(m.inverse(), theta)
-        pairs.append((1, _TAG_OF_SIGN[compare(beta, n_transform(alpha))]))
+        else:
+            # sign(beta - nn/nd), with N(alpha) = nn/nd and nd > 0
+            b0, b1, c0, c1 = pullback(m)
+            nn, nd = m.d + 2 * m.c, 2 * m.d + m.c
+            sign = surd_sign(b0 * nd - nn * c0, b1 * nd - nn * c1, d) * surd_sign(c0, c1, d)
+            pairs.append((1, _TAG_OF_SIGN[sign]))
     return AnnotatedDigits(digits.a0, tuple(pairs), digits.finite)
 
 

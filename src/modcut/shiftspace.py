@@ -54,7 +54,7 @@ from .exactnum import (
     _between,
     _real_cmp,
 )
-from .cf import F_MAT, R_MAT, OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
+from .cf import OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
     N_MAT,
     _read_segments,
@@ -234,12 +234,6 @@ def _tail_readings(digs, tail: str) -> list[_Reading]:
 # exact feasibility of a reading
 
 
-def _cf_matrix(ds) -> IntMatrix2:
-    """The last convergent of [0; ds]: t -> [0; ds, t]."""
-    *_, m = convergents(OcfDigits(0, tuple(ds)))
-    return m
-
-
 def _pair(x: Fraction) -> tuple[int, int]:
     return x.numerator, x.denominator
 
@@ -270,17 +264,31 @@ _SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
 def _constraints(rd: _Reading) -> list:
     """One record (sign, beta, alpha, psi) per tagged 1 of the reading: the
     tag wants sign(beta(z) - N(alpha(y))) = sign, and psi = beta^-1 N alpha
-    is the z-boundary curve z = psi(y)."""
+    is the z-boundary curve z = psi(y).
+
+    With D(a) = [[a, 1], [1, 0]], fw[i] = F D(d_0) ... D(d_(i-1)) and bw[j]
+    = F D(d_(k-1)) ... D(d_(k-j)) are the convergents of the digits read
+    forwards and backwards.  D(a) and F are symmetric, so alpha_i = F D(d_(i-1))
+    ... D(d_0) F = F fw[i]^T and beta_i = R F D(d_(i+1)) ... D(d_(k-1)) F =
+    R F bw[k-1-i]^T, each read off one matrix by its entries.
+    """
     ds = [v for v, _tag in rd.digits]
-    tagged = [(_SIGN_OF_TAG[tag], R_MAT * _cf_matrix(ds[i + 1:]) * F_MAT,
-               _cf_matrix(ds[:i][::-1]) * F_MAT)
-              for i, (_v, tag) in enumerate(rd.digits) if tag in _SIGN_OF_TAG]
+    k = len(ds)
+    pair = [] if rd.trailing_pair is None else [rd.trailing_pair]
+    fw = list(convergents(OcfDigits(0, tuple(ds + pair))))
+    bw = list(convergents(OcfDigits(0, tuple(ds[::-1]))))
+    tagged = []
+    for i, (_v, tag) in enumerate(rd.digits):
+        if tag in _SIGN_OF_TAG:
+            f, b = fw[i], bw[k - 1 - i]
+            tagged.append((_SIGN_OF_TAG[tag], IntMatrix2(b.a + b.b, b.c + b.d, b.a, b.c),
+                           IntMatrix2(f.b, f.d, f.a, f.c)))
     if rd.trailing_pair is not None:
         # the unseen 1_m after the trailing pair digit a: z = [0; a, 1, t]
-        # with t the continuation, and beta = 1 + 1/t
-        a = rd.trailing_pair
-        tagged.append((-1, R_MAT * F_MAT * _cf_matrix((a, 1)).inverse(),
-                       _cf_matrix([a] + ds[::-1]) * F_MAT))
+        # with t the continuation, and beta = 1 + 1/t = z/(1 - a z)
+        f = fw[k + 1]
+        tagged.append((-1, IntMatrix2(1, 0, -rd.trailing_pair, 1),
+                       IntMatrix2(f.b, f.d, f.a, f.c)))
     return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
 
 

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modcut.cf import (
     OcfDigits,
@@ -18,7 +19,7 @@ from modcut.cf import (
     ocf_value,
     parse_digits,
 )
-from modcut.exactnum import NINF, PINF, ParseError, sqrt_exact
+from modcut.exactnum import NINF, PINF, ParseError, QuadSurd, sqrt_exact, surd
 
 from conftest import farey_word
 
@@ -49,6 +50,49 @@ def test_surd_prefix():
     d = ocf_digits(sqrt_exact(3), limit=8)
     assert not d.finite
     assert d.all_digits() == (1, 1, 2, 1, 2, 1, 2, 1)
+
+
+def _digits_by_value(x, limit):
+    """The floor loop ocf_digits ran on Fraction and QuadSurd values before
+    the integer triple walk: the reference it must match.  Each floor is
+    checked against the exact comparisons a <= rest < a + 1."""
+    a0 = math.floor(x)
+    digits = [a0]
+    rest = x - a0
+    while rest != 0:
+        if isinstance(rest, QuadSurd) and len(digits) >= limit:
+            return OcfDigits(a0, tuple(digits[1:]), False)
+        rest = 1 / rest
+        a = math.floor(rest)
+        assert a <= rest < a + 1
+        digits.append(a)
+        rest = rest - a
+    return OcfDigits(a0, tuple(digits[1:]), True)
+
+
+# (sqrt(d) + a)/w and its negative, d not a square
+surds = st.tuples(st.integers(2, 400).filter(lambda d: math.isqrt(d) ** 2 != d),
+                  st.integers(-40, 40), st.integers(1, 40), st.sampled_from((1, -1)))
+
+
+@given(fracs | st.integers(-10**6, 10**6).map(Fraction), st.integers(1, 30))
+@example(Fraction(-5, 14), 1)
+@example(Fraction(-7), 1)
+def test_rational_digits_match_the_value_loop(x, limit):
+    """A rational expands to the end whatever the limit, negative values
+    and integers included."""
+    assert ocf_digits(x, limit) == _digits_by_value(x, limit)
+
+
+@given(surds, st.integers(1, 30))
+@example((3, 0, 1, 1), 8)
+@example((7, -1, 3, -1), 1)
+def test_surd_digits_match_the_value_loop(s, limit):
+    d, a, w, sign = s
+    x = surd(Fraction(a, w), Fraction(sign, w), d)
+    got = ocf_digits(x, limit)
+    assert got == _digits_by_value(x, limit)
+    assert len(got) == limit and not got.finite
 
 
 def fold_value(digits):

@@ -28,6 +28,7 @@ from modcut.exactnum import (
     _between,
     _real_cmp,
 )
+from modcut.cf import ocf_digits
 from modcut.tessellation import GeodesicSpec, trace
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
@@ -384,3 +385,6 @@ def test_inexact_inputs_are_type_errors(x):
         lft_apply(IntMatrix2(2, 1, 1, 1), x)
     with pytest.raises(TypeError):
         next(trace(GeodesicSpec(PINF, x)))
+    # a binary float would expand as the rational it stores
+    with pytest.raises(TypeError):
+        ocf_digits(x)

@@ -80,6 +80,37 @@ def test_annotate_first_one_forced():
     assert ad.tail[0] == (1, "m")
 
 
+FIVE_14 = Fraction(5, 14)  # digits 0;2,1,4 and word JRRCRRRRJ
+
+
+@pytest.mark.parametrize("digits, theta", [
+    (OcfDigits(0, (2, 1, 5)), FIVE_14),  # a wrong digit
+    (OcfDigits(0, (2, 1, 4, 2)), FIVE_14),  # an extra digit
+    (OcfDigits(0, (2, 1)), Fraction(1, 3)),  # 0;3 with its last digit split
+    (OcfDigits(1, (1, 2, 1, 2), True), sqrt_exact(3)),  # a surd never ends
+    (OcfDigits(0, (2, 1), True), FIVE_14),  # a prefix flagged complete
+])
+def test_annotate_rejects_what_is_not_the_expansion(digits, theta):
+    with pytest.raises(ValueError, match="not the expansion"):
+        annotate_ones(digits, theta)
+
+
+def test_annotate_accepts_open_prefixes():
+    """A non-finite prefix is tagged as the same digits of the whole
+    expansion are, for a rational and for a surd; the codec prints the
+    run it determines."""
+    full = annotate_ones(ocf_digits(FIVE_14), FIVE_14)
+    ad = annotate_ones(OcfDigits(0, (2, 1), False), FIVE_14)
+    assert ad.tail == full.tail[:2] and not ad.finite
+    theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
+    full = annotate_ones(ocf_digits(theta, limit=12), theta)
+    for n in range(1, 12):
+        od = ocf_digits(theta, limit=n)
+        ad = annotate_ones(od, theta)
+        assert ad.tail == full.tail[:n - 1]
+        assert mgcf_direct(theta, limit=60).startswith(mgcf_from_annotated(ad))
+
+
 def test_codec_roundtrip_corpus():
     for f in small_rationals(60):
         w = mgcf_direct(f, limit=500)

@@ -11,8 +11,9 @@ from modcut.cutting import (
     cutting_from_mgcf,
     find_edge_forbidden,
 )
+from modcut.cf import F_MAT, R_MAT
 from modcut.exactnum import PINF, IntMatrix2, lft_apply
-from modcut.mgcf import mgcf_direct, n_transform
+from modcut.mgcf import N_MAT, mgcf_direct, n_transform
 from modcut.shiftspace import (
     central_block,
     central_head_to_tail,
@@ -22,6 +23,8 @@ from modcut.shiftspace import (
     follower_separation,
     random_cross_check,
     verdict_json,
+    _block_readings,
+    _constraints,
     _cutting_word,
     _satisfied,
     _tag_sign,
@@ -336,3 +339,45 @@ def test_tag_sign_matches_the_value_form(bm, am, y, z, ky, kz, pole):
     for sign in (-1, 0, 1):
         # _satisfied reads no psi
         assert _satisfied([(sign, bm, am, None)], (y1, y2), (z1, z2)) == (want == sign)
+
+
+# ---------------------------------------------------------------------------
+# the constraint records against their per-1 matrix products
+
+
+def _cf_matrix(ds):
+    """t -> [0; ds, t]: F D(d_0) ... D(d_(k-1)) by matrix products."""
+    m = F_MAT
+    for a in ds:
+        m = m * IntMatrix2(a, 1, 1, 0)
+    return m
+
+
+def _constraints_per_one(rd):
+    """The records as _constraints built them with one pair of products per
+    tagged 1, before the two convergent passes: the reference they must
+    match."""
+    ds = [v for v, _tag in rd.digits]
+    sign_of = {"h": 1, "c": 0, "m": -1}
+    tagged = [(sign_of[tag], R_MAT * _cf_matrix(ds[i + 1:]) * F_MAT,
+               _cf_matrix(ds[:i][::-1]) * F_MAT)
+              for i, (_v, tag) in enumerate(rd.digits) if tag in sign_of]
+    if rd.trailing_pair is not None:
+        a = rd.trailing_pair
+        tagged.append((-1, R_MAT * F_MAT * _cf_matrix((a, 1)).inverse(),
+                       _cf_matrix([a] + ds[::-1]) * F_MAT))
+    return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
+
+
+def test_constraints_match_the_per_one_products():
+    """Every reading of every block of length <= 6, free and anchored."""
+    readings = records = 0
+    for n in range(1, 7):
+        for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n):
+            for anchored in (False, True):
+                for rd in _block_readings(b, anchored):
+                    cons = _constraints(rd)
+                    assert cons == _constraints_per_one(rd), (b, anchored, rd)
+                    readings += 1
+                    records += len(cons)
+    assert (readings, records) == (1393, 2842)
