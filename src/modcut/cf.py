@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
-    _real_floor,
-    _real_recip,
+    _digits,
     compare,
     end_of,
     is_infinite,
@@ -85,10 +85,8 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
 
     For rational x the expansion terminates (and, by construction, never ends
     in a digit 1 except the single-digit case).  For surd x the first
-    ``limit`` digits are produced with finite=False.  The floor algorithm
-    runs on x's reduced triple (u + v*sqrt(d))/w: each digit is its floor,
-    and the rest after it goes on as the triple of 1/(x - a), the steps of
-    the integer walk behind ``rational_between``.
+    ``limit`` digits are produced with finite=False.  The digits are read
+    from ``exactnum._digits``, the one digit stream, on x's reduced triple.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -96,16 +94,8 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
         raise ValueError("cannot expand inf")
     # a finite end is already reduced: (u, v, w, 0) with w > 0
     (u, v, w, _), d = end_of(x)
-    digits = []
-    while True:
-        a = _real_floor(u, v, w, d)
-        digits.append(a)
-        u -= a * w
-        if not u and not v:
-            return OcfDigits(digits[0], tuple(digits[1:]), True)
-        if v and len(digits) >= limit:
-            return OcfDigits(digits[0], tuple(digits[1:]), False)
-        u, v, w, d = _real_recip(u, v, w, d)
+    digits = list(islice(_digits(u, v, w, d), limit if v else None))
+    return OcfDigits(digits[0], tuple(digits[1:]), not v)
 
 
 def ocf_value(digits: OcfDigits) -> Fraction:

@@ -19,8 +19,9 @@ u + v*sqrt(d) with at most one squaring; ``end_of``, ``end_triple`` and
 triple (u, v, w) = (u + v*sqrt(d))/w, which ``end_value`` reduces as
 ``QuadSurd`` arithmetic does.  ``lft_apply`` is the one Moebius action: a
 2x2 integer matrix-vector product on an end, and a value is mapped as its
-end, so m(inf) and a pole need no rule of their own.  ``rational_between``
-is one Stern-Brocot walk on integer triples (u, v, w) with a radicand d that
+end, so m(inf) and a pole need no rule of their own.  ``_digits`` is the
+one continued-fraction digit stream, on a triple (u + v*sqrt(d))/w;
+``rational_between`` is one Stern-Brocot walk on two triples whose radicand
 need not be square-free, so a caller holding quadratic roots over raw
 discriminants walks between them without factoring.
 """
@@ -31,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 __all__ = [
     "QuadSurd",
@@ -476,6 +477,24 @@ def _real_recip(u: int, v: int, w: int, d: int) -> Real:
     return _lowest_terms(w * u, -w * v, norm) + (d,)
 
 
+def _digits(u: int, v: int, w: int, d: int) -> Iterator[int]:
+    """The continued-fraction digits of the finite triple (u + v*sqrt(d))/w:
+    each is the floor of the rest, which goes on as the reciprocal of its
+    fractional part, for a rational the swap w/u of a Euclid step.  The
+    stream ends after a rational's last digit and never for a surd (v != 0).
+    """
+    while True:
+        a = _real_floor(u, v, w, d)
+        yield a
+        u -= a * w
+        if v:
+            u, v, w, d = _real_recip(u, v, w, d)
+        elif u:
+            u, w = w, u
+        else:
+            return
+
+
 def _between(lo: Real, hi: Real) -> tuple[int, int]:
     """The rational p/q (q > 0, lowest terms) ``rational_between`` picks
     strictly between a finite lo and a larger hi, which may be +inf.
@@ -485,7 +504,9 @@ def _between(lo: Real, hi: Real) -> tuple[int, int]:
     goes on in the image of (lo, hi) under x -> 1/(x - f), which is
     (1/(hi - f), 1/(lo - f)), +inf when lo = f.  The answer is the
     continued fraction [f0; f1, ..., t] of the floors and the last integer,
-    folded into the convergent matrix [[p1, p0], [q1, q0]].
+    folded into the convergent matrix [[p1, p0], [q1, q0]].  It reads no
+    ``_digits`` streams: its ends swap at every step, and an upper end equal
+    to f + 1 reads as the digits f, 1 here.
     """
     p1, p0, q1, q0 = 1, 0, 0, 1
     while True:
@@ -503,11 +524,8 @@ def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
     """Some rational strictly between lo and hi (lo < hi required)."""
     if compare(lo, hi) >= 0:
         raise ValueError("empty interval")
-    if is_infinite(lo):
-        if is_infinite(hi):
-            return Fraction(0)
-        n = surd_floor(hi)
-        return Fraction(n - 1 if n == hi else n)
+    if lo is NINF:
+        return Fraction(0) if hi is PINF else -rational_between(-hi, PINF)
     (lo_e, lo_d), (hi_e, hi_d) = end_of(lo), end_of(hi)
     p, q = _between(end_triple(lo_e, lo_d) + (lo_d,), end_triple(hi_e, hi_d) + (hi_d,))
     return Fraction(p, q)

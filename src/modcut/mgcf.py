@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
+    _digits,
     compare,
     end_of,
     is_infinite,
@@ -78,8 +79,9 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     rows' norms meet (``_meet``): J where the rows swap, R where row 2 meets
     row 1 + row 2, L where it meets row 1 - row 2, and C where J and R fall
     at the same s.  Terminates for rational theta; emits up to ``limit``
-    symbols otherwise.
+    symbols otherwise.  Anything but an exact extended real is a TypeError.
     """
+    end_of(theta)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if is_infinite(theta):
@@ -303,25 +305,21 @@ def annotated_from_mgcf(word: str) -> AnnotatedDigits:
 # online conversion from an additive-CF prefix (benchmark subject)
 
 
-def _cmp_vs_prefix_interval(t: Fraction, digs: list[int]) -> int:
-    """Position of t relative to all reals whose CF starts with ``digs``.
+def _cmp_vs_prefix_interval(n: int, w: int, digs: Sequence[int]) -> int:
+    """Position of t = n/w (w > 0) relative to all reals whose CF starts
+    with ``digs``.
 
     Returns -1 (t below every such real), +1 (above), 0 (cannot be decided
-    from the prefix / t lies among them).  Lazy: walks t's CF digits by
-    Euclid steps, stopping at the first difference.
+    from the prefix / t lies among them).  Lazy: reads t's digit stream
+    against ``digs`` and stops at the first difference.  A stream that ends
+    early reads as the digit +inf: t is then an end of the interval.
     """
+    stream = _digits(n, 0, w, 0)
     for i, target in enumerate(digs):
-        n, d = t.numerator, t.denominator
-        a = n // d
+        a = next(stream, None)
         if a != target:
-            side = 1 if a > target else -1
+            side = 1 if a is None or a > target else -1
             return side if i % 2 == 0 else -side
-        frac = t - a
-        if frac == 0:
-            if i == len(digs) - 1:
-                return 0  # equals a closed-interval endpoint
-            return -1 if i % 2 == 0 else 1
-        t = 1 / frac
     return 0
 
 
@@ -345,10 +343,9 @@ def mgcf_from_acf(word: str):
         if n == 0:
             pairs.append((1, "m"))
             continue
-        suffix = list(tail[n:])
-        # N(alpha) below every possible tail value beta means beta > N(alpha)
-        n_alpha = n_transform(Fraction(m.d, m.c))
-        sign = -_cmp_vs_prefix_interval(n_alpha, suffix)
+        # N(alpha) below every possible tail value beta means beta > N(alpha),
+        # with alpha = m.d/m.c and N(alpha) = (m.d + 2 m.c)/(2 m.d + m.c)
+        sign = -_cmp_vs_prefix_interval(m.d + 2 * m.c, 2 * m.d + m.c, tail[n:])
         if sign == 0:
             resolved = n  # undecidable from this prefix; stop here
             break

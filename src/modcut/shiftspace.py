@@ -601,8 +601,10 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[Cutting
 
     Heads range over {1,2}^n for n <= max_head; each central sequence's eight
     prefix/resolution/suffix words are decided and the minimal forbidden
-    ones kept.
+    ones kept.  A negative max_head is a ValueError.
     """
+    if max_head < 0:
+        raise ValueError("max_head must be >= 0")
     heads = []
     for n in range(1, max_head + 1):
         for mask in range(2 ** n):

@@ -229,28 +229,13 @@ def _coprime_reps(D: int) -> list[tuple[int, int]]:
 
 
 def _witness_for(c: int, d: int, N: int, D: int) -> Optional[IntMatrix2]:
-    # find (a, b) with ad - bc = 1 and 2ac+ad+bc+2bd = N; the value of
-    # 2ac+ad+bc+2bd over all such (a,b) covers one class mod 2D
-    g, x, y = _ext_gcd(d, -c)
-    if g != 1:
-        return None
-    a0, b0 = x, y  # a0*d - b0*c = 1
-    n0 = 2 * a0 * c + a0 * d + b0 * c + 2 * b0 * d
-    delta = N - n0
-    if delta % (2 * D) != 0:
-        return None
-    k = delta // (2 * D)
-    a, b = a0 + k * c, b0 + k * d
-    m = IntMatrix2(a, b, c, d)
-    assert m.det() == 1
-    return m
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+    # find (a, b) with ad - bc = 1 and 2ac+ad+bc+2bd = N, for coprime (c, d);
+    # the solutions are (a0 + kc, b0 + kd), whose values 2ac+ad+bc+2bd step
+    # by 2D, so N fixes k and the witness is unique
+    a0 = pow(d, -1, c) if c else d
+    b0 = (a0 * d - 1) // c if c else 0
+    k, r = divmod(N - (2 * a0 * c + a0 * d + b0 * c + 2 * b0 * d), 2 * D)
+    return None if r else IntMatrix2(a0 + k * c, b0 + k * d, c, d)
 
 
 def corner_hits_vertical(theta) -> list[CornerHit]:

@@ -193,6 +193,15 @@ def test_forbidden_listing(runner):
     assert "JJ" in blocks
 
 
+@pytest.mark.parametrize("args", [("--max-len", "1"),
+                                  ("--max-len", "5", "--max-head", "-1")])
+def test_forbidden_bounds_are_domain_errors(runner, args):
+    res = invoke(runner, "forbidden", *args)
+    assert res.exit_code == 3
+    assert res.stderr.startswith("domain error:")
+    assert res.stderr.count("\n") == 1 and not res.stdout
+
+
 def test_corners(runner):
     res = invoke(runner, "corners", "--theta", "1/2", "--json")
     doc = json.loads(res.output)

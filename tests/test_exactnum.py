@@ -95,6 +95,14 @@ def test_rational_between(a, b):
 def test_rational_between_infinite_ends():
     assert rational_between(NINF, Fraction(0)) < 0
     assert rational_between(Fraction(0), PINF) > 0
+    # the integer below hi, or floor(hi) when hi is not an integer; the
+    # integer above lo
+    s2 = sqrt_exact(2)
+    for hi, below in ((0, -1), (3, 2), (-2, -3), (Fraction(7, 2), 3),
+                      (Fraction(-7, 2), -4), (s2, 1), (-s2, -2), (s2 + 3, 4)):
+        m = rational_between(NINF, hi)
+        assert m == below and type(m) is Fraction
+        assert rational_between(-hi, PINF) == -below
 
 
 def _walk_by_value(lo, hi):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from modcut.mgcf import (
     mgcf_from_annotated,
     n_transform,
     parse_annotated,
+    _cmp_vs_prefix_interval,
 )
 
 
@@ -57,6 +59,21 @@ def test_direct_surd_periodic():
     theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
     w = mgcf_direct(theta, limit=30)
     assert w == ("JRRJRJ" + "RRJRJ" * 5)[:30] or w.startswith("JRRJRJRRJRJ")
+
+
+@pytest.mark.parametrize("theta", [0.3, Decimal("0.3"), "1/3"])
+def test_direct_rejects_inexact_inputs(theta):
+    # a float would run the lattice events in float arithmetic
+    with pytest.raises(TypeError):
+        mgcf_direct(theta, limit=10)
+
+
+def test_direct_takes_every_exact_input():
+    assert mgcf_direct(0) == "J"
+    for f in (Fraction(1, 3), Fraction(-5, 14)):
+        assert mgcf_direct(as_surd(f)) == mgcf_direct(f)
+    theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
+    assert mgcf_direct(theta, limit=11) == "JRRJRJRRJRJ"
 
 
 @pytest.mark.parametrize("limit", [0, -1])
@@ -126,6 +143,56 @@ def test_from_acf_prefix_semantics():
     # an undecidable trailing 1 must not be guessed
     prefix, _ = mgcf_from_acf("FRRFR")
     assert mgcf_direct(Fraction(5, 14)).startswith(prefix)
+
+
+def _cmp_by_value(t, digs):
+    """The Fraction loop _cmp_vs_prefix_interval ran before the digit
+    stream: the reference it must match."""
+    for i, target in enumerate(digs):
+        n, d = t.numerator, t.denominator
+        a = n // d
+        if a != target:
+            side = 1 if a > target else -1
+            return side if i % 2 == 0 else -side
+        frac = t - a
+        if frac == 0:
+            if i == len(digs) - 1:
+                return 0  # equals a closed-interval endpoint
+            return -1 if i % 2 == 0 else 1
+        t = 1 / frac
+    return 0
+
+
+digit_prefixes = st.lists(st.integers(1, 40), min_size=1, max_size=30)
+
+
+@given(digit_prefixes, st.data())
+def test_prefix_interval_matches_the_fraction_loop(digs, data):
+    """t is random, or the value of digs[:k] (an end of the interval), or
+    the value of digs[:k] followed by more digits; it is passed unreduced,
+    as mgcf_from_acf passes N(alpha)."""
+    kind = data.draw(st.sampled_from(("random", "end", "inside")))
+    if kind == "random":
+        t = data.draw(st.fractions(min_value=0, max_value=45, max_denominator=10**6))
+    else:
+        k = data.draw(st.integers(1, len(digs)))
+        more = data.draw(digit_prefixes) if kind == "inside" else []
+        t = ocf_value(OcfDigits(digs[0], tuple(digs[1:k]) + tuple(more)))
+    g = data.draw(st.integers(1, 3))
+    assert _cmp_vs_prefix_interval(t.numerator * g, t.denominator * g, digs) \
+        == _cmp_by_value(t, digs)
+
+
+@pytest.mark.parametrize("t, side", [
+    (Fraction(2), -1),  # [2], an end: every [2; 1, 4, ...] lies above it
+    (Fraction(3), 1),  # [3] = [2; 1] read by floors differs at digit 0
+    (Fraction(7, 3), -1),  # [2; 3]: the digit 3 > 1 at an odd index
+    (Fraction(14, 5), 0),  # [2; 1, 4] itself, the closed end
+])
+def test_prefix_interval_ends(t, side):
+    digs = [2, 1, 4]
+    assert _cmp_vs_prefix_interval(t.numerator, t.denominator, digs) == side
+    assert _cmp_by_value(t, digs) == side
 
 
 def test_annotated_text_format():

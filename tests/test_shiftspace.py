@@ -151,6 +151,13 @@ def test_enumeration_counts():
     assert all(len(b) <= 29 for b in n2)
 
 
+def test_enumeration_rejects_a_negative_max_head():
+    # it once stood for 0 and listed the edge-forbidden blocks
+    with pytest.raises(ValueError, match="max_head"):
+        enumerate_minimal_forbidden(5, max_head=-1)
+    assert len(enumerate_minimal_forbidden(5, max_head=0)) == 7
+
+
 def test_enumeration_decides_no_block_longer_than_max_len(monkeypatch):
     import modcut.shiftspace as shiftspace
 

@@ -62,10 +62,17 @@ def test_corner_hits_census_small():
 
 
 def test_corner_point_identity():
-    for hit in corner_hits_vertical(Fraction(5, 14)):
-        x, r = corner_point(hit.witness)
-        assert x == Fraction(5, 14)
-        assert r == hit.r
+    # every hit of the census above: its witness is in SL(2, Z) and maps the
+    # corner onto the foot at the hit's height
+    hits = 0
+    for q in range(3, 60):
+        for p in range(1, (q - 1) // 2 + 1):
+            if 2 * p < q and math.gcd(p, q) == 1:
+                for hit in corner_hits_vertical(Fraction(p, q)):
+                    assert hit.witness.det() == 1
+                    assert corner_point(hit.witness) == (Fraction(p, q), hit.r)
+                    hits += 1
+    assert hits > 1
 
 
 def test_periodic_corner_counts():
