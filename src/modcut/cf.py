@@ -21,9 +21,9 @@ from .exactnum import (
     ParseError,
     _digits,
     compare,
-    end_of,
     is_infinite,
     parse_int,
+    real_of,
 )
 
 __all__ = [
@@ -90,10 +90,9 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if is_infinite(x):
+    u, v, w, d = real_of(x)
+    if not w:
         raise ValueError("cannot expand inf")
-    # a finite end is already reduced: (u, v, w, 0) with w > 0
-    (u, v, w, _), d = end_of(x)
     digits = list(islice(_digits(u, v, w, d), limit if v else None))
     return OcfDigits(digits[0], tuple(digits[1:]), not v)
 

@@ -5,25 +5,28 @@ One representation per exact value: a finite value is a stdlib
 ``fractions.Fraction`` if and only if it is rational, and every ``QuadSurd``
 a function here returns is irrational, u + v*sqrt(d) with rational u, v != 0
 and a square-free radicand d > 1.  So ``Fraction`` and ``QuadSurd`` values mix
-freely under ``+ - * / == <`` and ``math.floor``.  Comparisons between surds
-over different radicands are decided by repeated squaring with sign tracking.
+freely under ``+ - * / == <`` and ``math.floor``.
 
-A ``QuadSurd`` holds its value as ints, (a + b*sqrt(d))/w in lowest terms,
-and its arithmetic runs on ints.  Hot loops go further and run on
-bare ints: a projective end x/y with x and y in Z[sqrt(d)], stored as the
-four ints (x0, x1, y0, y1) for (x0 + x1*sqrt(d)) / (y0 + y1*sqrt(d)).  A
-rational is the case d = 0 (with x1 = y1 = 0), +-inf is (1, 0, 0, 0), and a
-``QuadSurd`` is the end (a, b, w, 0).  ``surd_sign`` decides the sign of
-u + v*sqrt(d) with at most one squaring; ``end_of``, ``end_triple`` and
-``end_value`` convert between an extended real, an end and the end's reduced
-triple (u, v, w) = (u + v*sqrt(d))/w, which ``end_value`` reduces as
-``QuadSurd`` arithmetic does.  ``lft_apply`` is the one Moebius action: a
-2x2 integer matrix-vector product on an end, and a value is mapped as its
-end, so m(inf) and a pole need no rule of their own.  ``_digits`` is the
-one continued-fraction digit stream, on a triple (u + v*sqrt(d))/w;
-``rational_between`` is one Stern-Brocot walk on two triples whose radicand
-need not be square-free, so a caller holding quadratic roots over raw
-discriminants walks between them without factoring.
+Underneath, a value is ints.  ``real_of`` is the one conversion: an int, a
+Fraction, a QuadSurd or +-inf becomes a ``Real`` (u, v, w, d), the value
+(u + v*sqrt(d))/w in lowest terms with w > 0, a rational with d = 0 and +-inf
+as (1, 0, 0, 0); anything else is a TypeError.  ``_real_cmp`` is the one
+order on finite Reals.  Over one radicand it is the sign of the difference by
+``surd_sign``, which decides the sign of u + v*sqrt(d) with at most one
+squaring; over two radicands it squares once more.  ``compare`` and the
+rich comparisons of ``QuadSurd`` both call it.
+
+Hot loops go further and run on a projective end x/y with x and y in
+Z[sqrt(d)], stored as the four ints (x0, x1, y0, y1) for (x0 + x1*sqrt(d)) /
+(y0 + y1*sqrt(d)) (an ``End``); a Real is the end (u, v, w, 0) beside its d.
+``end_triple`` and ``end_value`` take an end back to its reduced triple
+(u, v, w) and to its value, reduced as ``QuadSurd`` arithmetic reduces.
+``lft_apply`` is the one Moebius action: a 2x2 integer matrix-vector product
+on an end, and a value is mapped as its end, so m(inf) and a pole need no
+rule of their own.  ``_digits`` is the one continued-fraction digit stream,
+on a triple (u + v*sqrt(d))/w; ``rational_between`` is one Stern-Brocot walk
+on two triples whose radicand need not be square-free, so a caller holding
+quadratic roots over raw discriminants walks between them without factoring.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ __all__ = [
     "surd",
     "surd_sign",
     "as_surd",
+    "Real",
     "End",
-    "end_of",
+    "real_of",
     "end_triple",
     "end_value",
     "lft_apply",
@@ -184,33 +188,23 @@ class QuadSurd:
     def __floor__(self) -> int:
         return _real_floor(self.a, self.b, self.w, self.d)
 
-    # total order
-    def _cmp(self, other) -> int:
-        if type(other) is QuadSurd and self.b and other.b and self.d != other.d:
-            # both irrational over different radicands
-            return _sign_mixed(self.a * other.w - other.a * self.w, self.b * other.w, self.d,
-                               -other.b * self.w, other.d)
-        o = self._join(other)
-        if o is None:
-            raise TypeError("cannot compare a surd with %r" % (other,))
-        a, b, w, d = o
-        return surd_sign(self.a * w - a * self.w, self.b * w - b * self.w, d)
-
+    # the total order is _real_cmp on this value's ints and other's, so an
+    # infinity is a TypeError here, as it is beside a Fraction
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return _real_cmp((self.a, self.b, self.w, self.d), real_of(other)) < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return _real_cmp((self.a, self.b, self.w, self.d), real_of(other)) <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return _real_cmp((self.a, self.b, self.w, self.d), real_of(other)) > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return _real_cmp((self.a, self.b, self.w, self.d), real_of(other)) >= 0
 
     def __eq__(self, other):
         if isinstance(other, (QuadSurd, int, Fraction)):
-            return self._cmp(other) == 0
+            return _real_cmp((self.a, self.b, self.w, self.d), real_of(other)) == 0
         return NotImplemented
 
     def __hash__(self):
@@ -235,18 +229,6 @@ def surd_sign(u, v, d: int) -> int:
     return su if lhs > rhs else (sv if lhs < rhs else 0)
 
 
-def _sign_mixed(a, b, p: int, c, q: int) -> int:
-    """Sign of a + b*sqrt(p) + c*sqrt(q) for any radicands p, q >= 0; a
-    zero radicand comes with a zero coefficient."""
-    # s = a + b*sqrt(p) lives in one field; t = c*sqrt(q)
-    ss, ts = surd_sign(a, b, p), (c > 0) - (c < 0)
-    if ss * ts >= 0:
-        return ss or ts
-    # opposite signs: compare s^2 = a^2 + b^2 p + 2ab sqrt(p) with t^2 = c^2 q
-    diff = surd_sign(a * a + b * b * p - c * c * q, 2 * a * b, p)
-    return ss if diff > 0 else (ts if diff < 0 else 0)
-
-
 def _lowest_terms(a: int, b: int, w: int) -> tuple[int, int, int]:
     # (a, b, w) over gcd(a, b, w), signed so that w > 0; w != 0
     g = math.gcd(a, b, w)
@@ -266,9 +248,12 @@ def _canonical(a: int, b: int, w: int, d: int) -> Fraction | QuadSurd:
 
 
 def surd(u, v=0, d: int = 0) -> Fraction | QuadSurd:
-    """Canonical u + v*sqrt(d): a ``Fraction`` when rational, else a QuadSurd."""
-    u = Fraction(u)
-    v = Fraction(v)
+    """Canonical u + v*sqrt(d): a ``Fraction`` when rational, else a QuadSurd.
+    u and v are ints or Fractions and d is an int, or it is a TypeError."""
+    if not (isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction))
+            and isinstance(d, int)):
+        raise TypeError("not exact surd parts: %r, %r, %r" % (u, v, d))
+    u, v = Fraction(u), Fraction(v)
     if v == 0 or d == 0:
         return u
     if d < 0:
@@ -290,13 +275,14 @@ def as_surd(x) -> QuadSurd:
 
 def sqrt_exact(x) -> Fraction | QuadSurd:
     """Exact square root of a non-negative rational: a Fraction or a QuadSurd."""
-    x = Fraction(x)
-    if x < 0:
+    p, v, q, _ = real_of(x)
+    if v or not q:
+        raise TypeError("not an exact rational: %r" % (x,))
+    if p < 0:
         raise ValueError("negative operand")
     # sqrt(p/q) = sqrt(p q)/q
-    n = x.numerator * x.denominator
-    s, d = squarefree_split(n)
-    return surd(0, Fraction(s, x.denominator), d)
+    s, d = squarefree_split(p * q)
+    return surd(0, Fraction(s, q), d)
 
 
 class _Infinity:
@@ -329,18 +315,14 @@ def is_infinite(x: ExtReal) -> bool:
 
 
 def compare(x: ExtReal, y: ExtReal) -> int:
-    """Exact three-way comparison on the extended real line (-1, 0, +1)."""
-    if is_infinite(x) or is_infinite(y):
-        if x is y:
-            return 0
-        if is_infinite(x):
-            return 1 if x.positive else -1
-        return -1 if y.positive else 1
-    if isinstance(x, QuadSurd):
-        return x._cmp(y)
-    if isinstance(y, QuadSurd):
-        return -y._cmp(x)
-    return (x > y) - (x < y)
+    """Exact three-way comparison on the extended real line (-1, 0, +1):
+    ``_real_cmp``, or the signs of the infinities, a finite value's being 0."""
+    rx, ry = real_of(x), real_of(y)
+    if rx[2] and ry[2]:
+        return _real_cmp(rx, ry)
+    sx = 0 if rx[2] else (1 if x.positive else -1)
+    sy = 0 if ry[2] else (1 if y.positive else -1)
+    return (sx > sy) - (sx < sy)
 
 
 def surd_floor(x) -> int:
@@ -385,13 +367,17 @@ def lft_apply(m: IntMatrix2, x: ExtReal | End) -> ExtReal | End:
 
     The map is one 2x2 integer matrix-vector product on a projective end.  An
     end x = (x0, x1, y0, y1) comes back as the end m (x, y), left unreduced;
-    a value goes in as ``end_of(x)`` and comes back through ``end_value``, so
-    a pole and both infinities map as ends do (a pole to PINF).
+    a value goes in as the end (u, v, w, 0) of its ``real_of(x)`` = (u, v, w,
+    d) and comes back through ``end_value``, so a pole and both infinities
+    map as ends do (a pole to PINF).
     """
     if m.det() == 0:
         raise ValueError("singular matrix in lft_apply")
-    e, d = (x, None) if type(x) is tuple else end_of(x)
-    x0, x1, y0, y1 = e
+    if type(x) is tuple:
+        (x0, x1, y0, y1), d = x, None
+    else:
+        x0, x1, y0, d = real_of(x)
+        y1 = 0
     image = (m.a * x0 + m.b * y0, m.a * x1 + m.b * y1,
              m.c * x0 + m.d * y0, m.c * x1 + m.d * y1)
     return image if d is None else end_value(image, d)
@@ -401,22 +387,6 @@ def lft_apply(m: IntMatrix2, x: ExtReal | End) -> ExtReal | End:
 # projective ends over Z[sqrt(d)]
 
 End = tuple[int, int, int, int]  # (x0, x1, y0, y1): (x0 + x1 sqrt d)/(y0 + y1 sqrt d)
-
-
-def end_of(x: ExtReal) -> tuple[End, int]:
-    """x as a projective end, with its radicand (0 for a rational or +-inf).
-
-    A finite x comes out as (u + v*sqrt(d))/w in lowest terms with w > 0, so
-    y1 = 0; +inf and -inf are both (1, 0, 0, 0).  Anything but an int, a
-    Fraction, a QuadSurd or +-inf is a TypeError.
-    """
-    if is_infinite(x):
-        return (1, 0, 0, 0), 0
-    if isinstance(x, QuadSurd):
-        return (x.a, x.b, x.w, 0), x.d if x.b else 0
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError("not an exact extended real: %r" % (x,))
-    return (x.numerator, 0, x.denominator, 0), 0
 
 
 def _over_norm(e: End, d: int) -> tuple[int, int, int]:
@@ -444,7 +414,7 @@ def end_value(e: End, d: int) -> ExtReal:
 
 # ---------------------------------------------------------------------------
 # reals as integer triples: (u + v*sqrt(d))/w is the four ints (u, v, w, d)
-# with w > 0 and any radicand d >= 0; a rational has v = d = 0, and +inf is
+# with w > 0 and any radicand d >= 0; a rational has v = 0, and +inf is
 # (1, 0, 0, 0).  A triple need not be in lowest terms and d need not be
 # square-free, but a perfect-square d must be folded into u (v = 0), so that
 # the conjugate of a nonzero value is nonzero.
@@ -452,11 +422,39 @@ def end_value(e: End, d: int) -> ExtReal:
 Real = tuple[int, int, int, int]
 
 
+def real_of(x: ExtReal) -> Real:
+    """x as the ints of (u + v*sqrt(d))/w in lowest terms, w > 0: the one
+    conversion.  A rational (a bool too) has v = d = 0, +-inf is (1, 0, 0,
+    0), and anything else, inexact or not, is a TypeError."""
+    if isinstance(x, QuadSurd):
+        return (x.a, x.b, x.w, x.d) if x.b else (x.a, 0, x.w, 0)
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator, 0
+    if isinstance(x, _Infinity):
+        return 1, 0, 0, 0
+    raise TypeError("not an exact extended real: %r" % (x,))
+
+
 def _real_cmp(x: Real, y: Real) -> int:
-    """Exact three-way comparison of two finite triples, radicands mixed."""
+    """The one order: exact three-way comparison of two finite triples (an
+    infinite one is a TypeError).  w1*w2 times x - y is s + t, s = a +
+    b*sqrt(d1) and t = c*sqrt(d2): one ``surd_sign`` when one radicand serves
+    both, else one more squaring when s and t differ in sign."""
     u1, v1, w1, d1 = x
     u2, v2, w2, d2 = y
-    return _sign_mixed(u1 * w2 - u2 * w1, v1 * w2, d1, -v2 * w1, d2)
+    if not (w1 and w2):
+        raise TypeError("an infinity has no place in the finite order")
+    a, b, c = u1 * w2 - u2 * w1, v1 * w2, -v2 * w1
+    if d1 == d2 or not c:
+        return surd_sign(a, b + c, d1)
+    if not b:
+        return surd_sign(a, c, d2)
+    ss, ts = surd_sign(a, b, d1), (c > 0) - (c < 0)
+    if ss * ts >= 0:
+        return ss or ts
+    # opposite signs: compare s^2 = a^2 + b^2 d1 + 2ab sqrt(d1) with t^2 = c^2 d2
+    diff = surd_sign(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
+    return ss if diff > 0 else (ts if diff < 0 else 0)
 
 
 def _real_floor(u: int, v: int, w: int, d: int) -> int:
@@ -526,9 +524,7 @@ def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
         raise ValueError("empty interval")
     if lo is NINF:
         return Fraction(0) if hi is PINF else -rational_between(-hi, PINF)
-    (lo_e, lo_d), (hi_e, hi_d) = end_of(lo), end_of(hi)
-    p, q = _between(end_triple(lo_e, lo_d) + (lo_d,), end_triple(hi_e, hi_d) + (hi_d,))
-    return Fraction(p, q)
+    return Fraction(*_between(real_of(lo), real_of(hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +588,9 @@ def parse_extreal(text: str) -> ExtReal:
 
 
 def format_extreal(x: ExtReal) -> str:
-    if is_infinite(x):
+    u, v, w, d = real_of(x)
+    if not w:
         return "inf" if x.positive else "-inf"
-    if isinstance(x, QuadSurd) and x.b == 0:
-        x = x.u  # the rational view made by as_surd
-    if not isinstance(x, QuadSurd):
-        return str(x)
-    (u, v, w, _), _ = end_of(x)
-    sgn = "+" if v >= 0 else "-"
-    return "(%d%s%d*sqrt(%d))/%d" % (u, sgn, abs(v), x.d, w)
+    if not v:
+        return str(u) if w == 1 else "%d/%d" % (u, w)
+    return "(%d%s%d*sqrt(%d))/%d" % (u, "+" if v > 0 else "-", abs(v), d, w)

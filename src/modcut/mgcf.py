@@ -22,15 +22,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactnum import (
+    End,
     ExtReal,
     IntMatrix2,
     ParseError,
     _digits,
     compare,
-    end_of,
-    is_infinite,
     lft_apply,
     parse_int,
+    real_of,
     surd_sign,
 )
 from .cf import OcfDigits, _acf_runs, convergents
@@ -81,11 +81,10 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     at the same s.  Terminates for rational theta; emits up to ``limit``
     symbols otherwise.  Anything but an exact extended real is a TypeError.
     """
-    end_of(theta)
+    if not real_of(theta)[2]:
+        raise ValueError("theta must be finite")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if is_infinite(theta):
-        raise ValueError("theta must be finite")
     if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
         raise ValueError("theta outside [-1/2, 1/2)")
     p1, q1, p2, q2 = 1, 0, 0, 1
@@ -163,15 +162,14 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     t > 1, or t = inf not after a final digit 1 (the other representation
     [..., a_n + 1]); finite digits need t = inf.
     """
-    if is_infinite(theta):
+    u, v, w, d = real_of(theta)
+    if not w:
         raise ValueError("theta must be finite")
-    (x0, x1, y0, y1), d = end_of(theta)
 
-    def pullback(m: IntMatrix2) -> tuple[int, int, int, int]:
+    def pullback(m: IntMatrix2) -> End:
         # beta = m^-1(theta) = (b0 + b1 sqrt d)/(c0 + c1 sqrt d), by the
         # adjugate of m, its inverse up to sign
-        return (m.d * x0 - m.b * y0, m.d * x1 - m.b * y1,
-                m.a * y0 - m.c * x0, m.a * y1 - m.c * x1)
+        return m.d * u - m.b * w, m.d * v, m.a * w - m.c * u, -m.c * v
 
     ms = list(convergents(digits))
     b0, b1, c0, c1 = pullback(ms[-1])

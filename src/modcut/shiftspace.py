@@ -53,6 +53,7 @@ from .exactnum import (
     Real,
     _between,
     _real_cmp,
+    real_of,
 )
 from .cf import OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
@@ -380,7 +381,7 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
 def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     """Sorted distinct y-values in [y_lo, y_hi] where the feasible z-set can
     change, as triples."""
-    y_lo, y_hi = ((y.numerator, 0, y.denominator, 0) for y in (rd.y_lo, rd.y_hi))
+    y_lo, y_hi = real_of(rd.y_lo), real_of(rd.y_hi)
     cands = [y_lo, y_hi]
     for _sign, _bm, am, psi in cons:
         if psi.c != 0:

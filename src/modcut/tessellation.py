@@ -4,15 +4,16 @@ The fundamental domain F is |z| >= 1, |Re z| <= 1/2.  A geodesic is stored by
 its ideal endpoints (head, foot) and repeatedly pulled back so that the
 current representative always crosses the interior of F.  Each end is a
 projective pair x/y with x, y in Z[sqrt(d)] (``exactnum.End``; d = 0 for
-rational ends, and infinity is 1/0), so a pull-back is ``lft_apply`` of the
-inverse generator on an end, a 2x2 integer matrix-vector product, and no
-fraction is ever reduced.  Along the semicircle
-with feet a, b the squared absolute value is affine in x,
-|z|^2 = (a+b) x - a b, so every exit-side decision is the sign of a small
-polynomial in the coordinates: b - a, a + b and 2ab + 2 -+ (a + b), each
-cleared of denominators by the sign of y_a y_b.  Exit through the right edge
-emits R, the left edge L, the bottom arc J; passing exactly through a corner
-(+-1/2 + sqrt(3)/2 i) emits C1/C2 and applies the corner matrix.
+rational ends, and infinity is 1/0), which enters as the end (u, v, w, 0) of
+its ``real_of`` triple (u + v*sqrt(d))/w.  So a pull-back is ``lft_apply`` of
+the inverse generator on an end, a 2x2 integer matrix-vector product, and no
+fraction is ever reduced.  Along the semicircle with feet a, b the squared
+absolute value is affine in x, |z|^2 = (a+b) x - a b, so every exit-side
+decision is the sign of a small polynomial in the coordinates: b - a, a + b
+and 2ab + 2 -+ (a + b), each cleared of denominators by the sign of y_a y_b.
+Exit through the right edge emits R, the left edge L, the bottom arc J;
+passing exactly through a corner (+-1/2 + sqrt(3)/2 i) emits C1/C2 and
+applies the corner matrix.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .exactnum import (
     ExtReal,
     IntMatrix2,
     QuadSurd,
-    end_of,
+    Real,
     end_triple,
     end_value,
     is_infinite,
     lft_apply,
+    real_of,
     sqrt_exact,
     surd_sign,
 )
@@ -109,8 +111,8 @@ class NonTransverseError(ValueError):
     pass
 
 
-def _check_admissible(head: End, foot: End, d: int) -> None:
-    # ends straight from end_of: y1 = 0, and y0 > 0 unless the end is infinite
+def _check_admissible(head: Real, foot: Real, d: int) -> None:
+    # the ends' real_of triples over the one radicand d: y > 0 unless infinite
     (xa0, xa1, ya, _), (xb0, xb1, yb, _) = head, foot
     c0, c1 = xa0 * yb - xb0 * ya, xa1 * yb - xb1 * ya  # x_a y_b - x_b y_a
     if not (c0 or c1):
@@ -141,12 +143,13 @@ def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    (xa0, xa1, ya0, ya1), da = end_of(g.head)
-    (xb0, xb1, yb0, yb1), db = end_of(g.foot)
+    head, foot = real_of(g.head), real_of(g.foot)
+    (xa0, xa1, ya0, da), (xb0, xb1, yb0, db) = head, foot
     if da and db and da != db:
         raise ValueError("the ends lie in two different quadratic fields")
     d = da or db
-    _check_admissible((xa0, xa1, ya0, ya1), (xb0, xb1, yb0, yb1), d)
+    _check_admissible(head, foot, d)
+    ya1 = yb1 = 0  # the ends (u, v, w, 0) of the two triples
     h0, h1, h2, h3 = 1, 0, 0, 1
     for _ in range(limit):
         if not (yb0 or yb1):
@@ -243,11 +246,12 @@ def corner_hits_vertical(theta) -> list[CornerHit]:
 
     A hit at height t = sqrt(3)/(2D) exists iff theta = N/(2D) for integers
     N, D with D = c^2+cd+d^2 (coprime c, d), gcd(N, D) in {1, 3}, and N in
-    the congruence class mod 2D realized by an SL(2,Z) witness.
+    the congruence class mod 2D realized by an SL(2,Z) witness.  A surd or
+    an infinite theta is a ValueError, and an inexact one a TypeError.
     """
-    if not isinstance(theta, (int, Fraction)):
+    p, v, q, _ = real_of(theta)
+    if v or not q:
         raise ValueError("corner hits are computed for rational theta only")
-    p, q = theta.numerator, theta.denominator
     hits: dict[int, CornerHit] = {}
     for k in (1, 2, 3, 6):
         if (q * k) % 2:
@@ -279,9 +283,9 @@ def periodic_corner_count(d: int, limit: int = 5000) -> int:
     if d <= 1 or math.isqrt(d) ** 2 == d:
         raise ValueError("d must be a nonsquare integer > 1")
     rt = sqrt_exact(d)
-    (head, r), (foot, _) = end_of(-rt), end_of(rt)
+    u, v, w, r = real_of(rt)
     # states are keyed by the reduced triples of the pulled-back ends
-    seen = {(end_triple(head, r), end_triple(foot, r)): 0}
+    seen = {((-u, -v, w), (u, v, w)): 0}
     syms: list[str] = []
     # a budget below one step runs out before the first crossing
     for step in trace(GeodesicSpec(-rt, rt), limit) if limit >= 1 else ():

@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,8 +13,8 @@ from modcut.exactnum import (
     PINF,
     ParseError,
     QuadSurd,
+    as_surd,
     compare,
-    end_of,
     end_triple,
     end_value,
     format_extreal,
@@ -20,6 +22,7 @@ from modcut.exactnum import (
     lft_apply,
     parse_extreal,
     rational_between,
+    real_of,
     sqrt_exact,
     squarefree_split,
     surd,
@@ -28,8 +31,9 @@ from modcut.exactnum import (
     _between,
     _real_cmp,
 )
-from modcut.cf import ocf_digits
-from modcut.tessellation import GeodesicSpec, trace
+from modcut.cf import OcfDigits, acf_of, farey_of, ocf_digits
+from modcut.mgcf import annotate_ones, mgcf_direct
+from modcut.tessellation import GeodesicSpec, corner_hits_vertical, trace
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -296,8 +300,8 @@ def _decimal_sign(u: int, v: int, d: int) -> int:
 @given(fracs, fracs)
 def test_surd_sign_matches_fraction_comparison(a, b):
     # the sign of b - a read off the two ends, as the tracer reads it
-    (xa, _, ya, _), da = end_of(a)
-    (xb, _, yb, _), db = end_of(b)
+    xa, _, ya, da = real_of(a)
+    xb, _, yb, db = real_of(b)
     assert da == db == 0 and ya > 0 and yb > 0
     assert surd_sign(xb * ya - xa * yb, 0, 0) == (b > a) - (b < a)
 
@@ -313,8 +317,8 @@ def test_surd_sign_on_a_square_radicand(u, v, s):
 @given(small, nonzero, radicands)
 def test_surd_sign_matches_quadsurd(u, v, d):
     x = surd(u, v, d)
-    (x0, x1, w, y1), r = end_of(x)
-    assert (r, y1) == (d, 0) and w > 0
+    x0, x1, w, r = real_of(x)
+    assert r == d and w > 0
     assert surd_sign(x0, x1, d) == x.sign() == _decimal_sign(x0, x1, d)
 
 
@@ -322,7 +326,8 @@ def test_surd_sign_matches_quadsurd(u, v, d):
 def test_end_triple_is_a_canonical_key(u, v, d, p, q):
     assume(p or q)
     x = surd(u, v, d)
-    (x0, x1, y0, y1), _ = end_of(x)
+    x0, x1, y0, _ = real_of(x)
+    y1 = 0  # a value's end is (u, v, w, 0)
     # the same value with numerator and denominator times p + q*sqrt(d)
     e = (x0 * p + d * x1 * q, x0 * q + x1 * p, y0 * p + d * y1 * q, y0 * q + y1 * p)
     assert end_triple(e, d) == end_triple((x0, x1, y0, y1), d)
@@ -355,7 +360,8 @@ def test_lft_apply_on_an_end(entries, x):
     # a value maps as the reference does, singular m included; so does its
     # end after a first step s, which makes y1 nonzero for a surd
     m, s = IntMatrix2(*entries), IntMatrix2(2, 1, 1, 1)
-    e, d = end_of(x)
+    u, v, w, d = real_of(x)
+    e = (u, v, w, 0)
     try:
         want = _moebius_reference(m, x), _moebius_reference(m, _moebius_reference(s, x))
     except ValueError:
@@ -366,6 +372,107 @@ def test_lft_apply_on_an_end(entries, x):
     got = lft_apply(m, x), end_value(lft_apply(m, lft_apply(s, e)), d)
     for y, z in zip(got, want):
         assert y == z and type(y) is type(z)
+
+
+# the order as it was decided before _real_cmp was the one order: kept as
+# the reference the new order must match
+
+
+def _sign_mixed(a, b, p: int, c, q: int) -> int:
+    """Sign of a + b*sqrt(p) + c*sqrt(q) for any radicands p, q >= 0; a
+    zero radicand comes with a zero coefficient."""
+    # s = a + b*sqrt(p) lives in one field; t = c*sqrt(q)
+    ss, ts = surd_sign(a, b, p), (c > 0) - (c < 0)
+    if ss * ts >= 0:
+        return ss or ts
+    # opposite signs: compare s^2 = a^2 + b^2 p + 2ab sqrt(p) with t^2 = c^2 q
+    diff = surd_sign(a * a + b * b * p - c * c * q, 2 * a * b, p)
+    return ss if diff > 0 else (ts if diff < 0 else 0)
+
+
+def _surd_cmp(x: QuadSurd, other) -> int:
+    """QuadSurd's own comparison: one field through ``_join``, or two
+    irrational radicands through ``_sign_mixed``."""
+    if type(other) is QuadSurd and x.b and other.b and x.d != other.d:
+        return _sign_mixed(x.a * other.w - other.a * x.w, x.b * other.w, x.d,
+                           -other.b * x.w, other.d)
+    o = x._join(other)
+    if o is None:
+        raise TypeError("cannot compare a surd with %r" % (other,))
+    a, b, w, d = o
+    return surd_sign(x.a * w - a * x.w, x.b * w - b * x.w, d)
+
+
+def _compare_reference(x, y) -> int:
+    if is_infinite(x) or is_infinite(y):
+        if x is y:
+            return 0
+        if is_infinite(x):
+            return 1 if x.positive else -1
+        return -1 if y.positive else 1
+    if isinstance(x, QuadSurd):
+        return _surd_cmp(x, y)
+    if isinstance(y, QuadSurd):
+        return -_surd_cmp(y, x)
+    return (x > y) - (x < y)
+
+
+@st.composite
+def raw_reals(draw):
+    # a triple as the block decider builds them: not in lowest terms, over a
+    # zero, non-square-free or random radicand, a square one folded into u
+    d = draw(st.sampled_from([0, 4, 9, 2, 3, 8, 12, 18, 50]) | st.integers(0, 400))
+    u, v, w = draw(st.integers(-60, 60)), draw(st.integers(-9, 9)), draw(st.integers(1, 30))
+    s = math.isqrt(d)
+    if not (d and v):
+        return u, 0, w, 0
+    return (u + v * s, 0, w, 0) if s * s == d else (u, v, w, d)
+
+
+@given(raw_reals(), raw_reals(), st.integers(1, 4), st.integers(-1, 1),
+       st.sampled_from(["free", "scaled", "rewritten"]))
+@example((0, 1, 2, 8), (0, 1, 1, 2), 1, 0, "free")  # sqrt(8)/2 = sqrt(2)
+@example((0, 3, 1, 2), (0, 1, 1, 18), 1, 0, "free")  # 3 sqrt(2) = sqrt(18)
+@example((1, 1, 1, 2), (0, 1, 1, 3), 1, 0, "free")  # 1 + sqrt(2) > sqrt(3)
+def test_real_cmp_matches_the_reference_order(x, y, k, e, form):
+    """On raw triples, against ``_sign_mixed``: y is free, or x scaled by k,
+    or x rewritten over the radicand d k^2, each then moved by e/(w k)."""
+    u, v, w, d = x
+    if form == "scaled":
+        y = (u * k + e, v * k, w * k, d)
+    elif form == "rewritten":
+        y = (u * k + e, v, w * k, d * k * k)
+    want = _sign_mixed(u * y[2] - y[0] * w, v * y[2], d, -y[1] * w, y[3])
+    assert _real_cmp(x, y) == want == -_real_cmp(y, x)
+
+
+order_values = st.one_of(
+    st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6),
+    st.sampled_from([PINF, NINF]),
+    st.builds(surd, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4).filter(bool),
+              st.sampled_from([2, 3, 5, 8, 12, 18])),
+    st.builds(as_surd, st.fractions(-6, 6, max_denominator=6)))
+
+
+@given(order_values, order_values)
+@example(sqrt_exact(8) / 2, sqrt_exact(2))
+@example(as_surd(Fraction(3, 2)), Fraction(3, 2))
+def test_compare_and_rich_comparisons_match_the_reference(x, y):
+    """On values, +-inf included: ``compare``, and the rich comparisons of a
+    QuadSurd on either side, against the comparison before the one order."""
+    want = _compare_reference(x, y)
+    assert compare(x, y) == want == -compare(y, x)
+    for a, b, sign in ((x, y, want), (y, x, -want)):
+        if not isinstance(a, QuadSurd):
+            continue
+        assert (a == b) is (sign == 0 and not is_infinite(b))
+        if is_infinite(b):
+            with pytest.raises(TypeError):
+                a < b
+            continue
+        assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+        assert (b < a, b > a) == (sign > 0, sign < 0)
 
 
 @given(small, nonzero, radicands)
@@ -379,16 +486,70 @@ def test_rational_between_a_surd_and_an_int(u, v, d):
         assert type(m) is Fraction and lo < m < hi
 
 
-def test_end_of_infinity():
-    assert end_of(PINF) == end_of(NINF) == ((1, 0, 0, 0), 0)
+def test_real_of_infinity():
+    assert real_of(PINF) == real_of(NINF) == (1, 0, 0, 0)
     assert end_triple((-3, 0, 0, 0), 0) == (1, 0, 0)
     assert end_value((1, 0, 0, 0), 5) is PINF
 
 
+@contextmanager
+def _budget(seconds: int):
+    # a call that runs past its budget fails the test instead of hanging it
+    def expire(signum, frame):
+        raise TimeoutError("over its %d s budget" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _outcome(call, x):
+    # the result of call(x), or the type and message of the typed error it
+    # raised; anything else, a blown budget among them, fails the test
+    with _budget(5):
+        try:
+            return "returned", call(x)
+        except (TypeError, ValueError) as exc:
+            return "raised", type(exc), str(exc)
+
+
+# every function that takes a value, with the value in each place it goes
+CONTRACT = {
+    "compare(x, 1)": lambda x: compare(x, 1),
+    "compare(1, x)": lambda x: compare(1, x),
+    "compare(PINF, x)": lambda x: compare(PINF, x),
+    "lft_apply": lambda x: lft_apply(IntMatrix2(2, 1, 1, 1), x),
+    "rational_between(x, 2)": lambda x: rational_between(x, 2),
+    "rational_between(0, x)": lambda x: rational_between(0, x),
+    "rational_between(NINF, x)": lambda x: rational_between(NINF, x),
+    "sqrt_exact": sqrt_exact,
+    "surd(x, 1, 2)": lambda x: surd(x, 1, 2),
+    "surd(1, x, 2)": lambda x: surd(1, x, 2),
+    "surd(1, 1, x)": lambda x: surd(1, 1, x),
+    "format_extreal": format_extreal,
+    "ocf_digits": ocf_digits,
+    "acf_of": acf_of,
+    "farey_of": farey_of,
+    "annotate_ones": lambda x: annotate_ones(OcfDigits(1), x),
+    "mgcf_direct": mgcf_direct,
+    "trace": lambda x: [step.symbol for step in trace(GeodesicSpec(x, -2))],
+    "corner_hits_vertical": corner_hits_vertical,
+}
+
+
 @pytest.mark.parametrize("x", ["1/2", 0.1, 1.5, Decimal("0.5")])
 def test_inexact_inputs_are_type_errors(x):
+    """A float, a Decimal or a str is a TypeError in every place a value goes,
+    and True gives what 1 gives: a bool counts as an int."""
     with pytest.raises(TypeError):
-        end_of(x)
+        real_of(x)
+    for name, call in CONTRACT.items():
+        assert _outcome(call, x)[:2] == ("raised", TypeError), name
+        assert _outcome(call, True) == _outcome(call, 1), name
     with pytest.raises(TypeError):
         lft_apply(IntMatrix2(2, 1, 1, 1), x)
     with pytest.raises(TypeError):

@@ -1,7 +1,7 @@
 """Hygiene: no modcut module imports a name it never uses, no
-module-level private name goes unreferenced across the package, no class
-stores an attribute that nothing reads, and the package re-exports only
-names its modules declare public.
+module-level private name goes unreferenced across the package, no public
+name goes unread, no class stores an attribute that nothing reads, and the
+package re-exports only names its modules declare public.
 
 ``__init__.py`` is exempt from the import check, since re-exporting imported
 names is its job.
@@ -90,6 +90,52 @@ def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text()
                for p in Path(modcut.__file__).parent.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def unread_public_names(sources: dict[str, str], readers=()) -> list[str]:
+    """``module.name`` for each name in the ``__all__`` of a module of
+    ``sources`` (module name -> source) that no module of ``sources`` or
+    ``readers`` loads as a name, reads as an attribute or imports."""
+    public = []
+    read = set()
+    for source in list(sources.values()) + list(readers):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                public += [(module, name) for name in ast.literal_eval(node.value)]
+    return ["%s.%s" % key for key in public if key[1] not in read]
+
+
+def test_checker_sees_unread_public_names():
+    sources = {"a": ("__all__ = ['Shape', 'helper', 'lost', 'imported', 'attr']\n"
+                     "class Shape:\n    pass\n"
+                     "def helper() -> Shape:\n    return Shape()\n"
+                     "def lost():\n    return 1\n"
+                     "def imported():\n    return 2\n"
+                     "def attr():\n    return 3\n"),
+               "b": "from a import imported\n"}
+    readers = ["import a\na.attr()\n"]
+    assert unread_public_names(sources, readers) == ["a.helper", "a.lost"]
+    assert unread_public_names(sources) == ["a.helper", "a.lost", "a.attr"]
+
+
+def test_public_names_are_read():
+    """Every name a modcut module declares public is read somewhere in the
+    package (not counting ``__init__``'s re-export), its tests or the
+    benchmark harness."""
+    root = Path(__file__).resolve().parent.parent
+    sources = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
+               for p in root.glob(pattern)]
+    assert unread_public_names(sources, readers) == []
 
 
 def test_reexports_are_public():
