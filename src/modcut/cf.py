@@ -19,6 +19,7 @@ from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
+    _check_count,
     _digits,
     compare,
     is_infinite,
@@ -88,8 +89,7 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
     ``limit`` digits are produced with finite=False.  The digits are read
     from ``exactnum._digits``, the one digit stream, on x's reduced triple.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _check_count("limit", limit, 1)
     u, v, w, d = real_of(x)
     if not w:
         raise ValueError("cannot expand inf")

@@ -269,8 +269,6 @@ def central(head):
 @click.option("--max-head", type=int, default=3, show_default=True)
 def forbidden(max_len, max_head):
     """Minimal forbidden blocks up to --max-len."""
-    if max_len < 2:
-        raise ValueError("--max-len must be >= 2")
     blocks = enumerate_minimal_forbidden(max_len, max_head=max_head)
     words = [format_cutting(b) for b in blocks]
     return words, "\n".join(words)

@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 __all__ = [
     "QuadSurd",
@@ -307,7 +307,8 @@ class _Infinity:
 PINF = _Infinity(True)
 NINF = _Infinity(False)
 
-ExtReal = Union[Fraction, int, QuadSurd, _Infinity]
+# not typing.Union, whose cache keeps every re-import's classes alive
+ExtReal = Fraction | int | QuadSurd | _Infinity
 
 
 def is_infinite(x: ExtReal) -> bool:
@@ -545,6 +546,16 @@ class ParseError(ValueError):
 
 class BudgetError(RuntimeError):
     """An explicit budget (``limit``, ``--max-len``) ran out before an answer."""
+
+
+def _check_count(name: str, n: int, least: int | None) -> None:
+    """The one check of a count or bound such as ``limit``: anything but an
+    int (a bool counts as one) is a TypeError, and an int below ``least`` a
+    ValueError."""
+    if not isinstance(n, int):
+        raise TypeError("%s must be an int, not %r" % (name, n))
+    if least is not None and n < least:
+        raise ValueError("%s must be >= %d" % (name, least))
 
 
 def parse_int(text: str) -> int:

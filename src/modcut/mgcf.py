@@ -26,6 +26,7 @@ from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
+    _check_count,
     _digits,
     compare,
     lft_apply,
@@ -79,12 +80,12 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     rows' norms meet (``_meet``): J where the rows swap, R where row 2 meets
     row 1 + row 2, L where it meets row 1 - row 2, and C where J and R fall
     at the same s.  Terminates for rational theta; emits up to ``limit``
-    symbols otherwise.  Anything but an exact extended real is a TypeError.
+    symbols otherwise.  Anything but an exact extended real, or a limit
+    that is not an int, is a TypeError.
     """
     if not real_of(theta)[2]:
         raise ValueError("theta must be finite")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _check_count("limit", limit, 1)
     if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
         raise ValueError("theta outside [-1/2, 1/2)")
     p1, q1, p2, q2 = 1, 0, 0, 1

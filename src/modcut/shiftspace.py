@@ -29,12 +29,13 @@ constraint's sign is that of the bilinear form bn nd - nn bd, with
 signs of bd and nd; the z bounds are integer pairs; and the breakpoints are
 integer triples (u + v sqrt(D))/w over each quadratic's raw discriminant D,
 sorted by the exact mixed-radicand sign, with the cell samples drawn by the
-integer walk of ``exactnum.rational_between``.  An initial word is the same system
-with y pinned to one value (0, or 1 after the J R opening), tested at that
-point.  Admissible verdicts come with a rational witness geodesic whose
-complete cutting word, read from its tagged digits by the segment codec
-(``_cutting_word``), contains the block, or starts with it for an initial
-word; the tracer is not consulted, and lattice reduction only at -1/2.
+integer walk of ``exactnum.rational_between``.  An initial word is the same
+system with y pinned to one value (0, or 1 after the J R opening), tested at
+that point.  ``decide_block`` decides the readings in turn, up to the first
+witness: a rational geodesic whose complete cutting word, read from its tagged
+digits by the segment codec (``_cutting_word``), contains the block, or starts
+with it for an initial word.  Only a verdict without one decides every reading;
+the tracer is not consulted, and lattice reduction only at -1/2.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .exactnum import (
     ParseError,
     Real,
     _between,
+    _check_count,
     _real_cmp,
     real_of,
 )
@@ -492,7 +494,9 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
 
     An initial word is read with the head continuation y pinned: y = 0 after
     the opening J, and y = [0; 1] = 1 after the J R opening, which encodes
-    a0 = -1 with the consumed 1_m digit.
+    a0 = -1 with the consumed 1_m digit.  Readings are decided in
+    ``_block_readings`` order up to the first witness, each followed by its
+    witness candidates; a whole-forbidden verdict decides every reading.
     """
     w = tuple(w)
     hit = find_edge_forbidden(w)
@@ -506,27 +510,23 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     if not readings:
         return BlockVerdict(w, "whole-forbidden",
                             reason="no segment factorization")
-    solutions = []
+    feasible = False
     for rd in readings:
         cons = _constraints(rd)
         sol = _feasible(rd, cons)
-        if sol is not None:
-            solutions.append((rd, cons, sol))
-    if not solutions:
-        return BlockVerdict(w, "whole-forbidden",
-                            reason="all %d readings infeasible" % len(readings))
-    # a witness foot whose cutting word contains the block (starts with it,
-    # when anchored)
-    for rd, cons, sol in solutions:
+        if sol is None:
+            continue
+        feasible = True
         for y, z in _witness_candidates(rd, cons, *sol):
             for theta in _theta_from(rd, y, z):
-                if theta == 0:
-                    continue
-                if _occurs(w, theta, anchored):
+                if theta != 0 and _occurs(w, theta, anchored):
                     return BlockVerdict(w, "admissible",
                                         witness=GeodesicSpec(PINF, theta))
-    return BlockVerdict(w, "admissible", witness=None,
-                        reason="feasible but no rational witness found")
+    if feasible:
+        return BlockVerdict(w, "admissible", witness=None,
+                            reason="feasible but no rational witness found")
+    return BlockVerdict(w, "whole-forbidden",
+                        reason="all %d readings infeasible" % len(readings))
 
 
 def _witness_candidates(rd: _Reading, cons: list, y: Fraction, z: Fraction):
@@ -602,10 +602,11 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[Cutting
 
     Heads range over {1,2}^n for n <= max_head; each central sequence's eight
     prefix/resolution/suffix words are decided and the minimal forbidden
-    ones kept.  A negative max_head is a ValueError.
+    ones kept.  A max_len below 2 or a negative max_head is a ValueError,
+    and a bound that is not an int a TypeError.
     """
-    if max_head < 0:
-        raise ValueError("max_head must be >= 0")
+    _check_count("max_len", max_len, 2)
+    _check_count("max_head", max_head, 0)
     heads = []
     for n in range(1, max_head + 1):
         for mask in range(2 ** n):

@@ -30,6 +30,7 @@ from .exactnum import (
     IntMatrix2,
     QuadSurd,
     Real,
+    _check_count,
     end_triple,
     end_value,
     is_infinite,
@@ -139,10 +140,10 @@ def _check_admissible(head: Real, foot: Real, d: int) -> None:
 def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
     """Stream of crossings of the tessellation, pulled back step by step.
 
-    At most ``limit`` steps; a limit below 1 is a ValueError.
+    At most ``limit`` steps; a limit below 1 is a ValueError, and one that
+    is not an int a TypeError.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _check_count("limit", limit, 1)
     head, foot = real_of(g.head), real_of(g.foot)
     (xa0, xa1, ya0, da), (xb0, xb1, yb0, db) = head, foot
     if da and db and da != db:
@@ -282,6 +283,7 @@ def periodic_corner_count(d: int, limit: int = 5000) -> int:
     """
     if d <= 1 or math.isqrt(d) ** 2 == d:
         raise ValueError("d must be a nonsquare integer > 1")
+    _check_count("limit", limit, None)
     rt = sqrt_exact(d)
     u, v, w, r = real_of(rt)
     # states are keyed by the reduced triples of the pulled-back ends

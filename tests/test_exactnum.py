@@ -1,13 +1,20 @@
 import math
+import os
 import signal
+import subprocess
+import sys
+import textwrap
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import modcut
 from modcut.exactnum import (
+    BudgetError,
     IntMatrix2,
     NINF,
     PINF,
@@ -33,7 +40,13 @@ from modcut.exactnum import (
 )
 from modcut.cf import OcfDigits, acf_of, farey_of, ocf_digits
 from modcut.mgcf import annotate_ones, mgcf_direct
-from modcut.tessellation import GeodesicSpec, corner_hits_vertical, trace
+from modcut.shiftspace import enumerate_minimal_forbidden
+from modcut.tessellation import (
+    GeodesicSpec,
+    corner_hits_vertical,
+    periodic_corner_count,
+    trace,
+)
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -557,3 +570,60 @@ def test_inexact_inputs_are_type_errors(x):
     # a binary float would expand as the rational it stores
     with pytest.raises(TypeError):
         ocf_digits(x)
+
+
+# every count or bound, at a value that needs no long run
+BOUNDS = {
+    "ocf_digits(limit)": lambda n: ocf_digits(sqrt_exact(2), limit=n),
+    "acf_of(limit)": lambda n: acf_of(sqrt_exact(2), limit=n),
+    "mgcf_direct(limit)": lambda n: mgcf_direct(Fraction(1, 3), limit=n),
+    "trace(limit)": lambda n: [s.symbol for s in trace(GeodesicSpec(PINF, Fraction(5, 14)), n)],
+    "periodic_corner_count(limit)": lambda n: periodic_corner_count(13, limit=n),
+    "enumerate_minimal_forbidden(max_len)": lambda n: enumerate_minimal_forbidden(n, max_head=0),
+    "enumerate_minimal_forbidden(max_head)": lambda n: enumerate_minimal_forbidden(5, max_head=n),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_counts_are_ints_and_bounded(name):
+    """A count or bound that is not an int is a TypeError (a bool counts as
+    an int), and a negative one a typed error: a ValueError, or the budget
+    error of a corner count that runs out before its first step."""
+    def outcome(n):
+        try:
+            return _outcome(BOUNDS[name], n)
+        except BudgetError as exc:
+            return "raised", BudgetError, str(exc)
+
+    for bad in (2.5, 5.5, Fraction(5, 2), Decimal(3), "3"):
+        assert outcome(bad)[:2] == ("raised", TypeError), bad
+    assert outcome(True) == outcome(1)
+    assert outcome(-1)[:2] in (("raised", ValueError), ("raised", BudgetError))
+
+
+def test_reimports_leave_one_live_copy():
+    """Importing modcut afresh, as a benchmark set-up does, and swapping the
+    first import back in leaves no second copy of a class alive: nothing
+    outside the package, such as typing's cache of Union types, keeps one."""
+    code = textwrap.dedent("""
+        import gc, importlib, sys
+        import modcut
+        def ours():
+            return {k: m for k, m in sys.modules.items()
+                    if k == "modcut" or k.startswith("modcut.")}
+        loaded = ours()
+        for _ in range(5):
+            for k in ours():
+                del sys.modules[k]
+            importlib.import_module("modcut")
+            for k in ours():
+                del sys.modules[k]
+            sys.modules.update(loaded)
+        gc.collect()
+        print(sum(isinstance(o, type) and o.__name__ == "QuadSurd"
+                  for o in gc.get_objects()))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(modcut.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["1"]

@@ -175,6 +175,29 @@ def test_enumeration_decides_no_block_longer_than_max_len(monkeypatch):
     assert all(len(b) <= 13 for b in blocks)
 
 
+@pytest.mark.parametrize("block, status, decided", [
+    ("LJR", "admissible", 1),  # its first reading gives the witness 3/10
+    ("LC1LC1L", "whole-forbidden", 4),  # all 4 readings infeasible
+])
+def test_verdict_stops_at_the_first_witness(monkeypatch, block, status, decided):
+    import modcut.shiftspace as shiftspace
+
+    w = W(block)
+    assert len(_block_readings(w)) == 4
+    calls = []
+    feasible = shiftspace._feasible
+
+    def counted(rd, cons):
+        calls.append(rd)
+        return feasible(rd, cons)
+
+    monkeypatch.setattr(shiftspace, "_feasible", counted)
+    v = decide_block(w)
+    assert v.status == status and len(calls) == decided
+    if v.witness is not None:
+        assert v.witness.foot == Fraction(3, 10)
+
+
 def test_anchored_initial_words():
     for f in (Fraction(5, 14), Fraction(-5, 14), Fraction(1, 3), Fraction(2, 7)):
         w = cutting_from_mgcf(mgcf_direct(f, limit=200))
