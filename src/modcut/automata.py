@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .exactnum import PINF, IntMatrix2, ParseError, compare, lft_apply
+from .exactnum import PINF, IntMatrix2, ParseError, _check_count, compare, lft_apply
 from .cf import (
     ACF_MATS,
     ACF_TO_FAREY,
@@ -283,10 +283,10 @@ def unbounded_lookahead_demo(j: int) -> dict:
     Base digits [0; 2^(4j+2), 1, 3, (8,4)^j] make the critical 1 exactly
     balanced (1_c); lowering the final 4 to a 3 tips it to 1_h, raising it
     to a 5 tips it to 1_m.  Any machine reading digits left to right must
-    see 14j+6 additive letters beyond the critical 1 before deciding.
+    see 14j+6 additive letters beyond the critical 1 before deciding.  A j
+    that is not an int is a TypeError, and one below 1 a ValueError.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    _check_count("j", j, 1)
     base = [0] + [2] * (4 * j + 2) + [1] + [3] + [8, 4] * j
     var_h = base[:-1] + [3]
     var_m = base[:-1] + [5]

@@ -7,8 +7,8 @@ of a digit begun before the block) and a tail piece (a digit the block cuts
 off).  A reading is complete digits with their 1-tags plus free boundary
 variables y (head continuation, the value [0; e1, e2, ...] of the digits
 preceding the block read outward) and z (tail continuation), each in a box
-kept on the reading.  Each tagged 1 at digit index i contributes one exact
-linear-fractional constraint
+kept on the reading as integer pairs (p, q), q > 0.  Each tagged 1 at digit
+index i contributes one exact linear-fractional constraint
 
     beta_i(z)  >  N(alpha_i(y))   for 1_h,
     beta_i(z)  <  N(alpha_i(y))   for 1_m,
@@ -26,10 +26,11 @@ other or the box (integer quadratics) and testing a rational sample point in
 every cell.  All of it runs on integers: at y = y1/y2 and z = z1/z2 a
 constraint's sign is that of the bilinear form bn nd - nn bd, with
 (bn, bd) = beta_i (z1, z2) and (nn, nd) = N alpha_i (y1, y2), times the
-signs of bd and nd; the z bounds are integer pairs; and the breakpoints are
-integer triples (u + v sqrt(D))/w over each quadratic's raw discriminant D,
+signs of bd and nd; the breakpoints are the roots of integer linear and
+quadratic forms in y, triples (u + v sqrt(D))/w over the raw discriminant D,
 sorted by the exact mixed-radicand sign, with the cell samples drawn by the
-integer walk of ``exactnum.rational_between``.  An initial word is the same
+integer walk of ``exactnum.rational_between``; and a witness candidate is an
+integer pair (y, z) until it becomes a foot.  An initial word is the same
 system with y pinned to one value (0, or 1 after the J R opening), tested at
 that point.  ``decide_block`` decides the readings in turn, up to the first
 witness: a rational geodesic whose complete cutting word, read from its tagged
@@ -54,8 +55,8 @@ from .exactnum import (
     Real,
     _between,
     _check_count,
+    _digits,
     _real_cmp,
-    real_of,
 )
 from .cf import OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
@@ -116,10 +117,12 @@ def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
 @dataclass
 class _Reading:
     digits: list  # [(value, tag)]: tag in {"h","m","c",None}; None = plain >= 2
-    y_lo: Fraction = Fraction(0)  # y in (y_lo, y_hi); y = y_lo when they meet
-    y_hi: Fraction = Fraction(1)
-    z_lo: Fraction = Fraction(0)
-    z_hi: Fraction = Fraction(1)
+    # the boxes as pairs (p, q), q > 0: y in (y_lo, y_hi), y = y_lo when they
+    # meet, and z in (z_lo, z_hi)
+    y_lo: tuple = (0, 1)
+    y_hi: tuple = (1, 1)
+    z_lo: tuple = (0, 1)
+    z_hi: tuple = (1, 1)
     z_hi_closed: bool = False  # z = z_hi realizable (partial digit, then end)
     trailing_pair: Optional[int] = None  # trailing run read as a full pair
     # run of digit `trailing_pair`; the pair's unseen 1_m adds a constraint
@@ -131,8 +134,8 @@ def _partial_digit(k: int):
     it is 1/2 (e >= 2), and e = 1 is split out, since a digit 1 owning a run
     must be tagged h."""
     if k >= 2:
-        return [(Fraction(1, k), [])]
-    return [(Fraction(1, 2), []), (Fraction(1), [(1, "h")])]
+        return [((1, k), [])]
+    return [((1, 2), []), ((1, 1), [(1, "h")])]
 
 
 def _mgcf_readings(w: Sequence[str]) -> list[str]:
@@ -153,7 +156,7 @@ def _heads(mg: str):
     r = len(mg) - len(mg.lstrip("R"))
     if r == 0 and mg[0] == "L":
         # (b) the tail of an unseen pair: boundary 1_m with alpha = y free
-        return [(1, [(1, "m")], Fraction(1))]
+        return [(1, [(1, "m")], (1, 1))]
     for sep, ones in (("JL", [(1, "m")]), ("J", []), ("C", [(1, "c")])):
         if mg.startswith(sep, r):
             break
@@ -161,7 +164,7 @@ def _heads(mg: str):
         return []
     if r == 0:
         # a J, a pair's J L or a corner closes an unseen digit
-        return [(len(sep), ones, Fraction(1))]
+        return [(len(sep), ones, (1, 1))]
     # (a) the R run is the tail of a partial digit e >= k absorbed into y,
     #     with k = r - 1 before the J L of a pair (its 1_m follows), else r
     k = r - (sep == "JL")
@@ -179,7 +182,7 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
     """
     if not set(w) <= set(CUTTING_MATS):
         raise ValueError("bad cutting token in %r" % (w,))
-    y_lo = Fraction(0)
+    y_lo = (0, 1)
     heads = []  # (MGCF block, resume position, head digits, y_hi)
     if anchored:
         try:
@@ -187,7 +190,7 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
         except ParseError:
             return []
         start = 2 if mg[1:2] == "L" else 1
-        y_lo = Fraction(start - 1)
+        y_lo = (start - 1, 1)
         heads.append((mg, start, [], y_lo))
     else:
         mgs = _mgcf_readings(w)
@@ -228,17 +231,13 @@ def _tail_readings(digs, tail: str) -> list[_Reading]:
     #     pair tail unseen): continuation [0, r-1, 1, ...],
     #     z in (1/r, 2/(2r-1)), plus the unseen 1_m's tag constraint
     if r >= 2:
-        out.append(_Reading(digs, z_lo=Fraction(1, r),
-                            z_hi=Fraction(2, 2 * r - 1), trailing_pair=r - 1))
+        out.append(_Reading(digs, z_lo=(1, r), z_hi=(2, 2 * r - 1),
+                            trailing_pair=r - 1))
     return out
 
 
 # ---------------------------------------------------------------------------
 # exact feasibility of a reading
-
-
-def _pair(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
 
 
 def _real(u: int, v: int, w: int, d: int = 0) -> Real:
@@ -249,7 +248,8 @@ def _real(u: int, v: int, w: int, d: int = 0) -> Real:
 def _quad_roots(A: int, B: int, C: int) -> list[Real]:
     """Real roots of A x^2 + B x + C as triples (-B +- sqrt(D))/(2A) over the
     raw discriminant D, rational when D is a square; a double root is listed
-    twice."""
+    twice.  For A = 0 it is the one root -C/B of a linear form, the pole
+    rule: none when B = 0."""
     if A == 0:
         return [_real(-C, 0, B)] if B else []
     D = B * B - 4 * A * C
@@ -327,13 +327,13 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
     Every value is an integer pair, compared by cross-multiplication.
     """
     y1, y2 = y
-    z_lo, z_hi = _pair(rd.z_lo), _pair(rd.z_hi)
+    z_lo, z_hi = rd.z_lo, rd.z_hi
     (l1, l2), (h1, h2) = z_lo, z_hi
     pinned = None
     for sign, bm, am, psi in cons:
+        # ad = p_i y1 + q_i y2 > 0: alpha's convergent has p_i >= 0 and
+        # q_i >= 1, and every y is a pair with y1 >= 0 and y2 > 0
         an, ad = am.a * y1 + am.b * y2, am.c * y1 + am.d * y2
-        if ad < 0:
-            an, ad = -an, -ad
         if not 0 < an <= ad:
             return None  # alpha is a pole or outside (0, 1]
         # z* = psi(y), where beta(z*) = N(alpha); a pole when s2 = 0
@@ -382,48 +382,44 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
 
 def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     """Sorted distinct y-values in [y_lo, y_hi] where the feasible z-set can
-    change, as triples."""
-    y_lo, y_hi = real_of(rd.y_lo), real_of(rd.y_hi)
-    cands = [y_lo, y_hi]
+    change, as triples: the roots of forms A y^2 + B y + C."""
+    (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
+    forms = [(0, l2, -l1), (0, h2, -h1)]  # the box ends
     for _sign, _bm, am, psi in cons:
-        if psi.c != 0:
-            cands.append(_real(-psi.d, 0, psi.c))  # pole
-        for zn, zd in (_pair(rd.z_lo), _pair(rd.z_hi)):
+        forms += [(0, psi.c, psi.d), (0, am.c, am.d)]  # poles of psi, alpha
+        for zn, zd in (rd.z_lo, rd.z_hi):
             # psi(y) = zn/zd: (a zd - zn c) y + (b zd - zn d) = 0
-            a = psi.a * zd - zn * psi.c
-            if a != 0:
-                cands.append(_real(zn * psi.d - psi.b * zd, 0, a))
-        if am.c != 0:
-            cands.append(_real(-am.d, 0, am.c))
+            forms.append((0, psi.a * zd - zn * psi.c, psi.b * zd - zn * psi.d))
     for p in range(len(cons)):
         for q in range(p + 1, len(cons)):
             m1, m2 = cons[p][3], cons[q][3]
             A = m1.a * m2.c - m2.a * m1.c
             B = m1.a * m2.d + m1.b * m2.c - m2.a * m1.d - m2.b * m1.c
             C = m1.b * m2.d - m2.b * m1.d
-            cands.extend(_quad_roots(A, B, C))
-    inside = sorted((c for c in cands
+            forms.append((A, B, C))
+    y_lo, y_hi = (l1, 0, l2, 0), (h1, 0, h2, 0)
+    inside = sorted((c for form in forms for c in _quad_roots(*form)
                      if _real_cmp(y_lo, c) <= 0 and _real_cmp(c, y_hi) <= 0),
                     key=cmp_to_key(_real_cmp))
     # equal values from different candidates sit side by side
     return [c for i, c in enumerate(inside) if i == 0 or _real_cmp(inside[i - 1], c)]
 
 
-def _feasible(rd: _Reading, cons: list) -> Optional[tuple[Fraction, Fraction]]:
-    """Exact feasibility; returns a rational solution or None.
+def _feasible(rd: _Reading, cons: list) -> Optional[tuple[tuple, tuple]]:
+    """Exact feasibility; returns a rational solution (y, z) as pairs, or None.
 
     A pinned y is tested at its one value; a free y at one rational point in
     every cell between consecutive breakpoints.
     """
     if rd.y_lo == rd.y_hi:
-        ys: Iterable = [_pair(rd.y_lo)]
+        ys: Iterable = [rd.y_lo]
     else:
         inside = _y_breakpoints(rd, cons)
         ys = (_between(a, b) for a, b in zip(inside, inside[1:]))
     for y in ys:
         z = _z_at(rd, cons, y)
         if z is not None:
-            return Fraction(*y), Fraction(*z)
+            return y, z
     return None
 
 
@@ -443,8 +439,8 @@ class BlockVerdict:
         return self.status != "admissible"
 
 
-def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
-    """Candidate foot values realizing the reading at (y, z).
+def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[Fraction]:
+    """Candidate foot values realizing the reading at the pairs (y, z).
 
     The head continuation digits come from the two continued fraction
     representations of y (their lengths differ by one), since the parity of
@@ -452,10 +448,11 @@ def _theta_from(rd: _Reading, y: Fraction, z: Fraction) -> list[Fraction]:
     letters fall; values >= 1/2 are shifted by -1, which corresponds to the
     a0 = -1 word opening.
     """
-    tail = list(ocf_digits(z).tail) if z else []
+    (y1, y2), (z1, z2) = y, z
+    tail = list(_digits(z1, 0, z2, 0))[1:] if z1 else []
     body = [v for v, _t in rd.digits]
     # y = [0; hd], so hd expands 1/y; a pinned y = 1 is the head [1]
-    hd = list(ocf_digits(1 / y).all_digits()) if y else []
+    hd = list(_digits(y2, 0, y1, 0)) if y1 else []
     heads = [list(reversed(hd))]
     if hd:  # the other representation: [..., a] == [..., a-1, 1]
         alt = hd[:-1] + ([hd[-1] - 1, 1] if hd[-1] >= 2 else [])
@@ -529,16 +526,25 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
                         reason="all %d readings infeasible" % len(readings))
 
 
-def _witness_candidates(rd: _Reading, cons: list, y: Fraction, z: Fraction):
+def _witness_candidates(rd: _Reading, cons: list, y: tuple, z: tuple):
+    """The feasible point (y, z), then up to 60 seeded ones, as pairs."""
     yield (y, z)
     if rd.y_lo == rd.y_hi:
         return  # a pinned y has no other point to try
     rng = random.Random(1729)
     for _ in range(60):
-        yy = Fraction(rng.randint(1, 400), 401) * (rd.y_hi - rd.y_lo) + rd.y_lo
-        zz = _z_at(rd, cons, _pair(yy))
+        yy = _sample(rng, 401, rd.y_lo, rd.y_hi)
+        zz = _z_at(rd, cons, yy)
         if zz is not None:
-            yield (yy, Fraction(*zz))
+            yield (yy, zz)
+
+
+def _sample(rng: random.Random, n: int, lo: tuple, hi: tuple) -> tuple[int, int]:
+    """lo + r/n (hi - lo) for r drawn from 1..n-1: a seeded point strictly
+    between the pairs lo and hi, as an unreduced pair."""
+    r = rng.randint(1, n - 1)
+    (l1, l2), (h1, h2) = lo, hi
+    return n * l1 * h2 + r * (h1 * l2 - l1 * h2), n * l2 * h2
 
 
 # random points per reading, and their seed, in random_cross_check
@@ -554,10 +560,9 @@ def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
     for rd in _block_readings(tuple(w)):
         cons = _constraints(rd)
         for _ in range(_CROSS_CHECK_SAMPLES):
-            y = Fraction(rng.randint(1, 997), 998) * (rd.y_hi - rd.y_lo)
-            zi = Fraction(rng.randint(1, 997), 998)
-            z = rd.z_lo + zi * (rd.z_hi - rd.z_lo)
-            if _satisfied(cons, _pair(y), _pair(z)):
+            y = _sample(rng, 998, rd.y_lo, rd.y_hi)
+            z = _sample(rng, 998, rd.z_lo, rd.z_hi)
+            if _satisfied(cons, y, z):
                 return False
     return True
 
@@ -567,15 +572,11 @@ def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
 
 
 def excluded_initial(w: Sequence[str]) -> bool:
-    """True iff w cannot start a cutting sequence read from the cusp."""
+    """True iff w cannot start a cutting sequence read from the cusp: w is
+    not empty and ``decide_block`` rules it out as an initial word, which
+    includes every start other than J."""
     w = tuple(w)
-    if not w:
-        return False
-    if w[0] in ("R", "L"):
-        # L and R edges meet at infinity; any forbidden extension applies,
-        # and vertical words must open with J
-        return True
-    return decide_block(w, anchored=True).forbidden
+    return bool(w) and decide_block(w, anchored=True).forbidden
 
 
 def central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]:
@@ -612,16 +613,11 @@ def enumerate_minimal_forbidden(max_len: int, max_head: int = 3) -> list[Cutting
         for mask in range(2 ** n):
             heads.append([1 + ((mask >> i) & 1) for i in range(n)])
     candidates: list[CuttingWord] = []
-    seen_theta = set()
     for head in heads:
         cb = central_block(head)
         if cb is None:
             continue
-        core, theta = cb
-        if theta in seen_theta:
-            continue
-        seen_theta.add(theta)
-        w1, s, w2 = _at_corner(core)
+        w1, s, w2 = _at_corner(cb[0])
         for res in corner_resolutions(s):
             for pre in ("L", "R"):
                 for suf in ("L", "R"):
@@ -654,8 +650,12 @@ def follower_separation(j: int, k: int) -> dict:
     2-run; continuations come from the central family with head
     [3, 2^(4j+2)].  Both are slices of the central word
     [0; 3, 2^(4j+2), 1_c, tail] (``central_block``), cut at its corner.
+    A j or k that is not an int is a TypeError, and one below 1 or j == k a
+    ValueError.
     """
-    if j == k or j < 1 or k < 1:
+    _check_count("j", j, 1)
+    _check_count("k", k, 1)
+    if j == k:
         raise ValueError("need distinct j, k >= 1")
     wj, corner, tail_j = _at_corner(central_block([3] + [2] * (4 * j + 2))[0])
     wk, _, tail_k = _at_corner(central_block([3] + [2] * (4 * k + 2))[0])

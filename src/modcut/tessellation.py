@@ -219,9 +219,8 @@ def _coprime_reps(D: int) -> list[tuple[int, int]]:
         s = math.isqrt(disc)
         if s * s != disc:
             continue
+        # s = d (mod 2), so c is exact and c^2 + cd + d^2 = (3d^2 + s^2)/4 = D
         for c in {(-d + s) // 2, (-d - s) // 2}:
-            if c * c + c * d + d * d != D:
-                continue
             if math.gcd(c, d) != 1:
                 continue
             pair = (c, d)
@@ -253,22 +252,20 @@ def corner_hits_vertical(theta) -> list[CornerHit]:
     p, v, q, _ = real_of(theta)
     if v or not q:
         raise ValueError("corner hits are computed for rational theta only")
-    hits: dict[int, CornerHit] = {}
+    hits = []
     for k in (1, 2, 3, 6):
         if (q * k) % 2:
             continue
-        D = q * k // 2
+        D = q * k // 2  # grows with k, so the hits come sorted and distinct
         N = p * k
         if math.gcd(N, D) not in (1, 3):
-            continue
-        if D in hits:
             continue
         for c, d in _coprime_reps(D):
             w = _witness_for(c, d, N, D)
             if w is not None:
-                hits[D] = CornerHit(Fraction(1, 2 * D), w)
+                hits.append(CornerHit(Fraction(1, 2 * D), w))
                 break
-    return [hits[D] for D in sorted(hits)]
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_convert_routes(runner):
                   "--to", "acf").output.strip() == "FRRFR"
     assert invoke(runner, "convert", "RFRRF", "--from", "acf",
                   "--to", "acf").output.strip() == "RFRRF"
+    # an OCF prefix to cutting letters goes through its MGCF prefix
+    mg = invoke(runner, "convert", "0;2,1,4", "--from", "ocf",
+                "--to", "mgcf").output.strip()
+    cut = invoke(runner, "convert", "0;2,1,4", "--from", "ocf",
+                 "--to", "cutting").output.strip()
+    assert cut == invoke(runner, "convert", mg, "--from", "mgcf",
+                         "--to", "cutting").output.strip() == "JLL"
 
 
 def test_convert_bad_word(runner):

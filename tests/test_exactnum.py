@@ -39,8 +39,9 @@ from modcut.exactnum import (
     _real_cmp,
 )
 from modcut.cf import OcfDigits, acf_of, farey_of, ocf_digits
+from modcut.automata import unbounded_lookahead_demo
 from modcut.mgcf import annotate_ones, mgcf_direct
-from modcut.shiftspace import enumerate_minimal_forbidden
+from modcut.shiftspace import enumerate_minimal_forbidden, follower_separation
 from modcut.tessellation import (
     GeodesicSpec,
     corner_hits_vertical,
@@ -581,22 +582,29 @@ BOUNDS = {
     "periodic_corner_count(limit)": lambda n: periodic_corner_count(13, limit=n),
     "enumerate_minimal_forbidden(max_len)": lambda n: enumerate_minimal_forbidden(n, max_head=0),
     "enumerate_minimal_forbidden(max_head)": lambda n: enumerate_minimal_forbidden(5, max_head=n),
+    "follower_separation(j)": lambda n: follower_separation(n, 2),
+    "follower_separation(k)": lambda n: follower_separation(2, n),
+    "unbounded_lookahead_demo(j)": unbounded_lookahead_demo,
 }
 
 
 @pytest.mark.parametrize("name", BOUNDS)
 def test_counts_are_ints_and_bounded(name):
-    """A count or bound that is not an int is a TypeError (a bool counts as
-    an int), and a negative one a typed error: a ValueError, or the budget
-    error of a corner count that runs out before its first step."""
+    """A count or bound that is not an int is a TypeError that names it (a
+    bool counts as an int), and a negative one a typed error: a ValueError,
+    or the budget error of a corner count that runs out before its first
+    step."""
     def outcome(n):
         try:
             return _outcome(BOUNDS[name], n)
         except BudgetError as exc:
             return "raised", BudgetError, str(exc)
 
+    param = name[name.index("(") + 1:-1]
     for bad in (2.5, 5.5, Fraction(5, 2), Decimal(3), "3"):
-        assert outcome(bad)[:2] == ("raised", TypeError), bad
+        got = outcome(bad)
+        assert got[:2] == ("raised", TypeError), bad
+        assert got[2].startswith(param + " must be an int"), bad
     assert outcome(True) == outcome(1)
     assert outcome(-1)[:2] in (("raised", ValueError), ("raised", BudgetError))
 

@@ -145,6 +145,17 @@ def test_from_acf_prefix_semantics():
     assert mgcf_direct(Fraction(5, 14)).startswith(prefix)
 
 
+@pytest.mark.parametrize("x", [Fraction(3, 5), Fraction(13, 21),
+                               (sqrt_exact(5) - 1) / 2])
+def test_from_acf_with_a_leading_one(x):
+    """a1 = 1: the first 1 is tagged m without a comparison, and the result
+    is a prefix of the tagging route's word for the same value."""
+    digits = ocf_digits(x)
+    assert digits.tail[0] == 1
+    w, _stats = mgcf_from_acf(acf_of(x))
+    assert w and mgcf_from_annotated(annotate_ones(digits, x)).startswith(w)
+
+
 def _cmp_by_value(t, digs):
     """The Fraction loop _cmp_vs_prefix_interval ran before the digit
     stream: the reference it must match."""

@@ -207,6 +207,32 @@ def test_anchored_initial_words():
     assert excluded_initial(W("LLJ"))
     assert excluded_initial(W("JJ"))
     assert not excluded_initial(W("JLLJ"))
+    assert not excluded_initial(())
+    # decide_block's anchored check is the one rule for an R or L start
+    v = decide_block(("R",), anchored=True)
+    assert (v.status, v.reason) == ("whole-forbidden", "initial words start with J")
+    assert excluded_initial(("R",))
+
+
+@pytest.mark.parametrize("block", ["JLLJLLJ", "JLLLJRJLLLJ", "LJRRRJRRRJLL"])
+def test_verdicts_without_a_witness_build_no_fraction(monkeypatch, block):
+    """From a reading's boxes to its last sample, a whole-forbidden verdict
+    and its random cross-check run on integer pairs and triples: the
+    module builds no Fraction, which it keeps for witness feet."""
+    import modcut.shiftspace as shiftspace
+
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(shiftspace, "Fraction", Counting)
+    v = decide_block(W(block))
+    assert v.status == "whole-forbidden"
+    assert random_cross_check(W(block), v)
+    assert built == []
 
 
 def test_anchored_short_initial_words():

@@ -2,6 +2,7 @@ import inspect
 import math
 import os
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -104,13 +105,21 @@ def test_trace_limit_below_one_is_an_error(limit):
 
 
 def test_svg_render(tmp_path):
-    g = GeodesicSpec(Fraction(-5, 2), Fraction(5, 2))
-    steps = list(trace(g, limit=8))
-    out = tmp_path / "trace.svg"
-    render_trace_svg(g, steps, str(out))
-    text = out.read_text()
-    assert text.startswith("<svg")
-    assert text.count("<polyline") >= len(steps)
+    """A rational, a vertical and a surd geodesic each render to the same
+    bytes on two runs, as well-formed XML."""
+    for ends in ((Fraction(-5, 2), Fraction(5, 2)), (PINF, Fraction(5, 14)),
+                 (-sqrt_exact(3), sqrt_exact(3))):
+        g = GeodesicSpec(*ends)
+        steps = list(trace(g, limit=8))
+        texts = []
+        for name in ("a.svg", "b.svg"):
+            render_trace_svg(g, steps, str(tmp_path / name))
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1], ends
+        text = texts[0].decode()
+        assert text.startswith("<svg")
+        assert text.count("<polyline") >= len(steps)
+        ElementTree.fromstring(text)
 
 
 # the tracer's integer state against the values it stands for
