@@ -227,8 +227,8 @@ def block(word, anchored, max_len):
     if len(w) > max_len:
         raise BudgetError("block length %d exceeds --max-len %d"
                           % (len(w), max_len))
-    payload = verdict_json(decide_block(w, anchored=anchored))
-    payload["anchored"] = anchored
+    v = decide_block(w, anchored=anchored)
+    payload = dict(verdict_json(v), anchored=v.anchored)
     text = payload["status"]
     if payload["witness"]:
         text += " witness=%s->%s" % (payload["witness"]["head"],

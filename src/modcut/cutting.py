@@ -121,11 +121,15 @@ EDGE_FORBIDDEN: tuple[CuttingWord, ...] = (
 )
 
 
+# the edge-forbidden blocks that start with each token, in EDGE_FORBIDDEN order
+_EDGE_BY_FIRST = {t: [b for b in EDGE_FORBIDDEN if b[0] == t] for t in CUTTING_MATS}
+
+
 def find_edge_forbidden(word: Sequence[str]) -> Optional[tuple[int, CuttingWord]]:
     """Position and identity of the first edge-forbidden factor, if any."""
     w = tuple(word)
-    for i in range(len(w)):
-        for blk in EDGE_FORBIDDEN:
+    for i, tok in enumerate(w):
+        for blk in _EDGE_BY_FIRST.get(tok, ()):
             if w[i : i + len(blk)] == blk:
                 return i, blk
     return None

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "QuadSurd",
@@ -331,9 +330,9 @@ def surd_floor(x) -> int:
     return math.floor(x)
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
-    """2x2 integer matrix acting on the extended reals by z -> (az+b)/(cz+d)."""
+class IntMatrix2(NamedTuple):
+    """2x2 integer matrix acting on the extended reals by z -> (az+b)/(cz+d):
+    the tuple (a, b, c, d), whose + and int factor are TypeErrors here."""
 
     a: int
     b: int
@@ -350,6 +349,10 @@ class IntMatrix2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
+
+    def __add__(self, other):  # not a tuple's concatenation or repetition
+        return NotImplemented
+    __rmul__ = __add__
 
     def inverse(self) -> "IntMatrix2":
         det = self.det()
@@ -372,15 +375,15 @@ def lft_apply(m: IntMatrix2, x: ExtReal | End) -> ExtReal | End:
     d) and comes back through ``end_value``, so a pole and both infinities
     map as ends do (a pole to PINF).
     """
-    if m.det() == 0:
+    ma, mb, mc, md = m  # one unpacking, not twelve reads of a tuple field
+    if ma * md == mb * mc:
         raise ValueError("singular matrix in lft_apply")
     if type(x) is tuple:
         (x0, x1, y0, y1), d = x, None
     else:
         x0, x1, y0, d = real_of(x)
         y1 = 0
-    image = (m.a * x0 + m.b * y0, m.a * x1 + m.b * y1,
-             m.c * x0 + m.d * y0, m.c * x1 + m.d * y1)
+    image = (ma * x0 + mb * y0, ma * x1 + mb * y1, mc * x0 + md * y0, mc * x1 + md * y1)
     return image if d is None else end_value(image, d)
 
 

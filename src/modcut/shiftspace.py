@@ -33,10 +33,10 @@ integer walk of ``exactnum.rational_between``; and a witness candidate is an
 integer pair (y, z) until it becomes a foot.  An initial word is the same
 system with y pinned to one value (0, or 1 after the J R opening), tested at
 that point.  ``decide_block`` decides the readings in turn, up to the first
-witness: a rational geodesic whose complete cutting word, read from its tagged
-digits by the segment codec (``_cutting_word``), contains the block, or starts
-with it for an initial word.  Only a verdict without one decides every reading;
-the tracer is not consulted, and lattice reduction only at -1/2.
+witness: a rational geodesic whose cutting word, read by the segment codec
+from the candidate's own digits (``_codec_word``), holds the joined block as a
+substring (a prefix for an initial word).  Only a verdict without one decides
+every reading; the tracer is not consulted, and lattice reduction only at -1/2.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import (
@@ -385,8 +385,8 @@ def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     change, as triples: the roots of forms A y^2 + B y + C."""
     (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
     forms = [(0, l2, -l1), (0, h2, -h1)]  # the box ends
-    for _sign, _bm, am, psi in cons:
-        forms += [(0, psi.c, psi.d), (0, am.c, am.d)]  # poles of psi, alpha
+    for _sign, _bm, _am, psi in cons:
+        forms.append((0, psi.c, psi.d))  # psi's pole; alpha's is below y = 0
         for zn, zd in (rd.z_lo, rd.z_hi):
             # psi(y) = zn/zd: (a zd - zn c) y + (b zd - zn d) = 0
             forms.append((0, psi.a * zd - zn * psi.c, psi.b * zd - zn * psi.d))
@@ -433,20 +433,22 @@ class BlockVerdict:
     status: str  # admissible | edge-forbidden | whole-forbidden
     witness: Optional[GeodesicSpec] = None
     reason: Optional[str] = None
+    anchored: bool = False  # decided as an initial word
 
     @property
     def forbidden(self) -> bool:
         return self.status != "admissible"
 
 
-def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[Fraction]:
-    """Candidate foot values realizing the reading at the pairs (y, z).
+def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[tuple[Fraction, OcfDigits]]:
+    """Nonzero candidate feet realizing the reading at the pairs (y, z),
+    each beside its canonical digits.
 
     The head continuation digits come from the two continued fraction
     representations of y (their lengths differ by one), since the parity of
     the head digit count fixes on which side of the strip the block's
-    letters fall; values >= 1/2 are shifted by -1, which corresponds to the
-    a0 = -1 word opening.
+    letters fall.  A final digit 1 is folded into the digit before it; a
+    value >= 1/2 is shifted by -1, to a0 = -1 before the same digits.
     """
     (y1, y2), (z1, z2) = y, z
     tail = list(_digits(z1, 0, z2, 0))[1:] if z1 else []
@@ -462,28 +464,34 @@ def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[Fraction]:
     out = []
     for head in heads:
         digits = head + body + tail
-        if digits:
-            theta = ocf_value(OcfDigits(0, tuple(digits)))
-            out.append(theta - 1 if theta >= Fraction(1, 2) else theta)
+        if len(digits) > 1 and digits[-1] == 1:
+            digits[-2:] = [digits[-2] + 1]
+        if digits and digits != [1]:  # [0; 1] = 1 would be the foot 0
+            a0 = -1 if digits[0] == 1 or digits == [2] else 0  # theta >= 1/2
+            cf = OcfDigits(a0, tuple(digits))
+            out.append((ocf_value(cf), cf))
     return out
 
 
-def _cutting_word(theta: Fraction) -> CuttingWord:
+def _codec_word(theta: Fraction, digits: OcfDigits) -> CuttingWord:
     """The complete cutting word of a rational foot theta in [-1/2, 1/2),
-    read from its tagged digits by the segment codec."""
-    if theta == Fraction(-1, 2):
-        # the closed end, digits [-1; 2], which the codec rejects (a0 = -1
-        # needs a1 = 1); the lattice word J stands here until ROADMAP.md
-        # item 2 settles this end
+    read from its canonical digits by the segment codec."""
+    if digits.a0 == -1 and digits.tail == (2,):
+        # the closed end -1/2, which the codec rejects (a0 = -1 needs a1 =
+        # 1): the lattice word J stands until ROADMAP.md item 2 settles it
         return cutting_from_mgcf(mgcf_direct(theta))
-    return cutting_from_mgcf(mgcf_from_annotated(annotate_ones(ocf_digits(theta), theta)))
+    return cutting_from_mgcf(mgcf_from_annotated(annotate_ones(digits, theta)))
 
 
-def _occurs(block: CuttingWord, theta: Fraction, anchored: bool) -> bool:
-    word, n = _cutting_word(theta), len(block)
-    if anchored:
-        return word[:n] == block
-    return any(word[i:i + n] == block for i in range(len(word) - n + 1))
+def _cutting_word(theta: Fraction) -> CuttingWord:
+    """``_codec_word`` of theta's own expansion."""
+    return _codec_word(theta, ocf_digits(theta))
+
+
+def _occurs(blk: str, word: str, anchored: bool) -> bool:
+    """Whether the joined block is in (anchored: begins) the joined word; a
+    match is on token boundaries, since 1 and 2 only follow C in C1, C2."""
+    return word.startswith(blk) if anchored else blk in word
 
 
 def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
@@ -496,17 +504,19 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     witness candidates; a whole-forbidden verdict decides every reading.
     """
     w = tuple(w)
+    # the empty word begins every word: it is decided as the free empty block
+    anchored = anchored and bool(w)
+    verdict = partial(BlockVerdict, w, anchored=anchored)
     hit = find_edge_forbidden(w)
     if hit is not None:
-        return BlockVerdict(w, "edge-forbidden",
-                            reason="contains %s at %d" % ("".join(hit[1]), hit[0]))
+        return verdict("edge-forbidden",
+                       reason="contains %s at %d" % ("".join(hit[1]), hit[0]))
     if anchored and w[:1] != ("J",):
-        return BlockVerdict(w, "whole-forbidden",
-                            reason="initial words start with J")
+        return verdict("whole-forbidden", reason="initial words start with J")
     readings = _block_readings(w, anchored)
     if not readings:
-        return BlockVerdict(w, "whole-forbidden",
-                            reason="no segment factorization")
+        return verdict("whole-forbidden", reason="no segment factorization")
+    blk = "".join(w)
     feasible = False
     for rd in readings:
         cons = _constraints(rd)
@@ -515,15 +525,13 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
             continue
         feasible = True
         for y, z in _witness_candidates(rd, cons, *sol):
-            for theta in _theta_from(rd, y, z):
-                if theta != 0 and _occurs(w, theta, anchored):
-                    return BlockVerdict(w, "admissible",
-                                        witness=GeodesicSpec(PINF, theta))
+            for theta, digits in _theta_from(rd, y, z):
+                if _occurs(blk, "".join(_codec_word(theta, digits)), anchored):
+                    return verdict("admissible", witness=GeodesicSpec(PINF, theta))
     if feasible:
-        return BlockVerdict(w, "admissible", witness=None,
-                            reason="feasible but no rational witness found")
-    return BlockVerdict(w, "whole-forbidden",
-                        reason="all %d readings infeasible" % len(readings))
+        return verdict("admissible", reason="feasible but no rational witness found")
+    return verdict("whole-forbidden",
+                   reason="all %d readings infeasible" % len(readings))
 
 
 def _witness_candidates(rd: _Reading, cons: list, y: tuple, z: tuple):
@@ -553,11 +561,13 @@ _CROSS_CHECK_SEED = 7
 
 
 def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
-    """Random rational sampling must never contradict an infeasible verdict."""
-    if verdict.status != "whole-forbidden":
+    """Random rational sampling over the readings a whole-forbidden verdict
+    was decided over must never contradict it."""
+    w = tuple(w)
+    if verdict.status != "whole-forbidden" or (verdict.anchored and w[:1] != ("J",)):
         return True
     rng = random.Random(_CROSS_CHECK_SEED)
-    for rd in _block_readings(tuple(w)):
+    for rd in _block_readings(w, verdict.anchored):
         cons = _constraints(rd)
         for _ in range(_CROSS_CHECK_SAMPLES):
             y = _sample(rng, 998, rd.y_lo, rd.y_hi)
@@ -572,11 +582,10 @@ def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
 
 
 def excluded_initial(w: Sequence[str]) -> bool:
-    """True iff w cannot start a cutting sequence read from the cusp: w is
-    not empty and ``decide_block`` rules it out as an initial word, which
-    includes every start other than J."""
-    w = tuple(w)
-    return bool(w) and decide_block(w, anchored=True).forbidden
+    """True iff w cannot start a cutting sequence read from the cusp:
+    ``decide_block`` rules it out as an initial word, which includes every
+    start other than J."""
+    return decide_block(w, anchored=True).forbidden
 
 
 def central_block(head: Sequence[int]) -> Optional[tuple[CuttingWord, Fraction]]:

@@ -19,7 +19,7 @@ applies the corner matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -52,8 +52,7 @@ __all__ = [
     "render_trace_svg",
 ]
 
-# each generator as (a, b, c, d), and its inverse
-_MATS = {sym: astuple(m) for sym, m in CUTTING_MATS.items()}
+# each generator's inverse
 _INVERSES = {sym: m.inverse() for sym, m in CUTTING_MATS.items()}
 # heading right (+1) or left (-1): the side and the corner the geodesic exits by
 _EXITS = {1: ("R", "C2"), -1: ("L", "C1")}
@@ -179,7 +178,7 @@ def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
         inv = _INVERSES[sym]
         xa0, xa1, ya0, ya1 = lft_apply(inv, (xa0, xa1, ya0, ya1))
         xb0, xb1, yb0, yb1 = lft_apply(inv, (xb0, xb1, yb0, yb1))
-        a, b, c, dd = _MATS[sym]
+        a, b, c, dd = CUTTING_MATS[sym]
         h0, h1, h2, h3 = (h0 * a + h1 * c, h0 * b + h1 * dd,
                           h2 * a + h3 * c, h2 * b + h3 * dd)
         yield TraceStep(sym, (h0, h1, h2, h3), (xa0, xa1, ya0, ya1),

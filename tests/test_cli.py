@@ -173,6 +173,17 @@ def test_block_verdicts(runner):
     assert doc["witness"]["head"] == "inf"
 
 
+def test_block_empty_initial_word(runner):
+    # the empty word begins every word: decided as the free empty block
+    res = invoke(runner, "block", "", "--anchored", "--json")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert (doc["status"], doc["witness"]["foot"], doc["anchored"]) == (
+        "admissible", "2/5", False)
+    res = invoke(runner, "block", "JLLJ", "--anchored", "--json")
+    assert json.loads(res.output)["anchored"] is True
+
+
 def test_block_budget(runner):
     res = invoke(runner, "block", "JLLJRJLLLJ", "--max-len", "4")
     assert res.exit_code == 4

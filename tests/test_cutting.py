@@ -69,6 +69,22 @@ def test_edge_forbidden_scan():
     assert len(EDGE_FORBIDDEN) == 9
 
 
+def _first_edge_forbidden(word):
+    """The scan find_edge_forbidden made before it indexed the blocks by
+    their first token: every block at every position, in order."""
+    w = tuple(word)
+    for i in range(len(w)):
+        for blk in EDGE_FORBIDDEN:
+            if w[i : i + len(blk)] == blk:
+                return i, blk
+    return None
+
+
+@given(st.lists(st.sampled_from(sorted(CUTTING_MATS)), max_size=40))
+def test_edge_scan_matches_the_nested_loop(word):
+    assert find_edge_forbidden(word) == _first_edge_forbidden(word)
+
+
 def test_acf_from_cutting_matches():
     for word, acf in [("JLLJRJ", "FRRFR"),
                       ("JLLJRRR", "FRR"),  # a trailing run is no digit yet

@@ -101,6 +101,24 @@ def test_matrix_ops():
         lft_apply(IntMatrix2(1, 2, 2, 4), (1, 0, 2, 0))
 
 
+def test_matrix_is_a_tuple_of_its_entries():
+    """A matrix is the 4-tuple (a, b, c, d): equal and hashed as it, but +
+    and an int factor are TypeErrors, not concatenation and repetition."""
+    m = IntMatrix2(2, 1, 1, 1)
+    with pytest.raises(TypeError):
+        m + m
+    with pytest.raises(TypeError):
+        2 * m
+    assert m * m == IntMatrix2(5, 3, 3, 2)
+    assert m == IntMatrix2(2, 1, 1, 1) != IntMatrix2(1, 1, 1, 2)
+    assert hash(m) == hash(IntMatrix2(2, 1, 1, 1)) == hash((2, 1, 1, 1))
+    assert m == (2, 1, 1, 1) and repr(m) == "IntMatrix2[[2,1],[1,1]]"
+    # lft_apply maps a plain tuple as an End and refuses a matrix as a value
+    assert lft_apply(m, (1, 0, 2, 0)) == (4, 0, 3, 0)
+    with pytest.raises(TypeError):
+        lft_apply(m, IntMatrix2(1, 0, 2, 0))
+
+
 @given(fracs, fracs)
 def test_rational_between(a, b):
     if a == b:

@@ -26,6 +26,7 @@ from modcut.shiftspace import (
     _block_readings,
     _constraints,
     _cutting_word,
+    _occurs,
     _satisfied,
     _tag_sign,
 )
@@ -214,6 +215,32 @@ def test_anchored_initial_words():
     assert excluded_initial(("R",))
 
 
+def test_the_empty_initial_word_is_the_free_empty_block():
+    # the empty word begins every word
+    v = decide_block((), anchored=True)
+    assert v == decide_block(())
+    assert (v.status, v.witness.foot, v.anchored) == ("admissible", Fraction(2, 5), False)
+    assert not excluded_initial(())
+    assert decide_block(W("JLLJ"), anchored=True).anchored
+
+
+def test_cross_check_samples_the_readings_decided_over():
+    """Every whole-forbidden verdict of length <= 5, free and anchored,
+    passes random_cross_check; an anchored one is sampled over its anchored
+    readings, and one ruled out by its first letter has none."""
+    counts = {}
+    for anchored in (False, True):
+        counts[anchored] = 0
+        for n in range(1, 6):
+            for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n):
+                v = decide_block(b, anchored=anchored)
+                assert v.anchored == anchored
+                if v.status == "whole-forbidden":
+                    assert random_cross_check(b, v), (b, anchored)
+                    counts[anchored] += 1
+    assert counts == {False: 2314, True: 2448}
+
+
 @pytest.mark.parametrize("block", ["JLLJLLJ", "JLLLJRJLLLJ", "LJRRRJRRRJLL"])
 def test_verdicts_without_a_witness_build_no_fraction(monkeypatch, block):
     """From a reading's boxes to its last sample, a whole-forbidden verdict
@@ -308,6 +335,23 @@ def test_codec_word_is_the_complete_lattice_word(theta):
     word = _cutting_word(theta)
     # one symbol of room: equal words here mean the lattice word ended
     assert cutting_from_mgcf(mgcf_direct(theta, limit=len(word) + 1)) == word
+
+
+token_words = st.lists(st.sampled_from(("L", "R", "J", "C1", "C2")), max_size=40)
+
+
+@settings(max_examples=300)
+@given(token_words, token_words, st.integers(0, 40), st.integers(0, 40))
+def test_joined_substring_is_the_token_factor_test(word, other, i, n):
+    """On joined tokens, a substring and a prefix test are the tuple factor
+    and prefix tests: for a slice of the word, that slice with its last
+    token redrawn, and a drawn short word."""
+    word = tuple(word)
+    for blk in (word[i:i + n], word[i:i + n][:-1] + tuple(other[:1]), tuple(other[:3])):
+        k = len(blk)
+        factor = any(word[j:j + k] == blk for j in range(len(word) - k + 1))
+        assert _occurs("".join(blk), "".join(word), False) == factor
+        assert _occurs("".join(blk), "".join(word), True) == (word[:k] == blk)
 
 
 def test_central_block_matches_the_lattice_word(monkeypatch):
@@ -423,6 +467,20 @@ def _constraints_per_one(rd):
         tagged.append((-1, R_MAT * F_MAT * _cf_matrix((a, 1)).inverse(),
                        _cf_matrix([a] + ds[::-1]) * F_MAT))
     return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
+
+
+def test_alpha_has_no_pole_in_the_box():
+    """alpha_i's denominator p_i y + q_i (am.c y + am.d) has p_i >= 0 and
+    q_i >= 1 on every constraint of every free reading of length <= 7, so
+    it is positive for y >= 0 and alpha's pole is no breakpoint."""
+    records = 0
+    for n in range(1, 8):
+        for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n):
+            for rd in _block_readings(b):
+                for _sign, _bm, am, _psi in _constraints(rd):
+                    assert am.c >= 0 and am.d >= 1, (b, rd)
+                    records += 1
+    assert records == 5298
 
 
 def test_constraints_match_the_per_one_products():
