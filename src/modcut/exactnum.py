@@ -534,13 +534,12 @@ def rational_between(lo: ExtReal, hi: ExtReal) -> Fraction:
 # ---------------------------------------------------------------------------
 # text formats: "p/q" | "n" | "(u+v*sqrt(d))/w" | "inf"
 
-_SURD_RE = re.compile(
-    r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(\d+)$"
-)
-# same value with the radical written first: "(v*sqrt(d)+u)/w"
-_SURD_RE2 = re.compile(
-    r"^\(\s*(-?\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*([+-])\s*(\d+)\s*\)\s*/\s*(\d+)$"
-)
+# "(u+v*sqrt(d))/w" or, radical first, "(v*sqrt(d)+u)/w": the first term may
+# carry a "-", the second carries its sign, and u and v take it along
+_RADICAL = r"\s*\*\s*sqrt\(\s*(?P<d>\d+)\s*\)"
+_SURD_RES = [re.compile(r"^\(\s*%s\s*%s\s*\)\s*/\s*(?P<w>\d+)$" % terms) for terms in (
+    (r"(?P<u>-?\d+)", r"(?P<v>[+-]\s*\d+)" + _RADICAL),
+    (r"(?P<v>-?\d+)" + _RADICAL, r"(?P<u>[+-]\s*\d+)"))]
 
 
 class ParseError(ValueError):
@@ -575,26 +574,13 @@ def parse_extreal(text: str) -> ExtReal:
         return PINF
     if t == "-inf":
         return NINF
-    m = _SURD_RE.match(t)
+    m = _SURD_RES[0].match(t) or _SURD_RES[1].match(t)
     if m:
-        u, sgn, v, d, w = m.groups()
-    else:
-        m2 = _SURD_RE2.match(t)
-        if m2 is None:
-            u = None
-        else:
-            v, d, sgn2, u, w = m2.groups()
-            u = u if sgn2 == "+" else "-" + u
-            sgn = "+" if int(v) >= 0 else "-"
-            v = str(abs(int(v)))
-    if u is not None:
-        w = int(w)
+        # "".join(split()) drops the spaces (tabs too) between a sign and its digits
+        u, v, d, w = (int("".join(m[g].split())) for g in "uvdw")
         if w == 0:
             raise ParseError("zero denominator in %r" % text)
-        vv = Fraction(int(v), w)
-        if sgn == "-":
-            vv = -vv
-        return surd(Fraction(int(u), w), vv, int(d))
+        return surd(Fraction(u, w), Fraction(v, w), d)
     try:
         return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:

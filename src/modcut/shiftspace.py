@@ -17,24 +17,25 @@ index i contributes one exact linear-fractional constraint
 with alpha_i = [0; d_{i-1}, ..., d_0 + y] and beta_i = [1; d_{i+1}, ...,
 d_last + z].  Both are convergent matrices (``cf.convergents``): with C(ds)
 the last convergent of [0; ds], alpha_i = C(d_{i-1}, ..., d_0) F and
-beta_i = R C(d_{i+1}, ..., d_last) F.  A constraint is the one record
-(sign, beta_i, alpha_i, psi_i), where psi_i = beta_i^-1 N alpha_i is the
-curve z = psi_i(y) on which it is tight.  The block is whole-forbidden iff
-every reading's constraints are infeasible over the open box; feasibility is
-decided exactly by isolating the y-values where the curves psi_i cross each
-other or the box (integer quadratics) and testing a rational sample point in
-every cell.  All of it runs on integers: at y = y1/y2 and z = z1/z2 a
-constraint's sign is that of the bilinear form bn nd - nn bd, with
-(bn, bd) = beta_i (z1, z2) and (nn, nd) = N alpha_i (y1, y2), times the
-signs of bd and nd; the breakpoints are the roots of integer linear and
-quadratic forms in y, triples (u + v sqrt(D))/w over the raw discriminant D,
-sorted by the exact mixed-radicand sign, with the cell samples drawn by the
-integer walk of ``exactnum.rational_between``; and a witness candidate is an
-integer pair (y, z) until it becomes a foot.  An initial word is the same
-system with y pinned to one value (0, or 1 after the J R opening), tested at
-that point.  ``decide_block`` decides the readings in turn, up to the first
-witness: a rational geodesic whose cutting word, read by the segment codec
-from the candidate's own digits (``_codec_word``), holds the joined block as a
+beta_i = R C(d_{i+1}, ..., d_last) F.  At y = y1/y2 and z = z1/z2 the
+constraint's sign is that of the cross product bn nd - nn bd of (bn, bd) =
+beta_i (z1, z2) and (nn, nd) = N alpha_i (y1, y2), since bd and nd are
+positive on the boxes: one integer bilinear form f(y, z) = z1 (a y1 + b y2)
++ z2 (c y1 + d y2).  A constraint is the one record (sign, q), q = (a, b,
+c, d); it is tight on the curve z = -(c y + d)/(a y + b).  The block is
+whole-forbidden iff every reading's constraints are infeasible over the open
+box; feasibility is decided exactly by isolating the y-values where the
+curves cross each other or the box (integer quadratics) and testing a
+rational sample point in every cell.  All of it runs on integers: the
+breakpoints are the roots of integer linear and quadratic forms in y,
+triples (u + v sqrt(D))/w over the raw discriminant D, sorted by the exact
+mixed-radicand sign, with the cell samples drawn by the integer walk of
+``exactnum.rational_between``; and a witness candidate is an integer pair
+(y, z) until it becomes a foot.  An initial word is the same system with y
+pinned to one value (0, or 1 after the J R opening), tested at that point.
+``decide_block`` decides the readings in turn, up to the first witness: a
+rational geodesic whose cutting word, read by the segment codec from the
+candidate's own digits (``_codec_word``), holds the joined block as a
 substring (a prefix for an initial word).  Only a verdict without one decides
 every reading; the tracer is not consulted, and lattice reduction only at -1/2.
 """
@@ -180,8 +181,6 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
     with J or J L (a0 = -1), and the head continuation y is pinned to 0 or
     to 1 = [0; 1], the consumed 1_m.
     """
-    if not set(w) <= set(CUTTING_MATS):
-        raise ValueError("bad cutting token in %r" % (w,))
     y_lo = (0, 1)
     heads = []  # (MGCF block, resume position, head digits, y_hi)
     if anchored:
@@ -265,9 +264,13 @@ _SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
 
 
 def _constraints(rd: _Reading) -> list:
-    """One record (sign, beta, alpha, psi) per tagged 1 of the reading: the
-    tag wants sign(beta(z) - N(alpha(y))) = sign, and psi = beta^-1 N alpha
-    is the z-boundary curve z = psi(y).
+    """One record (sign, q) per tagged 1 of the reading: the tag wants
+    sign(beta(z) - N(alpha(y))) = sign.  q = (a, b, c, d) is the cross
+    product bn nd - nn bd of (bn, bd) = beta (z1, z2) and (nn, nd) = N alpha
+    (y1, y2), the form f(y, z) = z1 r + z2 t with r = a y1 + b y2 and t =
+    c y1 + d y2.  sign(f) is the tag's sign on the boxes, where bd and nd are
+    positive: every convergent entry is >= 0, y, z >= 0 over positive
+    denominators, and the trailing pair's z stays below 2/(2r - 1) < 1/a.
 
     With D(a) = [[a, 1], [1, 0]], fw[i] = F D(d_0) ... D(d_(i-1)) and bw[j]
     = F D(d_(k-1)) ... D(d_(k-j)) are the convergents of the digits read
@@ -283,39 +286,28 @@ def _constraints(rd: _Reading) -> list:
     tagged = []
     for i, (_v, tag) in enumerate(rd.digits):
         if tag in _SIGN_OF_TAG:
-            f, b = fw[i], bw[k - 1 - i]
-            tagged.append((_SIGN_OF_TAG[tag], IntMatrix2(b.a + b.b, b.c + b.d, b.a, b.c),
-                           IntMatrix2(f.b, f.d, f.a, f.c)))
+            ba, bb, bc, bd = bw[k - 1 - i]
+            tagged.append((_SIGN_OF_TAG[tag], (ba + bb, bc + bd, ba, bc), fw[i]))
     if rd.trailing_pair is not None:
         # the unseen 1_m after the trailing pair digit a: z = [0; a, 1, t]
         # with t the continuation, and beta = 1 + 1/t = z/(1 - a z)
-        f = fw[k + 1]
-        tagged.append((-1, IntMatrix2(1, 0, -rd.trailing_pair, 1),
-                       IntMatrix2(f.b, f.d, f.a, f.c)))
-    return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
-
-
-def _tag_sign(bm: IntMatrix2, am: IntMatrix2, y1: int, y2: int,
-              z1: int, z2: int) -> Optional[int]:
-    """sign(beta(z) - N(alpha(y))) at y = y1/y2 and z = z1/z2, or None at a
-    pole of beta, alpha or N(alpha).
-
-    With (bn, bd) = beta (z1, z2) and (nn, nd) = N alpha (y1, y2), the
-    difference is (bn nd - nn bd)/(bd nd): one integer form and the signs of
-    two denominators.
-    """
-    bn, bd = bm.a * z1 + bm.b * z2, bm.c * z1 + bm.d * z2
-    an, ad = am.a * y1 + am.b * y2, am.c * y1 + am.d * y2
-    nn, nd = an + 2 * ad, 2 * an + ad  # N = [[1, 2], [2, 1]]
-    if bd == 0 or ad == 0 or nd == 0:
-        return None
-    t = (bn * nd - nn * bd) * bd * nd
-    return (t > 0) - (t < 0)
+        tagged.append((-1, (1, 0, -rd.trailing_pair, 1), fw[k + 1]))
+    cons = []
+    for sign, (b1, b2, b3, b4), (fa, fb, fc, fd) in tagged:
+        m1, m2, m3, m4 = N_MAT * IntMatrix2(fb, fd, fa, fc)  # N alpha
+        cons.append((sign, (b1 * m3 - b3 * m1, b1 * m4 - b3 * m2,
+                            b2 * m3 - b4 * m1, b2 * m4 - b4 * m2)))
+    return cons
 
 
 def _satisfied(cons: list, y: tuple[int, int], z: tuple[int, int]) -> bool:
     """Whether the rationals y = y1/y2 and z = z1/z2 meet every constraint."""
-    return all(_tag_sign(bm, am, *y, *z) == sign for sign, bm, am, _psi in cons)
+    (y1, y2), (z1, z2) = y, z
+    for sign, (a, b, c, d) in cons:
+        f = z1 * (a * y1 + b * y2) + z2 * (c * y1 + d * y2)
+        if (f > 0) - (f < 0) != sign:
+            return False
+    return True
 
 
 def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -327,34 +319,28 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
     Every value is an integer pair, compared by cross-multiplication.
     """
     y1, y2 = y
+    if y1 == 0 and rd.digits and rd.digits[0][1] in _SIGN_OF_TAG:
+        # alpha_0 = y must lie in (0, 1]; every later alpha_i does, as
+        # p_i >= p_(i-1) and q_i >= q_(i-1) >= 1
+        return None
     z_lo, z_hi = rd.z_lo, rd.z_hi
     (l1, l2), (h1, h2) = z_lo, z_hi
     pinned = None
-    for sign, bm, am, psi in cons:
-        # ad = p_i y1 + q_i y2 > 0: alpha's convergent has p_i >= 0 and
-        # q_i >= 1, and every y is a pair with y1 >= 0 and y2 > 0
-        an, ad = am.a * y1 + am.b * y2, am.c * y1 + am.d * y2
-        if not 0 < an <= ad:
-            return None  # alpha is a pole or outside (0, 1]
-        # z* = psi(y), where beta(z*) = N(alpha); a pole when s2 = 0
-        s1, s2 = psi.a * y1 + psi.b * y2, psi.c * y1 + psi.d * y2
-        if s2 < 0:
-            s1, s2 = -s1, -s2
+    for sign, (a, b, c, d) in cons:
+        # f(y, z) = z1 r + z2 t is tight at z* = -t/r, a pole when r = 0
+        r, t = a * y1 + b * y2, c * y1 + d * y2
+        s1, s2 = (-t, r) if r > 0 else (t, -r)
         if sign == 0:
-            if s2 == 0:
+            if r == 0:
                 return None
             if pinned is not None and pinned[0] * s2 != s1 * pinned[1]:
                 return None
             pinned = (s1, s2)
             continue
-        # beta is monotone on (z_lo, z_hi); probe a point to orient
+        # f is monotone in z; probe a point to orient
         p1, p2 = l1 * h2 + h1 * l2, 2 * l2 * h2  # (lo + hi)/2
-        side = _tag_sign(bm, am, y1, y2, p1, p2)
-        if side is None:
-            return None
-        good = (side > 0) == (sign > 0)  # the probe's side
-        if s2 == 0:
-            # beta never reaches N(alpha) on the line; one side throughout
+        good = (p1 * r + p2 * t > 0) == (sign > 0)  # the probe's side
+        if r == 0:  # f keeps one sign on the line
             if not good:
                 return None
             continue
@@ -369,14 +355,11 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
     if pinned is None:
         return _between((l1, 0, l2, 0), (h1, 0, h2, 0))
     z1, z2 = pinned
-    ok = l1 * z2 < z1 * l2 and z1 * h2 < h1 * z2
     # terminating expansions realize the closed endpoints: z = 0 when
     # the tail stops at the block's final separator, z = z_hi when a
     # partial trailing digit is the word's last
-    if not ok and z1 == 0 == z_lo[0] == l1:
-        ok = True
-    if not ok and rd.z_hi_closed and z1 * h2 == h1 * z2 and h1 * z_hi[1] == z_hi[0] * h2:
-        ok = True
+    ok = (l1 * z2 < z1 * l2 and z1 * h2 < h1 * z2 or z1 == 0 == z_lo[0] == l1
+          or rd.z_hi_closed and z1 * h2 == h1 * z2 and h1 * z_hi[1] == z_hi[0] * h2)
     return pinned if ok else None
 
 
@@ -385,18 +368,14 @@ def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     change, as triples: the roots of forms A y^2 + B y + C."""
     (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
     forms = [(0, l2, -l1), (0, h2, -h1)]  # the box ends
-    for _sign, _bm, _am, psi in cons:
-        forms.append((0, psi.c, psi.d))  # psi's pole; alpha's is below y = 0
+    for i, (_sign, (a, b, c, d)) in enumerate(cons):
+        forms.append((0, a, b))  # z*'s pole; alpha's is below y = 0
         for zn, zd in (rd.z_lo, rd.z_hi):
-            # psi(y) = zn/zd: (a zd - zn c) y + (b zd - zn d) = 0
-            forms.append((0, psi.a * zd - zn * psi.c, psi.b * zd - zn * psi.d))
-    for p in range(len(cons)):
-        for q in range(p + 1, len(cons)):
-            m1, m2 = cons[p][3], cons[q][3]
-            A = m1.a * m2.c - m2.a * m1.c
-            B = m1.a * m2.d + m1.b * m2.c - m2.a * m1.d - m2.b * m1.c
-            C = m1.b * m2.d - m2.b * m1.d
-            forms.append((A, B, C))
+            forms.append((0, zn * a + zd * c, zn * b + zd * d))  # f(y, zn/zd) = 0
+        for _sign2, (a2, b2, c2, d2) in cons[i + 1:]:
+            # two curves cross where r t2 = r2 t
+            forms.append((a * c2 - a2 * c, a * d2 + b * c2 - a2 * d - b2 * c,
+                          b * d2 - b2 * d))
     y_lo, y_hi = (l1, 0, l2, 0), (h1, 0, h2, 0)
     inside = sorted((c for form in forms for c in _quad_roots(*form)
                      if _real_cmp(y_lo, c) <= 0 and _real_cmp(c, y_hi) <= 0),
@@ -494,6 +473,14 @@ def _occurs(blk: str, word: str, anchored: bool) -> bool:
     return word.startswith(blk) if anchored else blk in word
 
 
+def _tokens(w: Sequence[str]) -> CuttingWord:
+    """w as a tuple; a token that is no cutting symbol is a ValueError."""
+    w = tuple(w)
+    if not set(w) <= CUTTING_MATS.keys():
+        raise ValueError("bad cutting token in %r" % (w,))
+    return w
+
+
 def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     """Verdict for a cutting-word factor (or an initial word if anchored).
 
@@ -502,8 +489,9 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     a0 = -1 with the consumed 1_m digit.  Readings are decided in
     ``_block_readings`` order up to the first witness, each followed by its
     witness candidates; a whole-forbidden verdict decides every reading.
+    A token that is no cutting symbol is a ValueError, checked first.
     """
-    w = tuple(w)
+    w = _tokens(w)
     # the empty word begins every word: it is decided as the free empty block
     anchored = anchored and bool(w)
     verdict = partial(BlockVerdict, w, anchored=anchored)
@@ -563,7 +551,7 @@ _CROSS_CHECK_SEED = 7
 def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
     """Random rational sampling over the readings a whole-forbidden verdict
     was decided over must never contradict it."""
-    w = tuple(w)
+    w = _tokens(w)
     if verdict.status != "whole-forbidden" or (verdict.anchored and w[:1] != ("J",)):
         return True
     rng = random.Random(_CROSS_CHECK_SEED)

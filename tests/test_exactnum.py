@@ -211,13 +211,30 @@ def test_parse_surd_both_orders():
     b = parse_extreal("(1*sqrt(3)-1)/2")
     assert compare(a, b) == 0
     assert parse_extreal(format_extreal(a)) == a
+    # tabs and newlines wherever spaces go, also between the second term's
+    # sign and its digits
+    for text in ("(-1\t+\t1*sqrt(3))/2", "(\n-1 +\n1 * sqrt( 3 ))\t/ 2",
+                 "(1*sqrt(3) -\t1)/2", "(1\t*sqrt(\n3)\n-\n1)/2\n"):
+        assert parse_extreal(text) == a, text
+    c = parse_extreal("(5 -\t2*sqrt(7))/3")
+    assert c == parse_extreal("(-2*sqrt(7) +\n5)/3")
+    assert format_extreal(c) == "(5-2*sqrt(7))/3"
+    # a zero term
+    assert parse_extreal("(4+0*sqrt(7))/\t6") == Fraction(2, 3)
+    assert parse_extreal("(0*sqrt(7)\t-\n0)/1") == 0
 
 
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_extreal("three halves")
-    with pytest.raises(ParseError):
-        parse_extreal("(1+2*sqrt(3))/0")
+    for text in ("(1+2*sqrt(3))/0", "(2*sqrt(3)+1)/0", "(1-\t2*sqrt(3))/\n0",
+                 "(2*sqrt(3)\n-\t1)/00"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_extreal(text)
+    # a first term's sign takes no space
+    for text in ("(-\t1+2*sqrt(3))/2", "(- 2*sqrt(3)+1)/2"):
+        with pytest.raises(ParseError, match="as an exact number"):
+            parse_extreal(text)
 
 
 def test_compare_surd_vs_rational():

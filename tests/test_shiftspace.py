@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modcut.cutting import (
     corner_resolutions,
@@ -15,6 +15,7 @@ from modcut.cf import F_MAT, R_MAT
 from modcut.exactnum import PINF, IntMatrix2, lft_apply
 from modcut.mgcf import N_MAT, mgcf_direct, n_transform
 from modcut.shiftspace import (
+    BlockVerdict,
     central_block,
     central_head_to_tail,
     decide_block,
@@ -28,7 +29,6 @@ from modcut.shiftspace import (
     _cutting_word,
     _occurs,
     _satisfied,
-    _tag_sign,
 )
 
 
@@ -197,6 +197,19 @@ def test_verdict_stops_at_the_first_witness(monkeypatch, block, status, decided)
     assert v.status == status and len(calls) == decided
     if v.witness is not None:
         assert v.witness.foot == Fraction(3, 10)
+
+
+@pytest.mark.parametrize("text, anchored", [
+    ("X", True), ("C3", True), ("J J X", False), ("X", False), ("J X", True)])
+def test_tokens_are_checked_at_entry(text, anchored):
+    """A token that is no cutting symbol is a ValueError before the edge scan
+    and the initial-J rule, in decide_block and random_cross_check alike."""
+    block = tuple(text.split())
+    with pytest.raises(ValueError, match="bad cutting token"):
+        decide_block(block, anchored)
+    verdict = BlockVerdict(block, "whole-forbidden", anchored=anchored)
+    with pytest.raises(ValueError, match="bad cutting token"):
+        random_cross_check(block, verdict)
 
 
 def test_anchored_initial_words():
@@ -405,7 +418,7 @@ def test_verdict_json_shape():
 matrices = st.tuples(*[st.integers(-6, 6)] * 4).filter(
     lambda t: t[0] * t[3] != t[1] * t[2]).map(lambda t: IntMatrix2(*t))
 ratios = st.fractions(min_value=-5, max_value=5, max_denominator=12)
-scales = st.integers(-3, 3).filter(bool)
+scales = st.integers(1, 3)
 
 
 def _value_sign(bm, am, y, z):
@@ -420,25 +433,47 @@ def _value_sign(bm, am, y, z):
     return (beta > nv) - (beta < nv)
 
 
-@given(matrices, matrices, ratios, ratios, scales, scales, st.sampled_from(range(4)))
-def test_tag_sign_matches_the_value_form(bm, am, y, z, ky, kz, pole):
-    """One integer form and two denominator signs give the sign the value
-    form gives, on pairs scaled by any nonzero integer; at a pole of beta,
-    alpha or N(alpha) (pole = 1, 2, 3, where it is rational) the sign is
-    None and no tag constraint is satisfied."""
-    if pole == 1 and bm.c:
-        z = Fraction(-bm.d, bm.c)
-    if pole == 2 and am.c:
-        y = Fraction(-am.d, am.c)
-    if pole == 3 and 2 * am.a + am.c:
-        y = Fraction(-(am.d + 2 * am.b), 2 * am.a + am.c)  # alpha(y) = -1/2
+def _adjugate(m):
+    return IntMatrix2(m.d, -m.b, -m.c, m.a)
+
+
+def _project(sign, bm, am):
+    """The record (sign, q) of the products beta = bm and alpha = am, with q
+    read off adj(beta) N alpha = [[-c, -d], [a, b]] (beta^-1 N alpha times
+    det beta)."""
+    m = _adjugate(bm) * N_MAT * am
+    return sign, (m.c, m.d, -m.a, -m.b)
+
+
+@given(matrices, matrices, ratios, ratios, scales, scales, st.booleans())
+def test_tag_sign_matches_the_value_form(bm, am, y, z, ky, kz, tight):
+    """On pairs whose beta and N alpha denominators are positive, scaled by
+    any positive integer, the sign of the form q is the sign the value form
+    gives, so a record is satisfied exactly when its sign is that one.  With
+    tight, z is beta^-1(N(alpha(y))), where the sign is 0."""
+    if tight:
+        alpha = lft_apply(am, y)
+        assume(alpha is not PINF)
+        nv = n_transform(alpha)
+        assume(nv is not PINF)
+        z = lft_apply(_adjugate(bm), nv)
+        assume(z is not PINF)
     want = _value_sign(bm, am, y, z)
+    assume(want is not None)
     y1, y2 = ky * y.numerator, ky * y.denominator
     z1, z2 = kz * z.numerator, kz * z.denominator
-    assert _tag_sign(bm, am, y1, y2, z1, z2) == want
+    # -m is the map m: orient beta and alpha so that the denominators of
+    # beta(z) and N(alpha(y)), nonzero where want is finite, are positive
+    if bm.c * z1 + bm.d * z2 < 0:
+        bm = IntMatrix2(*(-e for e in bm))
+    nm = N_MAT * am
+    if nm.c * y1 + nm.d * y2 < 0:
+        am = IntMatrix2(*(-e for e in am))
+    q = _project(0, bm, am)[1]
     for sign in (-1, 0, 1):
-        # _satisfied reads no psi
-        assert _satisfied([(sign, bm, am, None)], (y1, y2), (z1, z2)) == (want == sign)
+        assert _satisfied([(sign, q)], (y1, y2), (z1, z2)) == (want == sign)
+    if tight:
+        assert want == 0
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +488,9 @@ def _cf_matrix(ds):
     return m
 
 
-def _constraints_per_one(rd):
-    """The records as _constraints built them with one pair of products per
-    tagged 1, before the two convergent passes: the reference they must
-    match."""
+def _products_per_one(rd):
+    """(sign, beta, alpha) per tagged 1, with one pair of matrix products
+    each: the reference the records must match."""
     ds = [v for v, _tag in rd.digits]
     sign_of = {"h": 1, "c": 0, "m": -1}
     tagged = [(sign_of[tag], R_MAT * _cf_matrix(ds[i + 1:]) * F_MAT,
@@ -466,7 +500,21 @@ def _constraints_per_one(rd):
         a = rd.trailing_pair
         tagged.append((-1, R_MAT * F_MAT * _cf_matrix((a, 1)).inverse(),
                        _cf_matrix([a] + ds[::-1]) * F_MAT))
-    return [(sign, bm, am, bm.inverse() * N_MAT * am) for sign, bm, am in tagged]
+    return tagged
+
+
+def _constraints_per_one(rd):
+    """The records as the per-1 products give them."""
+    return [_project(*t) for t in _products_per_one(rd)]
+
+
+def _readings_to(n, anchored_too):
+    """(block, anchored, reading) for every block of length 1..n."""
+    for k in range(1, n + 1):
+        for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=k):
+            for anchored in (False, True)[:1 + anchored_too]:
+                for rd in _block_readings(b, anchored):
+                    yield b, anchored, rd
 
 
 def test_alpha_has_no_pole_in_the_box():
@@ -474,24 +522,37 @@ def test_alpha_has_no_pole_in_the_box():
     q_i >= 1 on every constraint of every free reading of length <= 7, so
     it is positive for y >= 0 and alpha's pole is no breakpoint."""
     records = 0
-    for n in range(1, 8):
-        for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n):
-            for rd in _block_readings(b):
-                for _sign, _bm, am, _psi in _constraints(rd):
-                    assert am.c >= 0 and am.d >= 1, (b, rd)
-                    records += 1
+    for b, _anchored, rd in _readings_to(7, False):
+        for _sign, _bm, am in _products_per_one(rd):
+            assert am.c >= 0 and am.d >= 1, (b, rd)
+            records += 1
     assert records == 5298
+
+
+def test_denominators_are_positive_on_the_boxes():
+    """sign(f) is the tag's sign where beta's and N alpha's denominators are
+    positive.  Both are linear, so it is enough that beta's is positive at
+    both ends of the z box and N alpha's at both ends of the y box, on every
+    constraint of every free and anchored reading of length <= 7."""
+    records = 0
+    for b, anchored, rd in _readings_to(7, True):
+        for _sign, bm, am in _products_per_one(rd):
+            nm = N_MAT * am
+            for p, q in (rd.z_lo, rd.z_hi):
+                assert bm.c * p + bm.d * q > 0, (b, anchored, rd)
+            for p, q in (rd.y_lo, rd.y_hi):
+                assert nm.c * p + nm.d * q > 0, (b, anchored, rd)
+            records += 1
+    assert records == 6994
 
 
 def test_constraints_match_the_per_one_products():
     """Every reading of every block of length <= 6, free and anchored."""
     readings = records = 0
-    for n in range(1, 7):
-        for b in itertools.product(("L", "R", "J", "C1", "C2"), repeat=n):
-            for anchored in (False, True):
-                for rd in _block_readings(b, anchored):
-                    cons = _constraints(rd)
-                    assert cons == _constraints_per_one(rd), (b, anchored, rd)
-                    readings += 1
-                    records += len(cons)
+    for b, anchored, rd in _readings_to(6, True):
+        cons = _constraints(rd)
+        assert cons == _constraints_per_one(rd), (b, anchored, rd)
+        assert all(type(e) is int for _sign, q in cons for e in q)
+        readings += 1
+        records += len(cons)
     assert (readings, records) == (1393, 2842)
