@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .exactnum import PINF, IntMatrix2, ParseError, _check_count, compare, lft_apply
+from .exactnum import IntMatrix2, ParseError, _check_count
 from .cf import (
     ACF_MATS,
     ACF_TO_FAREY,
@@ -222,13 +222,12 @@ class HomographicMachine:
         self.emitted: list[str] = []
 
     def _emit_ready(self) -> Optional[str]:
-        # the sides of 1 that m(0) and m(inf) lie on; a pole is PINF, above 1
-        s0, s1 = (compare(lft_apply(self.m, x), 1) for x in (0, PINF))
-        if s0 > 0 and s1 > 0:
+        # m(inf) = a/c and m(0) = b/d against 1, by the entries, all >= 0;
+        # a pole (c or d = 0, a or b > 0) is above 1
+        a, b, c, d = self.m
+        if a > c and b > d:
             return "R"
-        if s0 < 0 and s1 < 0:
-            return "F"
-        return None
+        return "F" if a < c and b < d else None
 
     def absorb(self, sym: str) -> list[str]:
         if sym not in ACF_MATS:

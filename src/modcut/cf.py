@@ -10,10 +10,11 @@ here and the ``automata`` transducers both read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .exactnum import (
     ExtReal,
@@ -231,13 +232,18 @@ def farey_to_acf(word: Iterable[str]) -> str:
     return "".join(_rewrite(FAREY_TO_ACF, "int", word, FAREY_TO_ACF_FINALS))
 
 
+def _word_matrix(mats, word: Iterable[str], what: str) -> IntMatrix2:
+    """The product of the matrices ``mats`` gives the letters of word, left to
+    right; a letter without one is ParseError("bad <what> 'X'")."""
+    try:
+        return math.prod((mats[ch] for ch in word), start=IntMatrix2(1, 0, 0, 1))
+    except KeyError as exc:
+        raise ParseError("bad %s %r" % (what, exc.args[0])) from None
+
+
 def acf_value(word: str) -> Fraction:
     """Value of a finite ACF word (matrix product applied to inf)."""
-    m = IntMatrix2(1, 0, 0, 1)
-    for ch in word:
-        if ch not in ACF_MATS:
-            raise ParseError("bad ACF letter %r" % ch)
-        m = m * ACF_MATS[ch]
+    m = _word_matrix(ACF_MATS, word, "ACF letter")
     if m.c == 0:
         raise ValueError("word has infinite value")
     return Fraction(m.a, m.c)
@@ -247,9 +253,24 @@ def acf_value(word: str) -> Fraction:
 # digit text format: "a0;a1,a2,..." or bare "a0"
 
 
+def _parse_digit_list(text: str, tags: str = "") -> list[tuple[int, Optional[str]]]:
+    """The digits "d1,d2,..." of text as (digit, tag) pairs, where a 1 may
+    end in a letter of ``tags``; a token that is no integer (empty included)
+    or a tag on a digit != 1 is a ParseError."""
+    pairs = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        tag = tok[-1] if tok[-1:] and tok[-1] in tags else None
+        d = parse_int(tok[:-1] if tag else tok)
+        if tag and d != 1:
+            raise ParseError("tag on a digit != 1: %r" % tok)
+        pairs.append((d, tag))
+    return pairs
+
+
 def parse_digits(text: str) -> OcfDigits:
     head, _, rest = text.strip().partition(";")
-    tail = tuple(parse_int(p) for p in rest.split(",")) if rest else ()
+    tail = tuple(d for d, _t in _parse_digit_list(rest)) if rest else ()
     return OcfDigits(parse_int(head), tail, True)
 
 

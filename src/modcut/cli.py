@@ -23,11 +23,11 @@ from .exactnum import (
     ParseError,
     format_extreal,
     parse_extreal,
-    parse_int,
     sqrt_exact,
 )
 from .cf import (
     _acf_runs,
+    _parse_digit_list,
     acf_of,
     acf_to_digits,
     acf_to_farey,
@@ -246,9 +246,9 @@ def block(word, anchored, max_len):
 @click.argument("head")
 def central(head):
     """Balanced tail and cutting word for HEAD digits "d1,d2,..."."""
-    digits = [parse_int(p) for p in head.split(",") if p.strip()]
-    if not digits:
+    if not head.strip():
         raise ParseError("empty head")
+    digits = [d for d, _t in _parse_digit_list(head)]
     tail = central_head_to_tail(digits)
     cb = central_block(digits)
     word = format_cutting(cb[0]) if cb else None

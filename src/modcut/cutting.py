@@ -18,7 +18,7 @@ import re
 from typing import Optional, Sequence
 
 from .exactnum import IntMatrix2, ParseError
-from .cf import R_MAT, _rewrite, digits_to_acf
+from .cf import R_MAT, _rewrite, _word_matrix, digits_to_acf
 from .mgcf import annotated_from_mgcf
 
 __all__ = [
@@ -49,10 +49,7 @@ CUTTING_MATS = {"L": LBAR, "R": R_MAT, "J": JBAR, "C1": C1BAR, "C2": C2BAR}
 
 def cutting_matrix(word: Sequence[str]) -> IntMatrix2:
     """h_j = g_1 g_2 ... g_j, multiplied left-to-right."""
-    m = IntMatrix2(1, 0, 0, 1)
-    for tok in word:
-        m = m * CUTTING_MATS[tok]
-    return m
+    return _word_matrix(CUTTING_MATS, word, "cutting token")
 
 
 def corner_resolutions(tok: str) -> tuple[CuttingWord, CuttingWord]:

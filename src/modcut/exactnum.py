@@ -65,13 +65,21 @@ __all__ = [
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s*s*d and d square-free, for n >= 0."""
+    """Return (s, d) with n = s*s*d and d square-free, for n >= 0.
+
+    Trial division runs while f^3 <= m, the cofactor left; its prime factors
+    are then >= f, so it is 1, p, p q or p^2, and ``isqrt`` finds p^2.  A
+    cofactor still undecided past f = 2^21 is a BudgetError, so every n below
+    2^63 is split exactly.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     s, d = 1, 1
     m = n
     f = 2
-    while f * f <= m:
+    while f * f * f <= m:
+        if f > 1 << 21:
+            raise BudgetError("radicand %d too large to factor by trial division" % n)
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -81,8 +89,10 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= f
         f += 1 if f == 2 else 2
-    d *= m
-    return s, d
+    r = math.isqrt(m)
+    if m > 1 and r * r == m:
+        return s * r, d
+    return s, d * m
 
 
 class QuadSurd:
@@ -279,9 +289,9 @@ def sqrt_exact(x) -> Fraction | QuadSurd:
         raise TypeError("not an exact rational: %r" % (x,))
     if p < 0:
         raise ValueError("negative operand")
-    # sqrt(p/q) = sqrt(p q)/q
+    # sqrt(p/q) = sqrt(p q)/q = s sqrt(d)/q, d square-free
     s, d = squarefree_split(p * q)
-    return surd(0, Fraction(s, q), d)
+    return QuadSurd(0, Fraction(s, q), d) if d > 1 else Fraction(s * d, q)
 
 
 class _Infinity:

@@ -11,8 +11,9 @@ Three routes to the same word live here:
 * ``mgcf_from_acf`` — an online converter from an additive-CF prefix, which
   can only look at the digits it has been given (used by the benchmark).
 
-The inverse ``annotated_from_mgcf`` reads a word with one segment reader,
-which ``shiftspace`` also runs over cutting-word blocks.
+The segment grammar is one table, ``_SEGMENTS``: the codec writes with it,
+and the one segment reader behind ``annotated_from_mgcf`` reads with it, as
+``shiftspace`` does over cutting-word blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .exactnum import (
     real_of,
     surd_sign,
 )
-from .cf import OcfDigits, _acf_runs, convergents
+from .cf import OcfDigits, _acf_runs, _parse_digit_list, convergents
 
 __all__ = [
     "N_MAT",
@@ -59,6 +60,18 @@ def n_transform(x) -> ExtReal:
 
 # the tag of an interior 1 by the sign of beta - N(alpha)
 _TAG_OF_SIGN = {1: "h", 0: "c", -1: "m"}
+# the tags a digit may carry: None, or h, m or c on a digit 1
+_TAGS = (None, *_TAG_OF_SIGN.values())
+
+# The MGCF segments by separator: (back, tag).  A digit a and the 1 tagged
+# ``tag`` after it are the segment R^(a + back) sep, back being the R's of
+# the run that the digit gives up to that 1; J holds no 1.  JL precedes J,
+# so that a scan in order finds the longer separator first.
+_SEGMENTS = {"JL": (1, "m"), "J": (0, None), "C": (0, "c")}
+# the separator of a digit by the tag of a 1 after it
+_SEP_OF_TAG = {tag: sep for sep, (_back, tag) in _SEGMENTS.items()}
+# separators that begin a longer one, which a word ending in them may hold
+_OPEN_SEPS = {s for s in _SEGMENTS for t in _SEGMENTS if t != s and t.startswith(s)}
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +180,13 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     if not w:
         raise ValueError("theta must be finite")
 
-    def pullback(m: IntMatrix2) -> End:
+    def pullback(ma: int, mb: int, mc: int, md: int) -> End:
         # beta = m^-1(theta) = (b0 + b1 sqrt d)/(c0 + c1 sqrt d), by the
         # adjugate of m, its inverse up to sign
-        return m.d * u - m.b * w, m.d * v, m.a * w - m.c * u, -m.c * v
+        return md * u - mb * w, md * v, ma * w - mc * u, -mc * v
 
     ms = list(convergents(digits))
-    b0, b1, c0, c1 = pullback(ms[-1])
+    b0, b1, c0, c1 = pullback(*ms[-1])
     if not c0 and not c1:  # t = inf: theta = p_n/q_n
         ok = not (digits.tail and digits.tail[-1] == 1)
     else:
@@ -189,50 +202,56 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
             pairs.append((1, "m"))
         else:
             # sign(beta - nn/nd), with N(alpha) = nn/nd and nd > 0
-            b0, b1, c0, c1 = pullback(m)
-            nn, nd = m.d + 2 * m.c, 2 * m.d + m.c
+            ma, mb, mc, md = m
+            b0, b1, c0, c1 = pullback(ma, mb, mc, md)
+            nn, nd = md + 2 * mc, 2 * md + mc
             sign = surd_sign(b0 * nd - nn * c0, b1 * nd - nn * c1, d) * surd_sign(c0, c1, d)
             pairs.append((1, _TAG_OF_SIGN[sign]))
     return AnnotatedDigits(digits.a0, tuple(pairs), digits.finite)
 
 
 def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
-    """The segment codec: annotated digits -> MGCF word."""
-    tail = list(ad.tail)
-    out = []
+    """The segment codec: annotated digits -> MGCF word.
+
+    Each digit is a segment of ``_SEGMENTS``, its separator chosen by the tag
+    of the 1 after it; a0 = -1 and a1 = 1 are the JL segment with no R run.
+    A digit < 1, a tag outside h/m/c or on a digit != 1 is a ValueError.
+    """
+    tail, bad = ad.tail, None
     if ad.a0 == 0:
-        out.append("J")
+        out, i = ["J"], 0
     elif ad.a0 == -1:
         if not tail or tail[0][0] != 1:
             raise ValueError("a0 = -1 requires a1 = 1")
-        out.append("J")
-        out.append("L")
-        tail = tail[1:]
+        out, i, bad = ["JL"], 1, (None if tail[0][1] in _TAGS else tail[0])
     else:
         raise ValueError("normalized digits require a0 in {0, -1}")
-    i = 0
-    while i < len(tail):
+    n, finite = len(tail), ad.finite
+    while i < n:
         a, tag = tail[i]
-        if tag == "c" and not ad.finite:
+        if tag is None:
+            if a < 1:
+                bad = bad or (a, tag)
+        elif tag == "c" and not finite:
             raise ValueError("1_c on a non-terminating expansion")
-        nxt = tail[i + 1] if i + 1 < len(tail) else None
-        if nxt is None and not ad.finite:
-            # unknown continuation: only the run of R's is determined
-            out.append("R" * a)
-            break
-        if nxt is not None and nxt[0] == 1 and nxt[1] == "m":
-            out.append("R" * (a + 1))
-            out.append("J")
-            out.append("L")
-            i += 2
-        elif nxt is not None and nxt[0] == 1 and nxt[1] == "c":
-            out.append("R" * a)
-            out.append("C")
-            i += 2
+        elif a != 1 or tag not in _TAGS:
+            bad = bad or (a, tag)
+        i += 1
+        if i < n:
+            b, t = tail[i]
+            sep = _SEP_OF_TAG.get(t, "J") if b == 1 else "J"
+        elif finite:
+            sep = "J"
         else:
-            out.append("R" * a)
-            out.append("J")
+            out.append("R" * a)  # unknown continuation: only the run is determined
+            break
+        back, held = _SEGMENTS[sep]
+        out.append("R" * (a + back) + sep)
+        if held:
             i += 1
+    if bad:
+        # after the checks above, so that their messages come first
+        raise ValueError("not an annotated digit: %r" % (bad,))
     return "".join(out)
 
 
@@ -244,11 +263,11 @@ def _standalone(k: int) -> tuple[int, Optional[str]]:
 def _read_segments(word: str, i: int) -> tuple[list, int]:
     """Read the segments of ``word`` from position i.
 
-    R^k J is the digit k, R^k J L the digits k-1, 1_m and R^k C the digits
-    k, 1_c.  Returns the (digit, tag) pairs read and the position of the
-    first letter left unread: the reader stops before a final R^k or R^k J,
-    whose digit depends on letters beyond the word.  Raises ParseError where
-    no segment fits.
+    R^k sep is the digit k - back, then the 1 of its separator's tag
+    (``_SEGMENTS``).  Returns the (digit, tag) pairs read and the position
+    of the first letter left unread: the reader stops before a final R^k or
+    R^k J, whose digit depends on letters beyond the word.  Raises
+    ParseError where no segment fits.
     """
     pairs: list[tuple[int, Optional[str]]] = []
     n = len(word)
@@ -256,27 +275,24 @@ def _read_segments(word: str, i: int) -> tuple[list, int]:
         j = i
         while j < n and word[j] == "R":
             j += 1
-        k = j - i
         if j == n:
             return pairs, i
-        sep = word[j]
-        if sep not in "JC":
-            raise ParseError("unexpected symbol %r at position %d" % (sep, j))
-        if k == 0:
-            raise ParseError("segment with no R run at position %d" % j)
-        if sep == "C":
-            pairs += [_standalone(k), (1, "c")]
-            i = j + 1
-        elif j + 1 == n:
-            return pairs, i
-        elif word[j + 1] == "L":
-            if k < 2:
-                raise ParseError("J L after a single R at position %d" % j)
-            pairs += [_standalone(k - 1), (1, "m")]
-            i = j + 2
-        else:
-            pairs.append(_standalone(k))
-            i = j + 1
+        sep = "JL" if word.startswith("JL", j) else word[j]
+        try:
+            back, tag = _SEGMENTS[sep]
+        except KeyError:
+            raise ParseError("unexpected symbol %r at position %d" % (sep, j)) from None
+        k = j - i
+        if k <= back:  # the digit k - back would be below 1
+            if k == 0:
+                raise ParseError("segment with no R run at position %d" % j)
+            raise ParseError("%s after a single R at position %d" % (" ".join(sep), j))
+        i = j + len(sep)
+        if i == n and sep in _OPEN_SEPS:
+            return pairs, j - k
+        pairs.append(_standalone(k - back))
+        if tag:
+            pairs.append((1, tag))
 
 
 def annotated_from_mgcf(word: str) -> AnnotatedDigits:
@@ -334,8 +350,8 @@ def mgcf_from_acf(word: str):
     digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]
     pairs: list[tuple[int, Optional[str]]] = []
-    resolved = len(tail)
-    for n, (a, m) in enumerate(zip(tail, convergents(OcfDigits(digits[0], tail)))):
+    ms = convergents(OcfDigits(digits[0], tail))
+    for n, (a, (_ma, _mb, mc, md)) in enumerate(zip(tail, ms)):
         if a != 1:
             pairs.append((a, None))
             continue
@@ -343,15 +359,13 @@ def mgcf_from_acf(word: str):
             pairs.append((1, "m"))
             continue
         # N(alpha) below every possible tail value beta means beta > N(alpha),
-        # with alpha = m.d/m.c and N(alpha) = (m.d + 2 m.c)/(2 m.d + m.c)
-        sign = -_cmp_vs_prefix_interval(m.d + 2 * m.c, 2 * m.d + m.c, tail[n:])
+        # with alpha = md/mc and N(alpha) = (md + 2 mc)/(2 md + mc)
+        sign = -_cmp_vs_prefix_interval(md + 2 * mc, 2 * md + mc, tail[n:])
         if sign == 0:
-            resolved = n  # undecidable from this prefix; stop here
-            break
+            break  # undecidable from this prefix; stop here
         pairs.append((1, _TAG_OF_SIGN[sign]))
-    ad = AnnotatedDigits(digits[0], tuple(pairs[:resolved]), False)
-    out = mgcf_from_annotated(ad)
-    return out, {"retained_digits": len(digits)}
+    word = mgcf_from_annotated(AnnotatedDigits(digits[0], tuple(pairs), False))
+    return word, {"retained_digits": len(digits)}
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +373,11 @@ def mgcf_from_acf(word: str):
 
 
 def parse_annotated(text: str) -> AnnotatedDigits:
-    t = text.strip()
-    head, _, rest = t.partition(";")
+    head, _, rest = text.strip().partition(";")
     a0 = parse_int(head)
-    pairs: list[tuple[int, Optional[str]]] = []
-    if rest:
-        for tok in rest.split(","):
-            tok = tok.strip()
-            if tok and tok[-1] in "hmc":
-                d = parse_int(tok[:-1])
-                if d != 1:
-                    raise ParseError("tag on a digit != 1: %r" % tok)
-                pairs.append((1, tok[-1]))
-            else:
-                pairs.append((parse_int(tok), None))
+    pairs = _parse_digit_list(rest, "hmc") if rest else []
+    if any(d < 1 for d, _t in pairs):
+        raise ValueError("tail digits must be positive")
     return AnnotatedDigits(a0, tuple(pairs), True)
 
 

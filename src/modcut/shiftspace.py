@@ -3,11 +3,12 @@
 A block over {L, R, J, C1, C2} is rewritten in MGCF letters from each
 starting parity that admits it, and each rewrite is read by the segment
 reader that ``mgcf.annotated_from_mgcf`` uses, between a head piece (the end
-of a digit begun before the block) and a tail piece (a digit the block cuts
-off).  A reading is complete digits with their 1-tags plus free boundary
-variables y (head continuation, the value [0; e1, e2, ...] of the digits
-preceding the block read outward) and z (tail continuation), each in a box
-kept on the reading as integer pairs (p, q), q > 0.  Each tagged 1 at digit
+of a digit begun before the block, cut at a separator of ``mgcf._SEGMENTS``)
+and a tail piece (a digit the block cuts off).  A reading is complete digits
+with their 1-tags plus free boundary variables y (head continuation, the
+value [0; e1, e2, ...] of the digits preceding the block read outward) and z
+(tail continuation), each in a box kept on the reading as integer pairs
+(p, q), q > 0.  Each tagged 1 at digit
 index i contributes one exact linear-fractional constraint
 
     beta_i(z)  >  N(alpha_i(y))   for 1_h,
@@ -62,6 +63,7 @@ from .exactnum import (
 from .cf import OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
 from .mgcf import (
     N_MAT,
+    _SEGMENTS,
     _read_segments,
     _standalone,
     _TAG_OF_SIGN,
@@ -158,19 +160,19 @@ def _heads(mg: str):
     if r == 0 and mg[0] == "L":
         # (b) the tail of an unseen pair: boundary 1_m with alpha = y free
         return [(1, [(1, "m")], (1, 1))]
-    for sep, ones in (("JL", [(1, "m")]), ("J", []), ("C", [(1, "c")])):
+    for sep, (back, tag) in _SEGMENTS.items():
         if mg.startswith(sep, r):
             break
     else:
         return []
+    ones = [(1, tag)] if tag else []
     if r == 0:
         # a J, a pair's J L or a corner closes an unseen digit
         return [(len(sep), ones, (1, 1))]
     # (a) the R run is the tail of a partial digit e >= k absorbed into y,
-    #     with k = r - 1 before the J L of a pair (its 1_m follows), else r
-    k = r - (sep == "JL")
+    #     with k = r - back: a pair's J L takes one R for its 1_m
     return [(r + len(sep), one + ones, bound)
-            for bound, one in _partial_digit(k)]
+            for bound, one in _partial_digit(r - back)]
 
 
 def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 from click.testing import CliRunner
@@ -201,6 +202,29 @@ def test_central_bad_digit_is_a_parse_error(runner):
     assert res.exit_code == 2
     assert res.stderr.startswith("parse error:")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("head", ["2,,1", "2,1,", ","])
+def test_central_empty_digit_is_a_parse_error(runner, head):
+    # the head is read by the digit-list reader of parse_digits
+    res = invoke(runner, "central", head)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("parse error: cannot parse ''")
+
+
+def test_a_radicand_too_large_to_factor_exits_4(runner):
+    def expire(signum, frame):
+        raise TimeoutError("over its 10 s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        res = invoke(runner, "expand", "mgcf", "(0+1*sqrt(%d))/1" % (2**89 - 1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert res.exit_code == 4
+    assert res.stderr.startswith("budget exceeded:")
 
 
 def test_forbidden_listing(runner):

@@ -556,6 +556,26 @@ def _budget(seconds: int):
         signal.signal(signal.SIGALRM, old)
 
 
+def test_squarefree_split_of_large_radicands():
+    # trial division stops at the cube root of the cofactor; what is left is
+    # 1, p, p q or p^2
+    p, q = 2**31 - 1, 2**31 + 11
+    cases = {10**18 + 3: (1, 10**18 + 3), 2**61 - 1: (1, 2**61 - 1),
+             p * p: (p, 1), 12 * p * p: (2 * p, 3), p * q: (1, p * q),
+             7**3 * 11**2: (77, 7)}
+    with _budget(10):
+        for n, split in cases.items():
+            assert squarefree_split(n) == split, n
+
+
+def test_a_radicand_past_the_trial_limit_is_a_budget_error():
+    # the Mersenne prime 2^89 - 1 has no divisor up to 2^21, and is above its cube
+    with _budget(10), pytest.raises(BudgetError, match="too large to factor"):
+        squarefree_split(2**89 - 1)
+    with _budget(10), pytest.raises(BudgetError):
+        parse_extreal("(0+1*sqrt(%d))/1" % (2**89 - 1))
+
+
 def _outcome(call, x):
     # the result of call(x), or the type and message of the typed error it
     # raised; anything else, a blown budget among them, fails the test

@@ -136,6 +136,37 @@ def test_codec_roundtrip_corpus():
         assert ocf_value(OcfDigits(ad.a0, tuple(d for d, _ in ad.tail), True)) == f
 
 
+@st.composite
+def segment_digits(draw):
+    """Valid finite annotated digits, drawn segment by segment: a digit, then
+    the 1_m or 1_c its separator may hold; a lone 1 is tagged h, and a1 = 1 m."""
+    a0 = draw(st.sampled_from([0, -1]))
+    pairs = [(1, "m")] if a0 == -1 else []
+    for a, held in draw(st.lists(st.tuples(st.integers(1, 6),
+                                           st.sampled_from([None, "m", "c"])), max_size=8)):
+        pairs.append((a, "h" if a == 1 else None))
+        if held:
+            pairs.append((1, held))
+    if pairs[:1] == [(1, "h")]:
+        pairs[0] = (1, "m")
+    return AnnotatedDigits(a0, tuple(pairs), True)
+
+
+@given(segment_digits())
+def test_codec_roundtrip_on_segment_digits(ad):
+    assert annotated_from_mgcf(mgcf_from_annotated(ad)) == ad
+
+
+def test_codec_checks_digits_after_its_older_checks():
+    # a digit the codec cannot encode is reported only once the expansion
+    # has passed the a0 and 1_c checks, whose messages come first
+    ad = AnnotatedDigits(0, ((0, None), (1, "m"), (1, "c"), (2, None)), False)
+    with pytest.raises(ValueError, match="1_c on a non-terminating expansion"):
+        mgcf_from_annotated(ad)
+    with pytest.raises(ValueError, match=r"not an annotated digit: \(0, None\)"):
+        mgcf_from_annotated(AnnotatedDigits(0, ((0, None), (1, "m"), (2, None)), False))
+
+
 def test_from_acf_prefix_semantics():
     w, stats = mgcf_from_acf(acf_of(Fraction(5, 14)))
     assert mgcf_direct(Fraction(5, 14)).startswith(w)

@@ -7,7 +7,7 @@ import pytest
 
 from modcut.automata import homographic_acf
 from modcut.cf import OcfDigits, acf_value, ocf_digits, ocf_value
-from modcut.cutting import corner_resolutions
+from modcut.cutting import corner_resolutions, cutting_matrix
 from modcut.exactnum import (
     PINF,
     IntMatrix2,
@@ -49,6 +49,25 @@ ERRORS = {
                                   "precede the initial J"),
     "parse_annotated('0;2h')": (lambda: parse_annotated("0;2h"), ParseError,
                                 "tag on a digit != 1"),
+    "parse_annotated('0;0')": (lambda: parse_annotated("0;0"), ValueError,
+                               "tail digits must be positive"),
+    "mgcf_from_annotated(AnnotatedDigits(0, ((0, None),)))": (
+        lambda: mgcf_from_annotated(AnnotatedDigits(0, ((0, None),))), ValueError,
+        "not an annotated digit: (0, None)"),
+    "mgcf_from_annotated(AnnotatedDigits(0, ((-2, None),)))": (
+        lambda: mgcf_from_annotated(AnnotatedDigits(0, ((-2, None),))), ValueError,
+        "not an annotated digit: (-2, None)"),
+    "mgcf_from_annotated(AnnotatedDigits(0, ((2, None), (1, 'q'))))": (
+        lambda: mgcf_from_annotated(AnnotatedDigits(0, ((2, None), (1, "q")))),
+        ValueError, "not an annotated digit: (1, 'q')"),
+    "mgcf_from_annotated(AnnotatedDigits(-1, ((1, 'q'),)))": (
+        lambda: mgcf_from_annotated(AnnotatedDigits(-1, ((1, "q"),))), ValueError,
+        "not an annotated digit: (1, 'q')"),
+    "mgcf_from_annotated(AnnotatedDigits(0, ((3, 'h'),)))": (
+        lambda: mgcf_from_annotated(AnnotatedDigits(0, ((3, "h"),))), ValueError,
+        "not an annotated digit: (3, 'h')"),
+    "cutting_matrix(('X',))": (lambda: cutting_matrix(("X",)), ParseError,
+                               "bad cutting token 'X'"),
     "squarefree_split(-1)": (lambda: squarefree_split(-1), ValueError, "negative radicand"),
     "surd(0, 1, -2)": (lambda: surd(0, 1, -2), ValueError, "negative radicand"),
     "sqrt_exact(2) + sqrt_exact(3)": (lambda: sqrt_exact(2) + sqrt_exact(3), ValueError,
