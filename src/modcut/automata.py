@@ -6,7 +6,8 @@ gives the word flushed when the input ends in a given state, so machines with
 held-back output (separator look-ahead) still agree with the batch
 conversions on complete inputs.  The MGCF <-> cutting and ACF <-> Farey
 machines wrap the tables in ``cutting`` and ``cf`` that the batch
-conversions run on, so each conversion is written once.
+conversions run on, so each conversion is written once; the MGCF -> additive
+machine is read off the codec's segment table, ``mgcf._SEGMENTS``.
 
 The homographic machine computes the additive-word expansion of m(x) from
 the additive word of x by an absorb/emit loop on a 2x2 integer matrix: an
@@ -35,7 +36,7 @@ from .cf import (
     _walk,
 )
 from .cutting import CUTTING_TO_MGCF, MGCF_TO_CUTTING
-from .mgcf import annotate_ones
+from .mgcf import _OPEN_SEPS, _SEGMENTS, annotate_ones
 
 __all__ = [
     "Transducer",
@@ -174,23 +175,23 @@ def cutting_to_mgcf_machine() -> Transducer:
 
 
 def mgcf_to_acf_machine() -> Transducer:
-    """Vertical MGCF word -> additive word, with separator look-ahead.
+    """Vertical MGCF word -> additive word, read off ``mgcf._SEGMENTS``.
 
-    States: q0 before the initial J; q1 just after it; p1 inside a run with
-    one R held back; pj after the run's J while plain-vs-JL is undecided;
-    sep after a completed pair, holding the segment's closing F.
+    States: q0 before the opening J; sep after a finished segment; run with
+    one R of a run held back; and each separator that begins a longer one
+    (``_OPEN_SEPS``) while the longer one is undecided.  A finished
+    separator prints R^(1 - back), then F R if it carries a tagged 1.
     """
-    trans = {
-        ("q0", "J"): ("q1", ()),
-        ("q1", "R"): ("p1", ("F",)),
-        ("p1", "R"): ("p1", ("R",)),
-        ("p1", "J"): ("pj", ()),
-        ("p1", "C"): ("sep", ("R", "F", "R")),
-        ("pj", "R"): ("p1", ("R", "F")),
-        ("pj", "L"): ("sep", ("F", "R")),
-        ("sep", "R"): ("p1", ("F",)),
-    }
-    finals = {"q0": (), "q1": (), "pj": ("R",), "sep": (), "p1": ()}
+    trans = {("q0", "J"): ("sep", ()), ("sep", "R"): ("run", ("F",)),
+             ("run", "R"): ("run", ("R",))}
+    finals = dict.fromkeys(("q0", "sep", "run"), ())
+    for sep, (back, tag) in _SEGMENTS.items():
+        out = ("R",) * (1 - back) + ("F", "R") * bool(tag)
+        if sep in _OPEN_SEPS:  # an R after it finishes it and opens a run
+            trans["run", sep], trans[sep, "R"] = (sep, ()), ("run", out + ("F",))
+            finals[sep] = out
+        else:  # its last letter, read after the separator it begins with
+            trans[sep[:-1] or "run", sep[-1]] = ("sep", out)
     return _machine(trans, "q0", finals)
 
 

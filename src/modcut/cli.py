@@ -23,7 +23,7 @@ from .exactnum import (
     ParseError,
     format_extreal,
     parse_extreal,
-    sqrt_exact,
+    surd,
 )
 from .cf import (
     _acf_runs,
@@ -311,7 +311,7 @@ def bench(ell):
     """
     if ell < 100:
         raise ValueError("ell must be >= 100")
-    theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
+    theta = surd(Fraction(-1, 2), Fraction(1, 2), 3)
     full = acf_of(theta, limit=4 * ell)
     rows = []
     for n in (ell, 2 * ell, 4 * ell):

@@ -215,14 +215,16 @@ def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
 
     Each digit is a segment of ``_SEGMENTS``, its separator chosen by the tag
     of the 1 after it; a0 = -1 and a1 = 1 are the JL segment with no R run.
-    A digit < 1, a tag outside h/m/c or on a digit != 1 is a ValueError.
+    A digit < 1, a tag outside h/m/c or on a digit != 1, an a1 = 1 after
+    a0 = -1 tagged h or c, and a 1_c in a non-terminating expansion are
+    ValueErrors.
     """
     tail, bad = ad.tail, None
     if ad.a0 == 0:
         out, i = ["J"], 0
     elif ad.a0 == -1:
-        if not tail or tail[0][0] != 1:
-            raise ValueError("a0 = -1 requires a1 = 1")
+        if not tail or tail[0][0] != 1 or tail[0][1] in ("h", "c"):
+            raise ValueError("a0 = -1 requires a1 = 1, untagged or tagged m")
         out, i, bad = ["JL"], 1, (None if tail[0][1] in _TAGS else tail[0])
     else:
         raise ValueError("normalized digits require a0 in {0, -1}")
@@ -246,6 +248,8 @@ def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
             out.append("R" * a)  # unknown continuation: only the run is determined
             break
         back, held = _SEGMENTS[sep]
+        if held == "c" and not finite:
+            raise ValueError("1_c on a non-terminating expansion")
         out.append("R" * (a + back) + sep)
         if held:
             i += 1

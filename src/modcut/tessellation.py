@@ -13,7 +13,8 @@ decision is the sign of a small polynomial in the coordinates: b - a, a + b
 and 2ab + 2 -+ (a + b), each cleared of denominators by the sign of y_a y_b.
 Exit through the right edge emits R, the left edge L, the bottom arc J;
 passing exactly through a corner (+-1/2 + sqrt(3)/2 i) emits C1/C2 and
-applies the corner matrix.
+applies the corner matrix.  The corners on a vertical geodesic are read off
+the integer forms of discriminant -3, whose roots are the corners.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import (
     BudgetError,
@@ -37,6 +38,7 @@ from .exactnum import (
     lft_apply,
     real_of,
     sqrt_exact,
+    surd,
     surd_sign,
 )
 from .cutting import CUTTING_MATS
@@ -100,11 +102,11 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class CornerHit:
-    r: Fraction  # the hit is at height t = sqrt(3) * r, r = 1/(2D)
+    r: Fraction  # the hit is at height t = sqrt(3) * r, r = 1/(2A) for its form
     witness: IntMatrix2  # SL(2,Z) matrix mapping the corner of F to the hit
 
     def t_value(self) -> QuadSurd:
-        return sqrt_exact(3) * self.r
+        return surd(0, self.r, 3)
 
 
 class NonTransverseError(ValueError):
@@ -207,63 +209,46 @@ def corner_point(m: IntMatrix2) -> tuple[Fraction, Fraction]:
     return Fraction(N, 2 * D), Fraction(1, 2 * D)
 
 
-def _coprime_reps(D: int) -> list[tuple[int, int]]:
-    """Coprime (c, d) with c^2 + cd + d^2 = D, up to (c,d) ~ (-c,-d)."""
-    reps = []
-    dmax = math.isqrt((4 * D) // 3) + 1
-    for d in range(-dmax, dmax + 1):
-        disc = 4 * D - 3 * d * d
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        # s = d (mod 2), so c is exact and c^2 + cd + d^2 = (3d^2 + s^2)/4 = D
-        for c in {(-d + s) // 2, (-d - s) // 2}:
-            if math.gcd(c, d) != 1:
-                continue
-            pair = (c, d)
-            if (-c, -d) in reps:
-                continue
-            if pair not in reps:
-                reps.append(pair)
-    return reps
-
-
-def _witness_for(c: int, d: int, N: int, D: int) -> Optional[IntMatrix2]:
-    # find (a, b) with ad - bc = 1 and 2ac+ad+bc+2bd = N, for coprime (c, d);
-    # the solutions are (a0 + kc, b0 + kd), whose values 2ac+ad+bc+2bd step
-    # by 2D, so N fixes k and the witness is unique
-    a0 = pow(d, -1, c) if c else d
-    b0 = (a0 * d - 1) // c if c else 0
-    k, r = divmod(N - (2 * a0 * c + a0 * d + b0 * c + 2 * b0 * d), 2 * D)
-    return None if r else IntMatrix2(a0 + k * c, b0 + k * d, c, d)
+def _corner_matrix(A: int, B: int, C: int) -> IntMatrix2:
+    """m in SL(2,Z) with m(rho) = (-B + sqrt(3) i)/(2A), the root of the form
+    (A, B, C) of discriminant -3, reduced to (1, -1, 1), whose root is rho,
+    by two moves undone on the right of m: z -> z + k maps B to B - 2kA, and
+    k = (B + A) // (2A) puts B in [-A, A); z -> -1/z maps (A, B, C) to
+    (C, -B, A).  After a translation, C >= A forces 4A^2 <= B^2 + 3 <=
+    A^2 + 3, so A = 1 and B = -1; else the inversion lowers A."""
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        k = (B + A) // (2 * A)
+        B, C = B - 2 * k * A, C - k * (B - k * A)
+        b, d = b - k * a, d - k * c
+        if A == 1:
+            return IntMatrix2(a, b, c, d)
+        A, B, C = C, -B, A
+        a, b, c, d = -b, a, -d, c
 
 
 def corner_hits_vertical(theta) -> list[CornerHit]:
     """All corner translates on the vertical line x = theta, exactly.
 
-    A hit at height t = sqrt(3)/(2D) exists iff theta = N/(2D) for integers
-    N, D with D = c^2+cd+d^2 (coprime c, d), gcd(N, D) in {1, 3}, and N in
-    the congruence class mod 2D realized by an SL(2,Z) witness.  A surd or
-    an infinite theta is a ValueError, and an inexact one a TypeError.
+    The corners are the SL(2,Z) images of rho = (1 + sqrt(3) i)/2: the roots
+    (-B + sqrt(3) i)/(2A), A > 0, of the integer forms A x^2 + B x + C with
+    B^2 - 4AC = -3.  On x = p/q in lowest terms a root needs B = -2A p/q, so
+    2A = qk and B = -pk for an integer k > 0; and 4AC = 2qk C = (pk)^2 + 3,
+    so k divides 3.  Hence a hit at height sqrt(3)/(qk) exists for k = 1 or
+    3 exactly when q is even (A = qk/2 is an integer) and 2qk divides
+    (pk)^2 + 3, with C the quotient; the k = 1 hit comes first.  A surd or an infinite theta is a
+    ValueError, and an inexact one a TypeError.
     """
     p, v, q, _ = real_of(theta)
     if v or not q:
         raise ValueError("corner hits are computed for rational theta only")
+    if q % 2:
+        return []
     hits = []
-    for k in (1, 2, 3, 6):
-        if (q * k) % 2:
-            continue
-        D = q * k // 2  # grows with k, so the hits come sorted and distinct
-        N = p * k
-        if math.gcd(N, D) not in (1, 3):
-            continue
-        for c, d in _coprime_reps(D):
-            w = _witness_for(c, d, N, D)
-            if w is not None:
-                hits.append(CornerHit(Fraction(1, 2 * D), w))
-                break
+    for k in (1, 3):
+        C, rem = divmod((p * k) ** 2 + 3, 2 * q * k)
+        if not rem:
+            hits.append(CornerHit(Fraction(1, q * k), _corner_matrix(q * k // 2, -p * k, C)))
     return hits
 
 

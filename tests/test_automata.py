@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -69,6 +71,23 @@ def test_cutting_to_acf_composition_lag():
         assert "".join(run(machine, cut)) == acf_from_cutting(cut)
         corpus.append(cut)
     assert max_lag(machine, corpus) <= 4
+
+
+def test_mgcf_to_acf_machine_frozen():
+    # the output, or "no edge", of every J/R/L/C word of length <= 8 (87,381
+    # words): a change to the machine or to mgcf._SEGMENTS that moves any
+    # of them fails here
+    machine = mgcf_to_acf_machine()
+    digest = hashlib.sha256()
+    for n in range(9):
+        for w in itertools.product("JRLC", repeat=n):
+            try:
+                out = "".join(run(machine, w))
+            except ParseError:
+                out = "no edge"
+            digest.update(("%s\t%s\n" % ("".join(w), out)).encode())
+    assert digest.hexdigest() == (
+        "6b0b093b2a3d2352ce03c546a96f2d89c93dc8d82e62a8430898091124f52c10")
 
 
 def test_transducer_json_schema():

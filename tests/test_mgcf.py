@@ -167,6 +167,25 @@ def test_codec_checks_digits_after_its_older_checks():
         mgcf_from_annotated(AnnotatedDigits(0, ((0, None), (1, "m"), (2, None)), False))
 
 
+def test_codec_refuses_a_held_1c_on_a_non_terminating_expansion():
+    # the 1_c is held by the C segment of the digit 2, not a segment head
+    ad = AnnotatedDigits(0, ((2, None), (1, "c"), (3, None)), False)
+    with pytest.raises(ValueError, match="1_c on a non-terminating expansion"):
+        mgcf_from_annotated(ad)
+    assert mgcf_from_annotated(AnnotatedDigits(0, ad.tail, True)) == "JRRCRRRJ"
+
+
+@pytest.mark.parametrize("text, word", [("-1;1h,3", None), ("-1;1c,3", None),
+                                        ("-1;1m,3", "JLRRRJ"), ("-1;1,3", "JLRRRJ")])
+def test_codec_reads_the_tag_of_a1_after_a0_minus_one(text, word):
+    ad = parse_annotated(text)
+    if word is None:
+        with pytest.raises(ValueError, match="a0 = -1 requires a1 = 1"):
+            mgcf_from_annotated(ad)
+    else:
+        assert mgcf_from_annotated(ad) == word
+
+
 def test_from_acf_prefix_semantics():
     w, stats = mgcf_from_acf(acf_of(Fraction(5, 14)))
     assert mgcf_direct(Fraction(5, 14)).startswith(w)

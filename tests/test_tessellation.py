@@ -52,28 +52,38 @@ def test_corner_hits_half():
         str(s3 * HALF), str(s3 * Fraction(1, 6))}
 
 
+def _census_feet(qmax):
+    """Coprime p/q with 3 <= q < qmax and 0 < |p/q| < 1/2."""
+    for q in range(3, qmax):
+        for p in range(-((q - 1) // 2), (q - 1) // 2 + 1):
+            if p and math.gcd(p, q) == 1:
+                yield Fraction(p, q)
+
+
 def test_corner_hits_census_small():
-    for q in range(3, 60):
-        for p in range(1, (q - 1) // 2 + 1):
-            if 2 * p < q and math.gcd(p, q) == 1:
-                hits = corner_hits_vertical(Fraction(p, q))
-                assert len(hits) <= 1
-                word = mgcf_direct(Fraction(p, q), limit=500)
-                assert ("C" in word) == bool(hits)
+    # a foot inside (-1/2, 1/2) has a hit iff its word has a C, and at most
+    # one; its translates by an integer have the hits at the same heights
+    for f in _census_feet(60):
+        hits = corner_hits_vertical(f)
+        assert len(hits) <= 1
+        assert ("C" in mgcf_direct(f, limit=500)) == bool(hits)
+        for n in (-2, -1, 1):
+            assert [h.r for h in corner_hits_vertical(f + n)] == [h.r for h in hits]
+    assert corner_hits_vertical(Fraction(-7, 6)) == []
+    assert [h.r for h in corner_hits_vertical(Fraction(3, 2))] == [HALF, Fraction(1, 6)]
 
 
 def test_corner_point_identity():
-    # every hit of the census above: its witness is in SL(2, Z) and maps the
-    # corner onto the foot at the hit's height
+    # every hit of the census above and of its translates: its witness is in
+    # SL(2, Z) and maps the corner onto the foot at the hit's height
+    feet = [f + n for f in (*_census_feet(60), HALF) for n in (-2, -1, 0, 1)]
     hits = 0
-    for q in range(3, 60):
-        for p in range(1, (q - 1) // 2 + 1):
-            if 2 * p < q and math.gcd(p, q) == 1:
-                for hit in corner_hits_vertical(Fraction(p, q)):
-                    assert hit.witness.det() == 1
-                    assert corner_point(hit.witness) == (Fraction(p, q), hit.r)
-                    hits += 1
-    assert hits > 1
+    for f in feet:
+        for hit in corner_hits_vertical(f):
+            assert hit.witness.det() == 1
+            assert corner_point(hit.witness) == (f, hit.r)
+            hits += 1
+    assert hits == 56
 
 
 def test_periodic_corner_counts():
