@@ -140,6 +140,10 @@ _TOKEN = re.compile(r"C[12]|[LRJ]")
 
 
 def parse_cutting(text: str) -> CuttingWord:
+    """The tokens of a cutting word, written run together or split by commas;
+    text that is not a str is a TypeError, and a bad token a ParseError."""
+    if not isinstance(text, str):
+        raise TypeError("cutting word text must be a str, not %r" % (text,))
     t = text.strip()
     if "," in t:
         toks = tuple(p.strip() for p in t.split(",") if p.strip())

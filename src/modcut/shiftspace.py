@@ -28,8 +28,10 @@ whole-forbidden iff every reading's constraints are infeasible over the open
 box; feasibility is decided exactly by isolating the y-values where the
 curves cross each other or the box (integer quadratics) and testing a
 rational sample point in every cell.  All of it runs on integers: the
-breakpoints are the roots of integer linear and quadratic forms in y,
-triples (u + v sqrt(D))/w over the raw discriminant D, sorted by the exact
+breakpoints are the roots of integer linear and quadratic forms in y.  A
+linear form's root is rational, kept as an integer pair and tested against
+the box by cross-multiplication; it and a quadratic's roots become triples
+(u + v sqrt(D))/w over the raw discriminant D, sorted by the exact
 mixed-radicand sign, with the cell samples drawn by the integer walk of
 ``exactnum.rational_between``; and a witness candidate is an integer pair
 (y, z) until it becomes a foot.  An initial word is the same system with y
@@ -37,8 +39,10 @@ pinned to one value (0, or 1 after the J R opening), tested at that point.
 ``decide_block`` decides the readings in turn, up to the first witness: a
 rational geodesic whose cutting word, read by the segment codec from the
 candidate's own digits (``_codec_word``), holds the joined block as a
-substring (a prefix for an initial word).  Only a verdict without one decides
-every reading; the tracer is not consulted, and lattice reduction only at -1/2.
+substring (a prefix for an initial word).  Readings and each candidate's
+feet are produced one at a time, so nothing after the witness is built.
+Only a verdict without one decides every reading; the tracer is not
+consulted, and lattice reduction only at -1/2.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactnum import (
     IntMatrix2,
@@ -175,8 +179,9 @@ def _heads(mg: str):
             for bound, one in _partial_digit(r - back)]
 
 
-def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
-    """All consistent (head reading, interior, tail reading) combinations.
+def _block_readings(w: Sequence[str], anchored: bool = False) -> Iterator[_Reading]:
+    """All consistent (head reading, interior, tail reading) combinations,
+    built one at a time as the caller asks for the next.
 
     The block is read in MGCF letters; its interior goes to the segment
     reader of the codec.  An anchored block is an initial word: it opens
@@ -184,23 +189,22 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
     to 1 = [0; 1], the consumed 1_m.
     """
     y_lo = (0, 1)
-    heads = []  # (MGCF block, resume position, head digits, y_hi)
     if anchored:
         try:
             mg = mgcf_from_cutting(w)
         except ParseError:
-            return []
+            return
         start = 2 if mg[1:2] == "L" else 1
         y_lo = (start - 1, 1)
-        heads.append((mg, start, [], y_lo))
+        heads: Iterable = [(mg, start, [], y_lo)]
     else:
         mgs = _mgcf_readings(w)
         if mgs and not mgs[0].strip("R"):
             # an empty block or a bare letter run: any digit >= its length
-            return [_Reading([])]
-        for mg in mgs:
-            heads += [(mg,) + head for head in _heads(mg)]
-    readings = []
+            yield _Reading([])
+            return
+        # (MGCF block, resume position, head digits, y_hi)
+        heads = ((mg,) + head for mg in mgs for head in _heads(mg))
     for mg, start, hdigits, y_hi in heads:
         try:
             digits, stop = _read_segments(mg, start)
@@ -208,33 +212,31 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> list[_Reading]:
             continue
         for rd in _tail_readings(hdigits + digits, mg[stop:]):
             rd.y_lo, rd.y_hi = y_lo, y_hi
-            readings.append(rd)
-    return readings
+            yield rd
 
 
-def _tail_readings(digs, tail: str) -> list[_Reading]:
-    """Readings of the final piece R^r or R^r J that the segment reader left."""
+def _tail_readings(digs, tail: str) -> Iterator[_Reading]:
+    """Readings of the final piece R^r or R^r J that the segment reader left,
+    one at a time."""
     r = tail.count("R")
     if not tail:
-        return [_Reading(digs)]
-    if tail.endswith("J"):
+        yield _Reading(digs)
+    elif tail.endswith("J"):
         # plain separator: digit r complete, z free; or a pair: digit r-1
         # then 1_m whose pair tail is unseen
-        out = [_Reading(digs + [_standalone(r)])]
+        yield _Reading(digs + [_standalone(r)])
         if r >= 2:
-            out.append(_Reading(digs + [_standalone(r - 1), (1, "m")]))
-        return out
-    # (a) partial digit e >= r: z in (0, bound], closed when e = r ends the
-    #     expansion
-    out = [_Reading(digs + one, z_hi=bound, z_hi_closed=not one)
-           for bound, one in _partial_digit(r)]
-    # (b) the run is a full pair run of length exactly r (digit r-1, J and
-    #     pair tail unseen): continuation [0, r-1, 1, ...],
-    #     z in (1/r, 2/(2r-1)), plus the unseen 1_m's tag constraint
-    if r >= 2:
-        out.append(_Reading(digs, z_lo=(1, r), z_hi=(2, 2 * r - 1),
-                            trailing_pair=r - 1))
-    return out
+            yield _Reading(digs + [_standalone(r - 1), (1, "m")])
+    else:
+        # (a) partial digit e >= r: z in (0, bound], closed when e = r ends
+        #     the expansion
+        for bound, one in _partial_digit(r):
+            yield _Reading(digs + one, z_hi=bound, z_hi_closed=not one)
+        # (b) the run is a full pair run of length exactly r (digit r-1, J
+        #     and pair tail unseen): continuation [0, r-1, 1, ...],
+        #     z in (1/r, 2/(2r-1)), plus the unseen 1_m's tag constraint
+        if r >= 2:
+            yield _Reading(digs, z_lo=(1, r), z_hi=(2, 2 * r - 1), trailing_pair=r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +251,8 @@ def _real(u: int, v: int, w: int, d: int = 0) -> Real:
 def _quad_roots(A: int, B: int, C: int) -> list[Real]:
     """Real roots of A x^2 + B x + C as triples (-B +- sqrt(D))/(2A) over the
     raw discriminant D, rational when D is a square; a double root is listed
-    twice.  For A = 0 it is the one root -C/B of a linear form, the pole
-    rule: none when B = 0."""
+    twice.  For A = 0, a crossing that degenerates to a linear form, it is
+    the one root -C/B, the pole rule: none when B = 0."""
     if A == 0:
         return [_real(-C, 0, B)] if B else []
     D = B * B - 4 * A * C
@@ -367,21 +369,32 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
 
 def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     """Sorted distinct y-values in [y_lo, y_hi] where the feasible z-set can
-    change, as triples: the roots of forms A y^2 + B y + C."""
+    change, as triples.
+
+    The box ends, z*'s poles and z* meeting z_lo and z_hi are the roots
+    -C/B of linear forms B y + C: rational by construction, each is kept as
+    an integer pair and tested against the box by cross-multiplication, and
+    only one inside becomes a triple.  Two curves cross at the roots of a
+    quadratic A y^2 + B y + C, which ``_quad_roots`` isolates.
+    """
     (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
-    forms = [(0, l2, -l1), (0, h2, -h1)]  # the box ends
+    lines = [(l2, -l1), (h2, -h1)]  # (B, C): the box ends
+    crossings = []
     for i, (_sign, (a, b, c, d)) in enumerate(cons):
-        forms.append((0, a, b))  # z*'s pole; alpha's is below y = 0
+        lines.append((a, b))  # z*'s pole; alpha's is below y = 0
         for zn, zd in (rd.z_lo, rd.z_hi):
-            forms.append((0, zn * a + zd * c, zn * b + zd * d))  # f(y, zn/zd) = 0
+            lines.append((zn * a + zd * c, zn * b + zd * d))  # f(y, zn/zd) = 0
         for _sign2, (a2, b2, c2, d2) in cons[i + 1:]:
             # two curves cross where r t2 = r2 t
-            forms.append((a * c2 - a2 * c, a * d2 + b * c2 - a2 * d - b2 * c,
-                          b * d2 - b2 * d))
+            crossings.append((a * c2 - a2 * c, a * d2 + b * c2 - a2 * d - b2 * c,
+                              b * d2 - b2 * d))
+    roots = ((-C, B) if B > 0 else (C, -B) for B, C in lines if B)
+    inside = [(s1, 0, s2, 0) for s1, s2 in roots
+              if l1 * s2 <= s1 * l2 and s1 * h2 <= h1 * s2]
     y_lo, y_hi = (l1, 0, l2, 0), (h1, 0, h2, 0)
-    inside = sorted((c for form in forms for c in _quad_roots(*form)
-                     if _real_cmp(y_lo, c) <= 0 and _real_cmp(c, y_hi) <= 0),
-                    key=cmp_to_key(_real_cmp))
+    inside += [c for form in crossings for c in _quad_roots(*form)
+               if _real_cmp(y_lo, c) <= 0 and _real_cmp(c, y_hi) <= 0]
+    inside.sort(key=cmp_to_key(_real_cmp))
     # equal values from different candidates sit side by side
     return [c for i, c in enumerate(inside) if i == 0 or _real_cmp(inside[i - 1], c)]
 
@@ -421,9 +434,15 @@ class BlockVerdict:
         return self.status != "admissible"
 
 
-def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[tuple[Fraction, OcfDigits]]:
+def _check_verdict(v: BlockVerdict) -> None:
+    if not isinstance(v, BlockVerdict):
+        raise TypeError("verdict must be a BlockVerdict, not %r" % (v,))
+
+
+def _theta_from(rd: _Reading, y: tuple, z: tuple) -> Iterator[tuple[Fraction, OcfDigits]]:
     """Nonzero candidate feet realizing the reading at the pairs (y, z),
-    each beside its canonical digits.
+    each beside its canonical digits, yielded one head representation at a
+    time, so a foot is valued only if the one before it fails.
 
     The head continuation digits come from the two continued fraction
     representations of y (their lengths differ by one), since the parity of
@@ -442,7 +461,6 @@ def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[tuple[Fraction, OcfDig
         if alt and alt != hd:
             heads.append(list(reversed(alt)))
     # y == 0: only the empty head exists, single parity
-    out = []
     for head in heads:
         digits = head + body + tail
         if len(digits) > 1 and digits[-1] == 1:
@@ -450,8 +468,7 @@ def _theta_from(rd: _Reading, y: tuple, z: tuple) -> list[tuple[Fraction, OcfDig
         if digits and digits != [1]:  # [0; 1] = 1 would be the foot 0
             a0 = -1 if digits[0] == 1 or digits == [2] else 0  # theta >= 1/2
             cf = OcfDigits(a0, tuple(digits))
-            out.append((ocf_value(cf), cf))
-    return out
+            yield ocf_value(cf), cf
 
 
 def _codec_word(theta: Fraction, digits: OcfDigits) -> CuttingWord:
@@ -488,9 +505,11 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
 
     An initial word is read with the head continuation y pinned: y = 0 after
     the opening J, and y = [0; 1] = 1 after the J R opening, which encodes
-    a0 = -1 with the consumed 1_m digit.  Readings are decided in
-    ``_block_readings`` order up to the first witness, each followed by its
-    witness candidates; a whole-forbidden verdict decides every reading.
+    a0 = -1 with the consumed 1_m digit.  Readings are built and decided one
+    at a time, in ``_block_readings`` order, up to the first witness; each
+    feasible one is followed by its witness candidates, and each candidate by
+    its feet, one at a time.  A whole-forbidden verdict decides every
+    reading, and counts them; a block with none has no segment factorization.
     A token that is no cutting symbol is a ValueError, checked first.
     """
     w = _tokens(w)
@@ -503,12 +522,10 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
                        reason="contains %s at %d" % ("".join(hit[1]), hit[0]))
     if anchored and w[:1] != ("J",):
         return verdict("whole-forbidden", reason="initial words start with J")
-    readings = _block_readings(w, anchored)
-    if not readings:
-        return verdict("whole-forbidden", reason="no segment factorization")
     blk = "".join(w)
     feasible = False
-    for rd in readings:
+    n = 0  # readings decided
+    for n, rd in enumerate(_block_readings(w, anchored), 1):
         cons = _constraints(rd)
         sol = _feasible(rd, cons)
         if sol is None:
@@ -520,8 +537,9 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
                     return verdict("admissible", witness=GeodesicSpec(PINF, theta))
     if feasible:
         return verdict("admissible", reason="feasible but no rational witness found")
-    return verdict("whole-forbidden",
-                   reason="all %d readings infeasible" % len(readings))
+    if not n:
+        return verdict("whole-forbidden", reason="no segment factorization")
+    return verdict("whole-forbidden", reason="all %d readings infeasible" % n)
 
 
 def _witness_candidates(rd: _Reading, cons: list, y: tuple, z: tuple):
@@ -552,8 +570,10 @@ _CROSS_CHECK_SEED = 7
 
 def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
     """Random rational sampling over the readings a whole-forbidden verdict
-    was decided over must never contradict it."""
+    was decided over must never contradict it.  A verdict that is no
+    ``BlockVerdict`` is a TypeError."""
     w = _tokens(w)
+    _check_verdict(verdict)
     if verdict.status != "whole-forbidden" or (verdict.anchored and w[:1] != ("J",)):
         return True
     rng = random.Random(_CROSS_CHECK_SEED)
@@ -682,7 +702,9 @@ def follower_separation(j: int, k: int) -> dict:
 
 
 def verdict_json(v: BlockVerdict) -> dict:
+    """The verdict as JSON fields; anything else is a TypeError."""
     from .exactnum import format_extreal
+    _check_verdict(v)
     wit = None
     if v.witness is not None:
         wit = {"head": format_extreal(v.witness.head),

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from modcut.cutting import (
     find_edge_forbidden,
 )
 from modcut.cf import F_MAT, R_MAT
-from modcut.exactnum import PINF, IntMatrix2, lft_apply
+from modcut.exactnum import PINF, IntMatrix2, _real_cmp, lft_apply
 from modcut.mgcf import N_MAT, mgcf_direct, n_transform
 from modcut.shiftspace import (
     BlockVerdict,
@@ -28,7 +29,10 @@ from modcut.shiftspace import (
     _constraints,
     _cutting_word,
     _occurs,
+    _quad_roots,
+    _Reading,
     _satisfied,
+    _y_breakpoints,
 )
 
 
@@ -181,20 +185,30 @@ def test_enumeration_decides_no_block_longer_than_max_len(monkeypatch):
     ("LC1LC1L", "whole-forbidden", 4),  # all 4 readings infeasible
 ])
 def test_verdict_stops_at_the_first_witness(monkeypatch, block, status, decided):
+    """Readings are built one at a time, each only when it is decided: a
+    witness in the first reading leaves the later ones unbuilt, and a
+    whole-forbidden verdict builds and decides them all."""
     import modcut.shiftspace as shiftspace
 
     w = W(block)
-    assert len(_block_readings(w)) == 4
-    calls = []
+    assert len(list(_block_readings(w))) == 4
+    calls, made = [], []
     feasible = shiftspace._feasible
 
     def counted(rd, cons):
         calls.append(rd)
         return feasible(rd, cons)
 
+    class Reading(shiftspace._Reading):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
     monkeypatch.setattr(shiftspace, "_feasible", counted)
+    monkeypatch.setattr(shiftspace, "_Reading", Reading)
     v = decide_block(w)
     assert v.status == status and len(calls) == decided
+    assert len(made) == decided
     if v.witness is not None:
         assert v.witness.foot == Fraction(3, 10)
 
@@ -556,3 +570,52 @@ def test_constraints_match_the_per_one_products():
         readings += 1
         records += len(cons)
     assert (readings, records) == (1393, 2842)
+
+
+# ---------------------------------------------------------------------------
+# the breakpoints against every form through the quadratic root finder
+
+
+def _breakpoints_by_roots(rd, cons):
+    """Every form's roots through ``_quad_roots``, linear ones too, filtered
+    against the y box, sorted, with adjacent equal values dropped: the
+    reference for ``_y_breakpoints``."""
+    (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
+    forms = [(0, l2, -l1), (0, h2, -h1)]
+    for i, (_sign, (a, b, c, d)) in enumerate(cons):
+        forms.append((0, a, b))
+        for zn, zd in (rd.z_lo, rd.z_hi):
+            forms.append((0, zn * a + zd * c, zn * b + zd * d))
+        for _sign2, (a2, b2, c2, d2) in cons[i + 1:]:
+            forms.append((a * c2 - a2 * c, a * d2 + b * c2 - a2 * d - b2 * c,
+                          b * d2 - b2 * d))
+    y_lo, y_hi = (l1, 0, l2, 0), (h1, 0, h2, 0)
+    inside = sorted((c for form in forms for c in _quad_roots(*form)
+                     if _real_cmp(y_lo, c) <= 0 and _real_cmp(c, y_hi) <= 0),
+                    key=cmp_to_key(_real_cmp))
+    return [c for i, c in enumerate(inside) if i == 0 or _real_cmp(inside[i - 1], c)]
+
+
+entries = st.integers(-10**6, 10**6)
+pairs = st.tuples(entries, st.integers(1, 10**6))
+# two distinct values, lower end first
+boxes = st.tuples(pairs, pairs).map(lambda b: sorted(b, key=lambda p: Fraction(*p))).filter(
+    lambda b: Fraction(*b[0]) < Fraction(*b[1]))
+records = st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
+                             st.tuples(entries, entries, entries, entries)), max_size=7)
+
+
+@given(boxes, boxes, records)
+# equal records cross on the zero form; a crossing that degenerates to the
+# linear form y = 0, at the box end; a box of unreduced pairs
+@example([(0, 1), (1, 1)], [(0, 1), (1, 1)], [(1, (1, 0, -1, 0))] * 2)
+@example([(0, 1), (1, 1)], [(0, 1), (1, 2)], [(1, (1, 0, 0, -1)), (1, (2, 0, 0, -1))])
+@example([(0, 2), (2, 2)], [(0, 1), (1, 1)], [(1, (2, -1, 0, 0)), (-1, (0, 0, 2, -1))])
+def test_breakpoints_match_the_quadratic_roots(ybox, zbox, cons):
+    """Rational roots tested as pairs give the same breakpoints, position by
+    position, as every root taken through ``_quad_roots``."""
+    (y_lo, y_hi), (z_lo, z_hi) = ybox, zbox
+    rd = _Reading([], y_lo=y_lo, y_hi=y_hi, z_lo=z_lo, z_hi=z_hi)
+    got, want = _y_breakpoints(rd, cons), _breakpoints_by_roots(rd, cons)
+    assert len(got) == len(want)
+    assert all(_real_cmp(g, w) == 0 for g, w in zip(got, want))

@@ -7,7 +7,7 @@ import pytest
 
 from modcut.automata import homographic_acf
 from modcut.cf import OcfDigits, acf_value, ocf_digits, ocf_value
-from modcut.cutting import corner_resolutions, cutting_matrix
+from modcut.cutting import corner_resolutions, cutting_matrix, parse_cutting
 from modcut.exactnum import (
     PINF,
     IntMatrix2,
@@ -25,6 +25,7 @@ from modcut.mgcf import (
     mgcf_from_annotated,
     parse_annotated,
 )
+from modcut.shiftspace import random_cross_check, verdict_json
 from modcut.tessellation import corner_point
 
 # the call as written, the call, the exception type and a message fragment
@@ -89,6 +90,13 @@ ERRORS = {
         "image is not positive"),
     "corner_point(IntMatrix2(1, 1, 0, -1))": (
         lambda: corner_point(IntMatrix2(1, 1, 0, -1)), ValueError, "requires det = 1"),
+    "random_cross_check(('J',), None)": (
+        lambda: random_cross_check(("J",), None), TypeError,
+        "verdict must be a BlockVerdict, not None"),
+    "verdict_json(1)": (lambda: verdict_json(1), TypeError,
+                        "verdict must be a BlockVerdict, not 1"),
+    "parse_cutting(5)": (lambda: parse_cutting(5), TypeError,
+                         "cutting word text must be a str, not 5"),
 }
 
 
