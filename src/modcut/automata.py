@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .exactnum import IntMatrix2, ParseError, _check_count
+from .exactnum import IntMatrix2, ParseError, _check_count, _check_type
 from .cf import (
     ACF_MATS,
     ACF_TO_FAREY,
@@ -92,7 +92,9 @@ def run(t: Transducer, stream: Iterable[str]) -> Word:
 def max_lag(t: Transducer, corpus: Iterable[Iterable[str]]) -> int:
     """Worst look-ahead over the corpus: max over output letters of
     (input symbols consumed when the letter appeared) - (its 1-based index).
+    A t that is no ``Transducer`` is a TypeError.
     """
+    _check_type("t", t, Transducer)
     worst = 0
     for stream in corpus:
         state, consumed, printed = t.initial, 0, 0
@@ -118,7 +120,10 @@ def _feed(t: Transducer, state, word: Word):
 
 
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
-    """Machine whose runs equal feeding t1's output into t2, state-by-state."""
+    """Machine whose runs equal feeding t1's output into t2, state-by-state;
+    either that is no ``Transducer`` is a TypeError."""
+    _check_type("t1", t1, Transducer)
+    _check_type("t2", t2, Transducer)
     initial = (t1.initial, t2.initial)
     trans = {}
     finals = {}
@@ -210,10 +215,11 @@ class HomographicMachine:
     identity  (emitted prefix) o (current m) = (original m) o (consumed
     input).  An output letter is emitted once the image of (0, inf] under m
     lies entirely above 1 (emit R) or entirely below 1 (emit F); a tie at an
-    endpoint defers.
+    endpoint defers.  An m that is no ``IntMatrix2`` is a TypeError.
     """
 
     def __init__(self, m: IntMatrix2):
+        _check_type("m", m, IntMatrix2)
         if m.det() == 0:
             raise ValueError("matrix must be nonsingular")
         if min(m.a, m.b, m.c, m.d) < 0:

@@ -11,16 +11,19 @@ here and the ``automata`` transducers both read it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .exactnum import (
+    BudgetError,
     ExtReal,
     IntMatrix2,
     ParseError,
     _check_count,
+    _check_type,
     _digits,
     compare,
     is_infinite,
@@ -100,7 +103,8 @@ def ocf_digits(x: ExtReal, limit: int = 64) -> OcfDigits:
 
 def ocf_value(digits: OcfDigits) -> Fraction:
     """Exact value of a terminating digit sequence: p_n/q_n of its last
-    convergent."""
+    convergent.  Digits that are no ``OcfDigits`` are a TypeError."""
+    _check_type("digits", digits, OcfDigits)
     if not digits.finite:
         raise ValueError("value of a non-terminating prefix is undefined")
     *_, m = convergents(digits)
@@ -126,10 +130,20 @@ def convergents(digits: OcfDigits) -> Iterator[IntMatrix2]:
 # additive and Farey words
 
 
+def _too_long(n: int) -> BudgetError:
+    """The error for a digit n past ``sys.maxsize``, whose run R^n no str
+    can hold: a budget, where ``"R" * n`` would raise OverflowError."""
+    return BudgetError("digit %d is too large to write as a letter run" % n)
+
+
 def digits_to_acf(digits: OcfDigits) -> str:
-    """ACF word R^{a0} F R^{a1} F ... (trailing F after the last digit)."""
+    """ACF word R^{a0} F R^{a1} F ... (trailing F after the last digit); a
+    digit past ``sys.maxsize`` is a BudgetError."""
     if digits.a0 < 0:
         raise ValueError("ACF words require a0 >= 0")
+    big = max(digits.all_digits())
+    if big > sys.maxsize:
+        raise _too_long(big)
     parts = ["R" * digits.a0]
     for a in digits.tail:
         parts.append("F")

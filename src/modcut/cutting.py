@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .exactnum import IntMatrix2, ParseError
+from .exactnum import IntMatrix2, ParseError, _check_type
 from .cf import R_MAT, _rewrite, _word_matrix, digits_to_acf
 from .mgcf import annotated_from_mgcf
 
@@ -142,8 +142,7 @@ _TOKEN = re.compile(r"C[12]|[LRJ]")
 def parse_cutting(text: str) -> CuttingWord:
     """The tokens of a cutting word, written run together or split by commas;
     text that is not a str is a TypeError, and a bad token a ParseError."""
-    if not isinstance(text, str):
-        raise TypeError("cutting word text must be a str, not %r" % (text,))
+    _check_type("cutting word text", text, str)
     t = text.strip()
     if "," in t:
         toks = tuple(p.strip() for p in t.split(",") if p.strip())

@@ -570,6 +570,15 @@ def _check_count(name: str, n: int, least: int | None) -> None:
         raise ValueError("%s must be >= %d" % (name, least))
 
 
+def _check_type(name: str, x, cls: type) -> None:
+    """The one check of an argument's type: anything but a ``cls`` is a
+    TypeError, raised at entry rather than where the argument is first
+    read."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError("%s must be %s %s, not %r" % (name, article, cls.__name__, x))
+
+
 def parse_int(text: str) -> int:
     """The integer ``int`` reads from text; ParseError where it reads none."""
     try:
@@ -579,6 +588,9 @@ def parse_int(text: str) -> int:
 
 
 def parse_extreal(text: str) -> ExtReal:
+    """The exact number that text writes; text that is not a str is a
+    TypeError, and one that writes no number a ParseError."""
+    _check_type("text", text, str)
     t = text.strip()
     if t in ("inf", "+inf"):
         return PINF

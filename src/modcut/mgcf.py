@@ -18,6 +18,7 @@ and the one segment reader behind ``annotated_from_mgcf`` reads with it, as
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,6 +29,7 @@ from .exactnum import (
     IntMatrix2,
     ParseError,
     _check_count,
+    _check_type,
     _digits,
     compare,
     lft_apply,
@@ -35,7 +37,7 @@ from .exactnum import (
     real_of,
     surd_sign,
 )
-from .cf import OcfDigits, _acf_runs, _parse_digit_list, convergents
+from .cf import OcfDigits, _acf_runs, _parse_digit_list, _too_long, convergents
 
 __all__ = [
     "N_MAT",
@@ -174,8 +176,10 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     The digits are checked by one tail value, t = beta_n at the last
     convergent (theta = [a0; a1, ..., a_n, t]): they begin the expansion iff
     t > 1, or t = inf not after a final digit 1 (the other representation
-    [..., a_n + 1]); finite digits need t = inf.
+    [..., a_n + 1]); finite digits need t = inf.  Digits that are no
+    ``OcfDigits`` are a TypeError.
     """
+    _check_type("digits", digits, OcfDigits)
     u, v, w, d = real_of(theta)
     if not w:
         raise ValueError("theta must be finite")
@@ -217,7 +221,7 @@ def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
     of the 1 after it; a0 = -1 and a1 = 1 are the JL segment with no R run.
     A digit < 1, a tag outside h/m/c or on a digit != 1, an a1 = 1 after
     a0 = -1 tagged h or c, and a 1_c in a non-terminating expansion are
-    ValueErrors.
+    ValueErrors; a digit past ``sys.maxsize`` is a BudgetError.
     """
     tail, bad = ad.tail, None
     if ad.a0 == 0:
@@ -231,6 +235,8 @@ def mgcf_from_annotated(ad: AnnotatedDigits) -> str:
     n, finite = len(tail), ad.finite
     while i < n:
         a, tag = tail[i]
+        if a >= sys.maxsize:  # no str holds its run R^(a + back)
+            raise _too_long(a)
         if tag is None:
             if a < 1:
                 bad = bad or (a, tag)
@@ -348,8 +354,9 @@ def mgcf_from_acf(word: str):
     Only symbols forced by the available digits are emitted; tags of
     interior 1s are decided by comparing N(alpha_n) against the interval of
     possible tail values.  Returns (mgcf_word, stats) where stats has the
-    retained digit count.
+    retained digit count.  A word that is not a str is a TypeError.
     """
+    _check_type("word", word, str)
     # the last run is only a lower bound on the next digit: drop it
     digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]

@@ -4,12 +4,12 @@ A block over {L, R, J, C1, C2} is rewritten in MGCF letters from each
 starting parity that admits it, and each rewrite is read by the segment
 reader that ``mgcf.annotated_from_mgcf`` uses, between a head piece (the end
 of a digit begun before the block, cut at a separator of ``mgcf._SEGMENTS``)
-and a tail piece (a digit the block cuts off).  A reading is complete digits
-with their 1-tags plus free boundary variables y (head continuation, the
-value [0; e1, e2, ...] of the digits preceding the block read outward) and z
-(tail continuation), each in a box kept on the reading as integer pairs
-(p, q), q > 0.  Each tagged 1 at digit
-index i contributes one exact linear-fractional constraint
+and a tail piece (a digit the block cuts off).  A reading is one frozen
+record, built whole: complete digits with their 1-tags, the boxes of the
+boundary variables y (head continuation, the value [0; e1, e2, ...] of the
+digits preceding the block read outward) and z (tail continuation) as integer
+pairs (p, q), q > 0, and one constraint record per tagged 1, computed when
+the reading is built.  The tagged 1 at digit index i wants
 
     beta_i(z)  >  N(alpha_i(y))   for 1_h,
     beta_i(z)  <  N(alpha_i(y))   for 1_m,
@@ -33,16 +33,17 @@ linear form's root is rational, kept as an integer pair and tested against
 the box by cross-multiplication; it and a quadratic's roots become triples
 (u + v sqrt(D))/w over the raw discriminant D, sorted by the exact
 mixed-radicand sign, with the cell samples drawn by the integer walk of
-``exactnum.rational_between``; and a witness candidate is an integer pair
+``exactnum.rational_between``; and a witness point is an integer pair
 (y, z) until it becomes a foot.  An initial word is the same system with y
-pinned to one value (0, or 1 after the J R opening), tested at that point.
-``decide_block`` decides the readings in turn, up to the first witness: a
-rational geodesic whose cutting word, read by the segment codec from the
-candidate's own digits (``_codec_word``), holds the joined block as a
-substring (a prefix for an initial word).  Readings and each candidate's
-feet are produced one at a time, so nothing after the witness is built.
-Only a verdict without one decides every reading; the tracer is not
-consulted, and lattice reduction only at -1/2.
+pinned to one value (0, or 1 after the J R opening), its one cell.  Each
+reading gives one stream of witness points (``_witness_points``): its first
+feasible cell's, then, for a free y, those of 60 seeded samples; none when
+it is infeasible.  ``decide_block`` takes the readings, their points and
+each point's feet one at a time, up to the first witness: a rational foot
+whose cutting word, read by the segment codec from the point's own digits
+(``_codec_word``), holds the joined block as a substring (a prefix for an
+initial word).  Only a verdict without one decides every reading.  Neither
+the tracer nor lattice reduction is consulted.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactnum import (
     IntMatrix2,
@@ -61,6 +62,7 @@ from .exactnum import (
     Real,
     _between,
     _check_count,
+    _check_type,
     _digits,
     _real_cmp,
 )
@@ -72,7 +74,6 @@ from .mgcf import (
     _standalone,
     _TAG_OF_SIGN,
     annotate_ones,
-    mgcf_direct,
     mgcf_from_annotated,
     n_transform,
 )
@@ -121,9 +122,13 @@ def central_head_to_tail(head: Sequence[int]) -> tuple[int, ...]:
 # block parsing into readings
 
 
-@dataclass
-class _Reading:
-    digits: list  # [(value, tag)]: tag in {"h","m","c",None}; None = plain >= 2
+class _Reading(NamedTuple):
+    """One reading of a block, built whole: its digits, the constraint
+    record (sign, q) of each of their tagged 1s, and the boxes.  It is
+    frozen: nothing is assigned to it after it is built."""
+
+    digits: tuple  # ((value, tag), ...): tag in {"h","m","c",None}; None = plain >= 2
+    cons: tuple  # ``_constraints(digits, trailing_pair)``
     # the boxes as pairs (p, q), q > 0: y in (y_lo, y_hi), y = y_lo when they
     # meet, and z in (z_lo, z_hi)
     y_lo: tuple = (0, 1)
@@ -141,8 +146,8 @@ def _partial_digit(k: int):
     it is 1/2 (e >= 2), and e = 1 is split out, since a digit 1 owning a run
     must be tagged h."""
     if k >= 2:
-        return [((1, k), [])]
-    return [((1, 2), []), ((1, 1), [(1, "h")])]
+        return [((1, k), ())]
+    return [((1, 2), ()), ((1, 1), ((1, "h"),))]
 
 
 def _mgcf_readings(w: Sequence[str]) -> list[str]:
@@ -163,13 +168,13 @@ def _heads(mg: str):
     r = len(mg) - len(mg.lstrip("R"))
     if r == 0 and mg[0] == "L":
         # (b) the tail of an unseen pair: boundary 1_m with alpha = y free
-        return [(1, [(1, "m")], (1, 1))]
+        return [(1, ((1, "m"),), (1, 1))]
     for sep, (back, tag) in _SEGMENTS.items():
         if mg.startswith(sep, r):
             break
     else:
         return []
-    ones = [(1, tag)] if tag else []
+    ones = ((1, tag),) if tag else ()
     if r == 0:
         # a J, a pair's J L or a corner closes an unseen digit
         return [(len(sep), ones, (1, 1))]
@@ -196,12 +201,12 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> Iterator[_Readi
             return
         start = 2 if mg[1:2] == "L" else 1
         y_lo = (start - 1, 1)
-        heads: Iterable = [(mg, start, [], y_lo)]
+        heads: Iterable = [(mg, start, (), y_lo)]
     else:
         mgs = _mgcf_readings(w)
         if mgs and not mgs[0].strip("R"):
             # an empty block or a bare letter run: any digit >= its length
-            yield _Reading([])
+            yield _Reading((), ())
             return
         # (MGCF block, resume position, head digits, y_hi)
         heads = ((mg,) + head for mg in mgs for head in _heads(mg))
@@ -210,33 +215,35 @@ def _block_readings(w: Sequence[str], anchored: bool = False) -> Iterator[_Readi
             digits, stop = _read_segments(mg, start)
         except ParseError:
             continue
-        for rd in _tail_readings(hdigits + digits, mg[stop:]):
-            rd.y_lo, rd.y_hi = y_lo, y_hi
-            yield rd
+        yield from _tail_readings(hdigits + tuple(digits), mg[stop:], y_lo, y_hi)
 
 
-def _tail_readings(digs, tail: str) -> Iterator[_Reading]:
+def _tail_readings(digs: tuple, tail: str, y_lo: tuple, y_hi: tuple) -> Iterator[_Reading]:
     """Readings of the final piece R^r or R^r J that the segment reader left,
-    one at a time."""
+    one at a time, each built whole over the head's y box."""
+
+    def reading(ds: tuple, pair: Optional[int] = None, **z_box) -> _Reading:
+        return _Reading(ds, _constraints(ds, pair), y_lo, y_hi, trailing_pair=pair, **z_box)
+
     r = tail.count("R")
     if not tail:
-        yield _Reading(digs)
+        yield reading(digs)
     elif tail.endswith("J"):
         # plain separator: digit r complete, z free; or a pair: digit r-1
         # then 1_m whose pair tail is unseen
-        yield _Reading(digs + [_standalone(r)])
+        yield reading(digs + (_standalone(r),))
         if r >= 2:
-            yield _Reading(digs + [_standalone(r - 1), (1, "m")])
+            yield reading(digs + (_standalone(r - 1), (1, "m")))
     else:
         # (a) partial digit e >= r: z in (0, bound], closed when e = r ends
         #     the expansion
         for bound, one in _partial_digit(r):
-            yield _Reading(digs + one, z_hi=bound, z_hi_closed=not one)
+            yield reading(digs + one, z_hi=bound, z_hi_closed=not one)
         # (b) the run is a full pair run of length exactly r (digit r-1, J
         #     and pair tail unseen): continuation [0, r-1, 1, ...],
         #     z in (1/r, 2/(2r-1)), plus the unseen 1_m's tag constraint
         if r >= 2:
-            yield _Reading(digs, z_lo=(1, r), z_hi=(2, 2 * r - 1), trailing_pair=r - 1)
+            yield reading(digs, r - 1, z_lo=(1, r), z_hi=(2, 2 * r - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +274,9 @@ def _quad_roots(A: int, B: int, C: int) -> list[Real]:
 _SIGN_OF_TAG = {tag: sign for sign, tag in _TAG_OF_SIGN.items()}
 
 
-def _constraints(rd: _Reading) -> list:
-    """One record (sign, q) per tagged 1 of the reading: the tag wants
+def _constraints(digits: tuple, trailing_pair: Optional[int]) -> tuple:
+    """One record (sign, q) per tagged 1 of a reading's digits, and one for
+    the unseen 1_m after its trailing pair, if any: the tag wants
     sign(beta(z) - N(alpha(y))) = sign.  q = (a, b, c, d) is the cross
     product bn nd - nn bd of (bn, bd) = beta (z1, z2) and (nn, nd) = N alpha
     (y1, y2), the form f(y, z) = z1 r + z2 t with r = a y1 + b y2 and t =
@@ -282,30 +290,33 @@ def _constraints(rd: _Reading) -> list:
     ... D(d_0) F = F fw[i]^T and beta_i = R F D(d_(i+1)) ... D(d_(k-1)) F =
     R F bw[k-1-i]^T, each read off one matrix by its entries.
     """
-    ds = [v for v, _tag in rd.digits]
+    ds = [v for v, _tag in digits]
     k = len(ds)
-    pair = [] if rd.trailing_pair is None else [rd.trailing_pair]
+    pair = [] if trailing_pair is None else [trailing_pair]
     fw = list(convergents(OcfDigits(0, tuple(ds + pair))))
     bw = list(convergents(OcfDigits(0, tuple(ds[::-1]))))
-    tagged = []
-    for i, (_v, tag) in enumerate(rd.digits):
+    cons = []
+    for i, (_v, tag) in enumerate(digits):
         if tag in _SIGN_OF_TAG:
             ba, bb, bc, bd = bw[k - 1 - i]
-            tagged.append((_SIGN_OF_TAG[tag], (ba + bb, bc + bd, ba, bc), fw[i]))
-    if rd.trailing_pair is not None:
+            cons.append(_record(_SIGN_OF_TAG[tag], (ba + bb, bc + bd, ba, bc), fw[i]))
+    if trailing_pair is not None:
         # the unseen 1_m after the trailing pair digit a: z = [0; a, 1, t]
         # with t the continuation, and beta = 1 + 1/t = z/(1 - a z)
-        tagged.append((-1, (1, 0, -rd.trailing_pair, 1), fw[k + 1]))
-    cons = []
-    for sign, (b1, b2, b3, b4), (fa, fb, fc, fd) in tagged:
-        m1, m2, m3, m4 = N_MAT * IntMatrix2(fb, fd, fa, fc)  # N alpha
-        cons.append((sign, (b1 * m3 - b3 * m1, b1 * m4 - b3 * m2,
-                            b2 * m3 - b4 * m1, b2 * m4 - b4 * m2)))
-    return cons
+        cons.append(_record(-1, (1, 0, -trailing_pair, 1), fw[k + 1]))
+    return tuple(cons)
 
 
-def _satisfied(cons: list, y: tuple[int, int], z: tuple[int, int]) -> bool:
-    """Whether the rationals y = y1/y2 and z = z1/z2 meet every constraint."""
+def _record(sign: int, beta: tuple, fw: IntMatrix2) -> tuple:
+    """The record (sign, q) of beta's entries and alpha = F fw^T."""
+    (b1, b2, b3, b4), (fa, fb, fc, fd) = beta, fw
+    m1, m2, m3, m4 = N_MAT * IntMatrix2(fb, fd, fa, fc)  # N alpha
+    return sign, (b1 * m3 - b3 * m1, b1 * m4 - b3 * m2,
+                  b2 * m3 - b4 * m1, b2 * m4 - b4 * m2)
+
+
+def _satisfied(cons: tuple, y: tuple[int, int], z: tuple[int, int]) -> bool:
+    """Whether the rationals y = y1/y2 and z = z1/z2 meet every record."""
     (y1, y2), (z1, z2) = y, z
     for sign, (a, b, c, d) in cons:
         f = z1 * (a * y1 + b * y2) + z2 * (c * y1 + d * y2)
@@ -314,9 +325,9 @@ def _satisfied(cons: list, y: tuple[int, int], z: tuple[int, int]) -> bool:
     return True
 
 
-def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, int]]:
-    """A rational z = (z1, z2), z2 > 0, solving the constraints at the fixed
-    rational y = (y1, y2), or None.
+def _z_at(rd: _Reading, y: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """A rational z = (z1, z2), z2 > 0, solving the reading's constraints at
+    the fixed rational y = (y1, y2), or None.
 
     The open z-interval (lo, hi) satisfying every inequality is narrowed
     first; an equality constraint pins z, which must then lie inside it.
@@ -330,7 +341,7 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
     z_lo, z_hi = rd.z_lo, rd.z_hi
     (l1, l2), (h1, h2) = z_lo, z_hi
     pinned = None
-    for sign, (a, b, c, d) in cons:
+    for sign, (a, b, c, d) in rd.cons:
         # f(y, z) = z1 r + z2 t is tight at z* = -t/r, a pole when r = 0
         r, t = a * y1 + b * y2, c * y1 + d * y2
         s1, s2 = (-t, r) if r > 0 else (t, -r)
@@ -367,7 +378,7 @@ def _z_at(rd: _Reading, cons: list, y: tuple[int, int]) -> Optional[tuple[int, i
     return pinned if ok else None
 
 
-def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
+def _y_breakpoints(rd: _Reading) -> list[Real]:
     """Sorted distinct y-values in [y_lo, y_hi] where the feasible z-set can
     change, as triples.
 
@@ -379,7 +390,7 @@ def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     """
     (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
     lines = [(l2, -l1), (h2, -h1)]  # (B, C): the box ends
-    crossings = []
+    cons, crossings = rd.cons, []
     for i, (_sign, (a, b, c, d)) in enumerate(cons):
         lines.append((a, b))  # z*'s pole; alpha's is below y = 0
         for zn, zd in (rd.z_lo, rd.z_hi):
@@ -399,22 +410,28 @@ def _y_breakpoints(rd: _Reading, cons: list) -> list[Real]:
     return [c for i, c in enumerate(inside) if i == 0 or _real_cmp(inside[i - 1], c)]
 
 
-def _feasible(rd: _Reading, cons: list) -> Optional[tuple[tuple, tuple]]:
-    """Exact feasibility; returns a rational solution (y, z) as pairs, or None.
-
-    A pinned y is tested at its one value; a free y at one rational point in
-    every cell between consecutive breakpoints.
-    """
+def _witness_points(rd: _Reading) -> Iterator[tuple[tuple, tuple]]:
+    """The reading's witness points (y, z), as pairs, one at a time: that of
+    the first feasible cell between consecutive breakpoints (none when no
+    cell is feasible), then, for a free y only, those of 60 seeded samples.
+    A pinned y is its own cell."""
     if rd.y_lo == rd.y_hi:
-        ys: Iterable = [rd.y_lo]
-    else:
-        inside = _y_breakpoints(rd, cons)
-        ys = (_between(a, b) for a, b in zip(inside, inside[1:]))
+        yield from _solved(rd, [rd.y_lo])
+        return
+    inside = _y_breakpoints(rd)
+    first = next(_solved(rd, (_between(a, b) for a, b in zip(inside, inside[1:]))), None)
+    if first is not None:
+        yield first
+        rng = random.Random(1729)
+        yield from _solved(rd, (_sample(rng, 401, rd.y_lo, rd.y_hi) for _ in range(60)))
+
+
+def _solved(rd: _Reading, ys: Iterable) -> Iterator[tuple[tuple, tuple]]:
+    """(y, z) for each y of ``ys`` at which ``_z_at`` finds a z."""
     for y in ys:
-        z = _z_at(rd, cons, y)
+        z = _z_at(rd, y)
         if z is not None:
-            return y, z
-    return None
+            yield y, z
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +449,6 @@ class BlockVerdict:
     @property
     def forbidden(self) -> bool:
         return self.status != "admissible"
-
-
-def _check_verdict(v: BlockVerdict) -> None:
-    if not isinstance(v, BlockVerdict):
-        raise TypeError("verdict must be a BlockVerdict, not %r" % (v,))
 
 
 def _theta_from(rd: _Reading, y: tuple, z: tuple) -> Iterator[tuple[Fraction, OcfDigits]]:
@@ -476,8 +488,8 @@ def _codec_word(theta: Fraction, digits: OcfDigits) -> CuttingWord:
     read from its canonical digits by the segment codec."""
     if digits.a0 == -1 and digits.tail == (2,):
         # the closed end -1/2, which the codec rejects (a0 = -1 needs a1 =
-        # 1): the lattice word J stands until ROADMAP.md item 2 settles it
-        return cutting_from_mgcf(mgcf_direct(theta))
+        # 1): its lattice word J stands until ROADMAP.md item 2 settles it
+        return ("J",)
     return cutting_from_mgcf(mgcf_from_annotated(annotate_ones(digits, theta)))
 
 
@@ -507,10 +519,10 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     the opening J, and y = [0; 1] = 1 after the J R opening, which encodes
     a0 = -1 with the consumed 1_m digit.  Readings are built and decided one
     at a time, in ``_block_readings`` order, up to the first witness; each
-    feasible one is followed by its witness candidates, and each candidate by
-    its feet, one at a time.  A whole-forbidden verdict decides every
-    reading, and counts them; a block with none has no segment factorization.
-    A token that is no cutting symbol is a ValueError, checked first.
+    gives its witness points, and each point its feet, one at a time.  A
+    whole-forbidden verdict decides every reading, and counts them; a block
+    with none has no segment factorization.  A token that is no cutting
+    symbol is a ValueError, checked first.
     """
     w = _tokens(w)
     # the empty word begins every word: it is decided as the free empty block
@@ -526,12 +538,8 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     feasible = False
     n = 0  # readings decided
     for n, rd in enumerate(_block_readings(w, anchored), 1):
-        cons = _constraints(rd)
-        sol = _feasible(rd, cons)
-        if sol is None:
-            continue
-        feasible = True
-        for y, z in _witness_candidates(rd, cons, *sol):
+        for y, z in _witness_points(rd):
+            feasible = True
             for theta, digits in _theta_from(rd, y, z):
                 if _occurs(blk, "".join(_codec_word(theta, digits)), anchored):
                     return verdict("admissible", witness=GeodesicSpec(PINF, theta))
@@ -540,19 +548,6 @@ def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:
     if not n:
         return verdict("whole-forbidden", reason="no segment factorization")
     return verdict("whole-forbidden", reason="all %d readings infeasible" % n)
-
-
-def _witness_candidates(rd: _Reading, cons: list, y: tuple, z: tuple):
-    """The feasible point (y, z), then up to 60 seeded ones, as pairs."""
-    yield (y, z)
-    if rd.y_lo == rd.y_hi:
-        return  # a pinned y has no other point to try
-    rng = random.Random(1729)
-    for _ in range(60):
-        yy = _sample(rng, 401, rd.y_lo, rd.y_hi)
-        zz = _z_at(rd, cons, yy)
-        if zz is not None:
-            yield (yy, zz)
 
 
 def _sample(rng: random.Random, n: int, lo: tuple, hi: tuple) -> tuple[int, int]:
@@ -573,16 +568,15 @@ def random_cross_check(w: Sequence[str], verdict: BlockVerdict) -> bool:
     was decided over must never contradict it.  A verdict that is no
     ``BlockVerdict`` is a TypeError."""
     w = _tokens(w)
-    _check_verdict(verdict)
+    _check_type("verdict", verdict, BlockVerdict)
     if verdict.status != "whole-forbidden" or (verdict.anchored and w[:1] != ("J",)):
         return True
     rng = random.Random(_CROSS_CHECK_SEED)
     for rd in _block_readings(w, verdict.anchored):
-        cons = _constraints(rd)
         for _ in range(_CROSS_CHECK_SAMPLES):
             y = _sample(rng, 998, rd.y_lo, rd.y_hi)
             z = _sample(rng, 998, rd.z_lo, rd.z_hi)
-            if _satisfied(cons, y, z):
+            if _satisfied(rd.cons, y, z):
                 return False
     return True
 
@@ -704,7 +698,7 @@ def follower_separation(j: int, k: int) -> dict:
 def verdict_json(v: BlockVerdict) -> dict:
     """The verdict as JSON fields; anything else is a TypeError."""
     from .exactnum import format_extreal
-    _check_verdict(v)
+    _check_type("verdict", v, BlockVerdict)
     wit = None
     if v.witness is not None:
         wit = {"head": format_extreal(v.witness.head),

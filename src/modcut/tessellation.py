@@ -32,6 +32,7 @@ from .exactnum import (
     QuadSurd,
     Real,
     _check_count,
+    _check_type,
     end_triple,
     end_value,
     is_infinite,
@@ -142,8 +143,9 @@ def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
     """Stream of crossings of the tessellation, pulled back step by step.
 
     At most ``limit`` steps; a limit below 1 is a ValueError, and one that
-    is not an int a TypeError.
+    is not an int a TypeError, as is a g that is no ``GeodesicSpec``.
     """
+    _check_type("g", g, GeodesicSpec)
     _check_count("limit", limit, 1)
     head, foot = real_of(g.head), real_of(g.foot)
     (xa0, xa1, ya0, da), (xb0, xb1, yb0, db) = head, foot
@@ -314,7 +316,9 @@ def _domain_outline(m: IntMatrix2):
 
 
 def render_trace_svg(g: GeodesicSpec, steps: Sequence[TraceStep], path: str) -> None:
-    """Deterministic SVG of the visited domains and the geodesic."""
+    """Deterministic SVG of the visited domains and the geodesic; a g that
+    is no ``GeodesicSpec`` is a TypeError."""
+    _check_type("g", g, GeodesicSpec)
     mats = [IntMatrix2(1, 0, 0, 1)] + [st.h for st in steps]
     outlines = [_domain_outline(m) for m in mats]
     geo_pts: list[complex] = []

@@ -227,6 +227,23 @@ def test_a_radicand_too_large_to_factor_exits_4(runner):
     assert res.stderr.startswith("budget exceeded:")
 
 
+BIG = str(10 ** 30)  # a digit past sys.maxsize, which no str can repeat
+
+
+@pytest.mark.parametrize("args", [
+    ("expand", "acf", BIG),
+    ("expand", "farey", BIG),
+    ("convert", "0;" + BIG, "--from", "ocf", "--to", "acf"),
+    ("convert", "0;" + BIG, "--from", "ocf", "--to", "mgcf"),
+    ("central", BIG),
+], ids=["expand-acf", "expand-farey", "convert-acf", "convert-mgcf", "central"])
+def test_a_digit_too_large_to_write_exits_4(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 4
+    assert res.stderr.startswith("budget exceeded: digit %s is too large" % BIG)
+    assert res.stderr.count("\n") == 1
+
+
 def test_forbidden_listing(runner):
     res = invoke(runner, "forbidden", "--max-len", "17", "--max-head", "1",
                  "--json")

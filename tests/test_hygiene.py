@@ -205,3 +205,17 @@ def test_no_write_only_attributes():
     readers = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
                for p in root.glob(pattern)]
     assert write_only_attributes(sources, readers) == []
+
+
+def test_the_decider_is_independent_of_its_checks():
+    """Lattice reduction (``mgcf_direct``) and the tracer (``trace``) check
+    block verdicts from outside, so ``shiftspace`` neither imports nor reads
+    either: its witness words come from the segment codec alone."""
+    tree = ast.parse((Path(modcut.__file__).parent / "shiftspace.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names & {"mgcf_direct", "trace"} == set()

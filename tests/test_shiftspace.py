@@ -26,7 +26,6 @@ from modcut.shiftspace import (
     random_cross_check,
     verdict_json,
     _block_readings,
-    _constraints,
     _cutting_word,
     _occurs,
     _quad_roots,
@@ -193,18 +192,18 @@ def test_verdict_stops_at_the_first_witness(monkeypatch, block, status, decided)
     w = W(block)
     assert len(list(_block_readings(w))) == 4
     calls, made = [], []
-    feasible = shiftspace._feasible
+    points = shiftspace._witness_points
 
-    def counted(rd, cons):
+    def counted(rd):
         calls.append(rd)
-        return feasible(rd, cons)
+        return points(rd)
 
     class Reading(shiftspace._Reading):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(shiftspace, "_feasible", counted)
+    monkeypatch.setattr(shiftspace, "_witness_points", counted)
     monkeypatch.setattr(shiftspace, "_Reading", Reading)
     v = decide_block(w)
     assert v.status == status and len(calls) == decided
@@ -330,6 +329,25 @@ def test_free_short_blocks():
     assert reasons.count("no segment factorization") == 10536
 
 
+def test_realised_factors_are_admissible(corpus200):
+    """Every distinct factor of length 1..10 of the complete word of a foot
+    with q <= 200 is admissible with a witness; a failure is listed with a
+    foot whose word holds it."""
+    foot_of = {}
+    for f, mg in corpus200.items():
+        word = cutting_from_mgcf(mg)
+        for n in range(1, 11):
+            for i in range(len(word) - n + 1):
+                foot_of.setdefault(word[i:i + n], f)
+    assert len(foot_of) == 2103
+    failed = []
+    for blk, f in foot_of.items():
+        v = decide_block(blk)
+        if v.status != "admissible" or v.witness is None:
+            failed.append(("".join(blk), f, v.status, v.reason))
+    assert failed == []
+
+
 def test_anchored_realised_prefixes():
     prefixes = set()
     for q in range(3, 60):
@@ -358,6 +376,7 @@ def feet(draw):
 @given(feet())
 @example(Fraction(1, 9999))  # the longest words: one digit of about q
 @example(Fraction(-4999, 9999))
+@example(Fraction(-1, 2))  # the closed end, whose word the decider writes as J
 def test_codec_word_is_the_complete_lattice_word(theta):
     word = _cutting_word(theta)
     # one symbol of room: equal words here mean the lattice word ended
@@ -519,7 +538,7 @@ def _products_per_one(rd):
 
 def _constraints_per_one(rd):
     """The records as the per-1 products give them."""
-    return [_project(*t) for t in _products_per_one(rd)]
+    return tuple(_project(*t) for t in _products_per_one(rd))
 
 
 def _readings_to(n, anchored_too):
@@ -564,7 +583,7 @@ def test_constraints_match_the_per_one_products():
     """Every reading of every block of length <= 6, free and anchored."""
     readings = records = 0
     for b, anchored, rd in _readings_to(6, True):
-        cons = _constraints(rd)
+        cons = rd.cons
         assert cons == _constraints_per_one(rd), (b, anchored, rd)
         assert all(type(e) is int for _sign, q in cons for e in q)
         readings += 1
@@ -576,12 +595,12 @@ def test_constraints_match_the_per_one_products():
 # the breakpoints against every form through the quadratic root finder
 
 
-def _breakpoints_by_roots(rd, cons):
+def _breakpoints_by_roots(rd):
     """Every form's roots through ``_quad_roots``, linear ones too, filtered
     against the y box, sorted, with adjacent equal values dropped: the
     reference for ``_y_breakpoints``."""
     (l1, l2), (h1, h2) = rd.y_lo, rd.y_hi
-    forms = [(0, l2, -l1), (0, h2, -h1)]
+    forms, cons = [(0, l2, -l1), (0, h2, -h1)], rd.cons
     for i, (_sign, (a, b, c, d)) in enumerate(cons):
         forms.append((0, a, b))
         for zn, zd in (rd.z_lo, rd.z_hi):
@@ -615,7 +634,7 @@ def test_breakpoints_match_the_quadratic_roots(ybox, zbox, cons):
     """Rational roots tested as pairs give the same breakpoints, position by
     position, as every root taken through ``_quad_roots``."""
     (y_lo, y_hi), (z_lo, z_hi) = ybox, zbox
-    rd = _Reading([], y_lo=y_lo, y_hi=y_hi, z_lo=z_lo, z_hi=z_hi)
-    got, want = _y_breakpoints(rd, cons), _breakpoints_by_roots(rd, cons)
+    rd = _Reading((), tuple(cons), y_lo=y_lo, y_hi=y_hi, z_lo=z_lo, z_hi=z_hi)
+    got, want = _y_breakpoints(rd), _breakpoints_by_roots(rd)
     assert len(got) == len(want)
     assert all(_real_cmp(g, w) == 0 for g, w in zip(got, want))

@@ -1,11 +1,12 @@
 """Typed errors that no other test raises: each row is a library call on a
 malformed input, the exception it must raise and a fragment of its message."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from modcut.automata import homographic_acf
+from modcut.automata import HomographicMachine, compose, homographic_acf, max_lag
 from modcut.cf import OcfDigits, acf_value, ocf_digits, ocf_value
 from modcut.cutting import corner_resolutions, cutting_matrix, parse_cutting
 from modcut.exactnum import (
@@ -13,6 +14,7 @@ from modcut.exactnum import (
     IntMatrix2,
     ParseError,
     as_surd,
+    parse_extreal,
     rational_between,
     sqrt_exact,
     squarefree_split,
@@ -22,11 +24,12 @@ from modcut.mgcf import (
     AnnotatedDigits,
     annotate_ones,
     annotated_from_mgcf,
+    mgcf_from_acf,
     mgcf_from_annotated,
     parse_annotated,
 )
 from modcut.shiftspace import random_cross_check, verdict_json
-from modcut.tessellation import corner_point
+from modcut.tessellation import corner_point, render_trace_svg, trace
 
 # the call as written, the call, the exception type and a message fragment
 ERRORS = {
@@ -97,6 +100,25 @@ ERRORS = {
                         "verdict must be a BlockVerdict, not 1"),
     "parse_cutting(5)": (lambda: parse_cutting(5), TypeError,
                          "cutting word text must be a str, not 5"),
+    # a wrong-typed argument is a TypeError at entry, not an AttributeError
+    # where it is first read
+    "annotate_ones(0, 1/3)": (lambda: annotate_ones(0, Fraction(1, 3)), TypeError,
+                              "digits must be an OcfDigits, not 0"),
+    "ocf_value(0)": (lambda: ocf_value(0), TypeError, "digits must be an OcfDigits, not 0"),
+    "mgcf_from_acf(0)": (lambda: mgcf_from_acf(0), TypeError, "word must be a str, not 0"),
+    "parse_extreal(0)": (lambda: parse_extreal(0), TypeError, "text must be a str, not 0"),
+    "next(trace(0))": (lambda: next(trace(0)), TypeError,
+                       "g must be a GeodesicSpec, not 0"),
+    "render_trace_svg(0, [], os.devnull)": (
+        lambda: render_trace_svg(0, [], os.devnull), TypeError,
+        "g must be a GeodesicSpec, not 0"),
+    "HomographicMachine(0)": (lambda: HomographicMachine(0), TypeError,
+                              "m must be an IntMatrix2, not 0"),
+    "homographic_acf(0, 'RL')": (lambda: homographic_acf(0, "RL"), TypeError,
+                                 "m must be an IntMatrix2, not 0"),
+    "compose(0, 0)": (lambda: compose(0, 0), TypeError, "t1 must be a Transducer, not 0"),
+    "max_lag(0, [('R', 'L')])": (lambda: max_lag(0, [("R", "L")]), TypeError,
+                                  "t must be a Transducer, not 0"),
 }
 
 
