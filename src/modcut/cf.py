@@ -107,23 +107,29 @@ def ocf_value(digits: OcfDigits) -> Fraction:
     _check_type("digits", digits, OcfDigits)
     if not digits.finite:
         raise ValueError("value of a non-terminating prefix is undefined")
-    *_, m = convergents(digits)
-    return Fraction(m.a, m.c)
+    *_, (p, _p0, q, _q0) = _rows(digits.a0, digits.tail)
+    return Fraction(p, q)
+
+
+def _rows(a0: int, tail: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The convergents of [a0; tail] as plain int rows (p_n, p_{n-1}, q_n,
+    q_{n-1}), one per digit, read from ``tail`` as it yields: the recurrence
+    p_n = a_n p_{n-1} + p_{n-2} (and the same for q), written once."""
+    p1, p0, q1, q0 = a0, 1, 1, 0
+    yield p1, p0, q1, q0
+    for a in tail:
+        p1, p0, q1, q0 = a * p1 + p0, p1, a * q1 + q0, q1
+        yield p1, p0, q1, q0
 
 
 def convergents(digits: OcfDigits) -> Iterator[IntMatrix2]:
     """The convergent matrices [[p_n, p_{n-1}], [q_n, q_{n-1}]], the products
-    [[a0,1],[1,0]] ... [[a_n,1],[1,0]].
+    [[a0,1],[1,0]] ... [[a_n,1],[1,0]], built lazily from ``_rows``.
 
     The n-th maps t to [a0; a1, ..., a_n, t], so it times F = [[0,1],[1,0]]
-    maps y to [a0; a1, ..., a_n + y].  The recurrence p_n = a_n p_{n-1} +
-    p_{n-2} (and the same for q) runs on ints.
+    maps y to [a0; a1, ..., a_n + y].
     """
-    p1, p0, q1, q0 = digits.a0, 1, 1, 0
-    yield IntMatrix2(p1, p0, q1, q0)
-    for a in digits.tail:
-        p1, p0, q1, q0 = a * p1 + p0, p1, a * q1 + q0, q1
-        yield IntMatrix2(p1, p0, q1, q0)
+    return (IntMatrix2(*row) for row in _rows(digits.a0, digits.tail))
 
 
 # ---------------------------------------------------------------------------

@@ -118,18 +118,32 @@ EDGE_FORBIDDEN: tuple[CuttingWord, ...] = (
 )
 
 
-# the edge-forbidden blocks that start with each token, in EDGE_FORBIDDEN order
-_EDGE_BY_FIRST = {t: [b for b in EDGE_FORBIDDEN if b[0] == t] for t in CUTTING_MATS}
+# the nine blocks joined, as one alternation; no block holds a corner, so a
+# match starts and ends on token boundaries, and no two blocks match at one
+# position, so the first match is the first (position, block) of the scan
+_EDGE_OF_TEXT = {"".join(b): b for b in EDGE_FORBIDDEN}
+_EDGE_SCAN = re.compile("|".join(_EDGE_OF_TEXT))
+
+
+def _tokens(w: Sequence[str]) -> CuttingWord:
+    """w as a tuple; a token that is no cutting symbol is a ValueError."""
+    w = tuple(w)
+    if not set(w) <= CUTTING_MATS.keys():
+        raise ValueError("bad cutting token in %r" % (w,))
+    return w
 
 
 def find_edge_forbidden(word: Sequence[str]) -> Optional[tuple[int, CuttingWord]]:
-    """Position and identity of the first edge-forbidden factor, if any."""
-    w = tuple(word)
-    for i, tok in enumerate(w):
-        for blk in _EDGE_BY_FIRST.get(tok, ()):
-            if w[i : i + len(blk)] == blk:
-                return i, blk
-    return None
+    """Position and identity of the first edge-forbidden factor, if any; a
+    token that is no cutting symbol is a ValueError.  The joined word is
+    scanned once, and a match's token index is its start less the corners
+    before it, each C1 or C2 being two letters."""
+    text = "".join(_tokens(word))
+    m = _EDGE_SCAN.search(text)
+    if m is None:
+        return None
+    i = m.start()
+    return i - text.count("C", 0, i), _EDGE_OF_TEXT[m.group()]
 
 
 # ---------------------------------------------------------------------------

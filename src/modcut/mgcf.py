@@ -37,7 +37,7 @@ from .exactnum import (
     real_of,
     surd_sign,
 )
-from .cf import OcfDigits, _acf_runs, _parse_digit_list, _too_long, convergents
+from .cf import OcfDigits, _acf_runs, _parse_digit_list, _rows, _too_long, convergents
 
 __all__ = [
     "N_MAT",
@@ -189,7 +189,7 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
         # adjugate of m, its inverse up to sign
         return md * u - mb * w, md * v, ma * w - mc * u, -mc * v
 
-    ms = list(convergents(digits))
+    ms = list(_rows(digits.a0, digits.tail))
     b0, b1, c0, c1 = pullback(*ms[-1])
     if not c0 and not c1:  # t = inf: theta = p_n/q_n
         ok = not (digits.tail and digits.tail[-1] == 1)
@@ -198,7 +198,7 @@ def annotate_ones(digits: OcfDigits, theta: ExtReal) -> AnnotatedDigits:
     if not ok:
         raise ValueError("digits are not the expansion of theta")
     pairs: list[tuple[int, Optional[str]]] = []
-    # a = a_{n+1} beside the n-th convergent [[p_n, p_{n-1}], [q_n, q_{n-1}]]
+    # a = a_{n+1} beside the n-th convergent row (p_n, p_{n-1}, q_n, q_{n-1})
     for n, (a, m) in enumerate(zip(digits.tail, ms)):
         if a != 1:
             pairs.append((a, None))

@@ -16,9 +16,11 @@ the reading is built.  The tagged 1 at digit index i wants
     beta_i(z)  =  N(alpha_i(y))   for 1_c,
 
 with alpha_i = [0; d_{i-1}, ..., d_0 + y] and beta_i = [1; d_{i+1}, ...,
-d_last + z].  Both are convergent matrices (``cf.convergents``): with C(ds)
-the last convergent of [0; ds], alpha_i = C(d_{i-1}, ..., d_0) F and
-beta_i = R C(d_{i+1}, ..., d_last) F.  At y = y1/y2 and z = z1/z2 the
+d_last + z].  Both are convergents: with C(ds) the last convergent of
+[0; ds], alpha_i = C(d_{i-1}, ..., d_0) F and beta_i = R C(d_{i+1}, ...,
+d_last) F, read off the plain int rows (p_n, p_{n-1}, q_n, q_{n-1}) of
+``cf._rows``, one pass over the digits forwards and one backwards; no
+matrix object is built.  At y = y1/y2 and z = z1/z2 the
 constraint's sign is that of the cross product bn nd - nn bd of (bn, bd) =
 beta_i (z1, z2) and (nn, nd) = N alpha_i (y1, y2), since bd and nd are
 positive on the boxes: one integer bilinear form f(y, z) = z1 (a y1 + b y2)
@@ -56,7 +58,6 @@ from functools import cmp_to_key, partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactnum import (
-    IntMatrix2,
     PINF,
     ParseError,
     Real,
@@ -66,7 +67,7 @@ from .exactnum import (
     _digits,
     _real_cmp,
 )
-from .cf import OcfDigits, _rewrite, convergents, ocf_digits, ocf_value
+from .cf import OcfDigits, _rewrite, _rows, ocf_digits, ocf_value
 from .mgcf import (
     N_MAT,
     _SEGMENTS,
@@ -78,10 +79,10 @@ from .mgcf import (
     n_transform,
 )
 from .cutting import (
-    CUTTING_MATS,
     CUTTING_TO_MGCF,
     CuttingWord,
     EDGE_FORBIDDEN,
+    _tokens,
     corner_resolutions,
     cutting_from_mgcf,
     find_edge_forbidden,
@@ -286,15 +287,16 @@ def _constraints(digits: tuple, trailing_pair: Optional[int]) -> tuple:
 
     With D(a) = [[a, 1], [1, 0]], fw[i] = F D(d_0) ... D(d_(i-1)) and bw[j]
     = F D(d_(k-1)) ... D(d_(k-j)) are the convergents of the digits read
-    forwards and backwards.  D(a) and F are symmetric, so alpha_i = F D(d_(i-1))
+    forwards and backwards, one ``cf._rows`` pass each, as int rows
+    (p, p', q, q').  D(a) and F are symmetric, so alpha_i = F D(d_(i-1))
     ... D(d_0) F = F fw[i]^T and beta_i = R F D(d_(i+1)) ... D(d_(k-1)) F =
-    R F bw[k-1-i]^T, each read off one matrix by its entries.
+    R F bw[k-1-i]^T, each read off one row by its entries.
     """
     ds = [v for v, _tag in digits]
     k = len(ds)
     pair = [] if trailing_pair is None else [trailing_pair]
-    fw = list(convergents(OcfDigits(0, tuple(ds + pair))))
-    bw = list(convergents(OcfDigits(0, tuple(ds[::-1]))))
+    fw = list(_rows(0, ds + pair))
+    bw = list(_rows(0, reversed(ds)))
     cons = []
     for i, (_v, tag) in enumerate(digits):
         if tag in _SIGN_OF_TAG:
@@ -307,10 +309,12 @@ def _constraints(digits: tuple, trailing_pair: Optional[int]) -> tuple:
     return tuple(cons)
 
 
-def _record(sign: int, beta: tuple, fw: IntMatrix2) -> tuple:
+def _record(sign: int, beta: tuple, fw: tuple) -> tuple:
     """The record (sign, q) of beta's entries and alpha = F fw^T."""
-    (b1, b2, b3, b4), (fa, fb, fc, fd) = beta, fw
-    m1, m2, m3, m4 = N_MAT * IntMatrix2(fb, fd, fa, fc)  # N alpha
+    (b1, b2, b3, b4), (fa, fb, fc, fd), (n1, n2, n3, n4) = beta, fw, N_MAT
+    # N alpha, with alpha = [[fb, fd], [fa, fc]]
+    m1, m2 = n1 * fb + n2 * fa, n1 * fd + n2 * fc
+    m3, m4 = n3 * fb + n4 * fa, n3 * fd + n4 * fc
     return sign, (b1 * m3 - b3 * m1, b1 * m4 - b3 * m2,
                   b2 * m3 - b4 * m1, b2 * m4 - b4 * m2)
 
@@ -502,14 +506,6 @@ def _occurs(blk: str, word: str, anchored: bool) -> bool:
     """Whether the joined block is in (anchored: begins) the joined word; a
     match is on token boundaries, since 1 and 2 only follow C in C1, C2."""
     return word.startswith(blk) if anchored else blk in word
-
-
-def _tokens(w: Sequence[str]) -> CuttingWord:
-    """w as a tuple; a token that is no cutting symbol is a ValueError."""
-    w = tuple(w)
-    if not set(w) <= CUTTING_MATS.keys():
-        raise ValueError("bad cutting token in %r" % (w,))
-    return w
 
 
 def decide_block(w: Sequence[str], anchored: bool = False) -> BlockVerdict:

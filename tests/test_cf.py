@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from modcut.cf import (
     OcfDigits,
+    _rows,
     acf_of,
     acf_to_digits,
     acf_to_farey,
@@ -116,6 +118,26 @@ def test_convergents(a0, tail):
         assert (prev.a, prev.c) == (m.b, m.d)
     assert ocf_value(digits) == fold_value(digits)
     assert ocf_value(digits) == Fraction(ms[-1].a, ms[-1].c)
+
+
+@given(st.integers(-50, 50), st.lists(st.integers(1, 60), max_size=25))
+def test_rows_are_the_convergents(a0, tail):
+    """The int rows are the convergent matrices' entries, one per digit, and
+    the last row's p_n/q_n is the value."""
+    digits = OcfDigits(a0, tuple(tail))
+    rows = list(_rows(a0, iter(tail)))
+    assert rows == [tuple(m) for m in convergents(digits)]
+    p, _p0, q, _q0 = rows[-1]
+    assert ocf_value(digits) == Fraction(p, q)
+
+
+def test_rows_read_their_digits_lazily():
+    """A row is built from the digits read so far, so an endless digit
+    iterator gives its rows one at a time."""
+    rows = _rows(0, itertools.count(1))
+    assert next(rows) == (0, 1, 1, 0)
+    assert next(rows) == (1, 0, 1, 1)  # [0; 1] = 1/1
+    assert next(rows) == (2, 1, 3, 1)  # [0; 1, 2] = 2/3
 
 
 def test_acf_words():

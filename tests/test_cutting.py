@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modcut.cutting import (
     CUTTING_MATS,
@@ -66,6 +66,7 @@ def test_edge_forbidden_scan():
     assert find_edge_forbidden(("J", "J")) == (0, ("J", "J"))
     assert find_edge_forbidden(("L", "L", "R")) == (1, ("L", "R"))
     assert find_edge_forbidden(("J", "L", "L", "J")) is None
+    assert find_edge_forbidden("LJJ") == (1, ("J", "J"))  # one-letter tokens
     assert len(EDGE_FORBIDDEN) == 9
 
 
@@ -80,9 +81,27 @@ def _first_edge_forbidden(word):
     return None
 
 
+# a realised word of 500 tokens, cut from the central word of the head
+# [120, 1, 120], whose one corner C1 is token 244
+_REALISED = cutting_from_mgcf(mgcf_direct(Fraction(3572403, 432231362), limit=500))
+
+
 @given(st.lists(st.sampled_from(sorted(CUTTING_MATS)), max_size=40))
+@example(["C1", "L", "R"])
+@example(["C2", "C1", "R", "J", "R", "R", "J", "R"])
+@example(["L", "C1", "L", "C2", "C2", "J", "J", "L"])
+@example(list(_REALISED))
+@example(list(_REALISED) + ["J", "J"])
 def test_edge_scan_matches_the_nested_loop(word):
     assert find_edge_forbidden(word) == _first_edge_forbidden(word)
+
+
+@pytest.mark.parametrize("word", [("X", "J", "J"), ("LR",), ("J", "C3"), ["C", "1"]])
+def test_edge_scan_refuses_non_tokens(word):
+    """A token that is no cutting symbol is refused, not scanned past or
+    read as the letters it is written with."""
+    with pytest.raises(ValueError, match="bad cutting token"):
+        find_edge_forbidden(word)
 
 
 def test_acf_from_cutting_matches():

@@ -267,6 +267,29 @@ def test_cross_check_samples_the_readings_decided_over():
     assert counts == {False: 2314, True: 2448}
 
 
+@pytest.mark.parametrize("block, anchored, status", [
+    ("LJR", False, "admissible"),
+    ("RJLLJR", False, "admissible"),
+    ("JLLJR", True, "admissible"),
+    ("JLLJLLJ", False, "whole-forbidden"),
+    ("LC1LC1L", False, "whole-forbidden"),
+])
+def test_verdicts_build_no_matrix(monkeypatch, block, anchored, status):
+    """The decider reads its convergents, its tag constraints and its
+    witness feet off plain int rows: deciding a block, witness words
+    included, constructs no IntMatrix2."""
+    made = []
+    new = IntMatrix2.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix2, "__new__", staticmethod(counting))
+    assert decide_block(W(block), anchored).status == status
+    assert made == []
+
+
 @pytest.mark.parametrize("block", ["JLLJLLJ", "JLLLJRJLLLJ", "LJRRRJRRRJLL"])
 def test_verdicts_without_a_witness_build_no_fraction(monkeypatch, block):
     """From a reading's boxes to its last sample, a whole-forbidden verdict
