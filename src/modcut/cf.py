@@ -129,6 +129,7 @@ def convergents(digits: OcfDigits) -> Iterator[IntMatrix2]:
     The n-th maps t to [a0; a1, ..., a_n, t], so it times F = [[0,1],[1,0]]
     maps y to [a0; a1, ..., a_n + y].
     """
+    _check_type("digits", digits, OcfDigits)
     return (IntMatrix2(*row) for row in _rows(digits.a0, digits.tail))
 
 
@@ -145,6 +146,7 @@ def _too_long(n: int) -> BudgetError:
 def digits_to_acf(digits: OcfDigits) -> str:
     """ACF word R^{a0} F R^{a1} F ... (trailing F after the last digit); a
     digit past ``sys.maxsize`` is a BudgetError."""
+    _check_type("digits", digits, OcfDigits)
     if digits.a0 < 0:
         raise ValueError("ACF words require a0 >= 0")
     big = max(digits.all_digits())
@@ -295,6 +297,7 @@ def parse_digits(text: str) -> OcfDigits:
 
 
 def format_digits(digits: OcfDigits) -> str:
+    _check_type("digits", digits, OcfDigits)
     if not digits.tail:
         return str(digits.a0)
     return "%d;%s" % (digits.a0, ",".join(str(a) for a in digits.tail))

@@ -3,8 +3,9 @@
 Three routes to the same word live here:
 
 * ``mgcf_direct`` — event-driven simulation of the Minkowski-reduced basis of
-  the lattice spanned by the rows of P * B_t(theta) as t decreases, computed
-  in s = t^2 space where every squared vector norm is affine in s;
+  the lattice spanned by the rows of P * B_t(theta) as t decreases, each
+  symbol a wall |2 g12| = g11 or g11 = g22 of its Gram form G0 + s G1 in
+  s = t^2, which is updated in place;
 * ``annotate_ones`` + ``mgcf_from_annotated`` — the digit-segment codec,
   with every interior digit 1 tagged h, m, or c by the sign of the tail
   value beta_n against N(alpha_n), N(z) = (z+2)/(2z+1);
@@ -80,60 +81,56 @@ _OPEN_SEPS = {s for s in _SEGMENTS for t in _SEGMENTS if t != s and t.startswith
 # direct simulation
 
 
-def _meet(lu, qu: int, lv, qv: int):
-    """The s at which rows u and v have equal squared norms l^2 + q^2 s,
-    (lu^2 - lv^2) / (qv^2 - qu^2), where l = p - q theta and qu^2 != qv^2."""
-    return (lu - lv) * (lu + lv) * Fraction(1, qv * qv - qu * qu)
-
-
 def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     """MGCF word of theta in [-1/2, 1/2) by direct lattice reduction.
 
-    The reduced basis rows (p1, q1), (p2, q2) of the lattice spanned by the
-    rows of P * B_t(theta) have squared norms (p - q theta)^2 + q^2 s in
-    s = t^2.  As s falls from +infinity, every symbol is an event where two
-    rows' norms meet (``_meet``): J where the rows swap, R where row 2 meets
-    row 1 + row 2, L where it meets row 1 - row 2, and C where J and R fall
-    at the same s.  Terminates for rational theta; emits up to ``limit``
-    symbols otherwise.  Anything but an exact extended real, or a limit
-    that is not an int, is a TypeError.
+    The basis rows (p - q theta, q t) of the lattice spanned by the rows of
+    P * B_t(theta) have the Gram form G0 + s G1 in s = t^2, G0 = [l_i l_j]
+    with l = p - q theta and G1 = [q_i q_j], reduced while |2 g12| <= g11 <=
+    g22.  As s falls from +infinity, each symbol is the wall the form reaches
+    next, one linear equation in s: J at g11 = g22 (swap the rows), R and L
+    at g11 +- 2 g12 = 0 (row 2 becomes row 1 +- row 2), and C where J and R
+    tie (row 1 becomes row 1 + row 2); G0's exact entries and the ints q1, q2
+    are updated in place.  Terminates for rational theta; emits up to
+    ``limit`` symbols otherwise.  Anything but an exact extended real, or a
+    limit that is not an int, is a TypeError.
     """
     if not real_of(theta)[2]:
         raise ValueError("theta must be finite")
     _check_count("limit", limit, 1)
     if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
         raise ValueError("theta outside [-1/2, 1/2)")
-    p1, q1, p2, q2 = 1, 0, 0, 1
+    # rows (1, 0) and (0, 1); g11 = Fraction(1) keeps num / den exact at theta = 0
+    g11, g12, g22, q1, q2 = Fraction(1), -theta, theta * theta, 0, 1
     s_cur = None  # None means +infinity
     word: list[str] = []
     while len(word) < limit:
-        l1, l2 = theta * -q1 + p1, theta * -q2 + p2
-        cands = []  # (s_star, kind)
+        h = 2 * g12
+        walls = []  # (numerator, denominator, kind) of each wall's s
         if q2 > q1:
-            cands.append((_meet(l1, q1, l2, q2), "J"))
+            walls.append((g11 - g22, q2 * q2 - q1 * q1, "J"))
         if q1 > 0:
-            cands.append((_meet(l1 + l2, q1 + q2, l2, q2), "R"))
+            walls.append((-(g11 + h), q1 * (q1 + 2 * q2), "R"))
         if q1 > 2 * q2:
-            cands.append((_meet(l1 - l2, q1 - q2, l2, q2), "L"))
-        valid = [(s, k) for (s, k) in cands if s > 0 and (s_cur is None or s < s_cur)]
+            walls.append((h - g11, q1 * (q1 - 2 * q2), "L"))
+        # each denominator is a positive int, so s > 0 iff its numerator is
+        cands = [(num / den, k) for num, den, k in walls if num > 0]
+        valid = [(s, k) for s, k in cands if s_cur is None or s < s_cur]
         if not valid:
             break
         best = max(s for s, _k in valid)
         kinds = {k for (s, k) in valid if s == best}
-        if kinds == {"J", "R"}:
-            sym = "C"
-        elif len(kinds) == 1:
-            sym = kinds.pop()
-        else:  # pragma: no cover - impossible tie combinations
+        if len(kinds) > 1 and kinds != {"J", "R"}:  # pragma: no cover
             raise AssertionError("unexpected simultaneous events %s" % kinds)
+        sym = "C" if len(kinds) > 1 else kinds.pop()
         if sym == "J":
-            p1, q1, p2, q2 = p2, q2, p1, q1
+            g11, q1, g22, q2 = g22, q2, g11, q1
         elif sym == "R":
-            p2, q2 = p1 + p2, q1 + q2
+            g22, g12, q2 = g11 + h + g22, g11 + g12, q1 + q2
         elif sym == "L":
-            p2, q2 = p1 - p2, q1 - q2
+            g22, g12, q2 = g11 - h + g22, g11 - g12, q1 - q2
         else:  # C
-            p1, q1 = p1 + p2, q1 + q2
+            g11, g12, q1 = g11 + h + g22, g12 + g22, q1 + q2
         word.append(sym)
         s_cur = best
     return "".join(word)

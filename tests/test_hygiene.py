@@ -1,13 +1,15 @@
 """Hygiene: no modcut module imports a name it never uses, no
 module-level private name goes unreferenced across the package, no public
-name goes unread, no class stores an attribute that nothing reads, and the
-package re-exports only names its modules declare public.
+name goes unread, no class stores an attribute that nothing reads, the
+package re-exports only names its modules declare public, and README names
+no private name that the package does not define.
 
 ``__init__.py`` is exempt from the import check, since re-exporting imported
 names is its job.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,43 @@ def test_no_write_only_attributes():
     readers = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
                for p in root.glob(pattern)]
     assert write_only_attributes(sources, readers) == []
+
+
+def stale_private_names(text: str, sources: dict[str, str]) -> list[str]:
+    """Backticked private names in ``text`` (`` `_x` `` or `` `module._x` ``)
+    that no module of ``sources`` (module name -> source) defines as a
+    function, class or assigned name at any depth.  A name qualified by a
+    module of ``sources`` must be defined in that module."""
+    defined = {}
+    for module, source in sources.items():
+        names = defined[module] = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    everywhere = set().union(*defined.values())
+    return ["%s%s" % (qual and qual + ".", name)
+            for qual, name in re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)", text)
+            if name not in defined.get(qual, everywhere)]
+
+
+def test_checker_sees_stale_private_names():
+    sources = {"a": ("_TABLE = {}\ndef _helper():\n    pass\n"
+                     "class Shape:\n    def _area(self):\n        _side = 1\n"),
+               "b": "def _other():\n    pass\n"}
+    text = ("`_TABLE`, `a._helper()` and `Shape._area` hold; `_side = 1`, "
+            "`_other`; but `b._helper`, `_lost(x)` and `a._other` do not")
+    assert stale_private_names(text, sources) == ["b._helper", "_lost", "a._other"]
+
+
+def test_readme_names_only_defined_private_names():
+    """A private name that README cites in backticks is defined in
+    ``src/modcut/``, in the module it names, if it names one."""
+    root = Path(__file__).resolve().parent.parent
+    sources = {p.stem: p.read_text()
+               for p in Path(modcut.__file__).parent.glob("*.py")}
+    assert stale_private_names((root / "README.md").read_text(), sources) == []
 
 
 def test_the_decider_is_independent_of_its_checks():

@@ -56,9 +56,10 @@ def test_direct_fraction_vs_surd_path():
 
 
 def test_direct_surd_periodic():
+    # (sqrt 3 - 1)/2: the preperiod JRRJRJ, then the period RRJRJ throughout
     theta = (sqrt_exact(3) - 1) * Fraction(1, 2)
-    w = mgcf_direct(theta, limit=30)
-    assert w == ("JRRJRJ" + "RRJRJ" * 5)[:30] or w.startswith("JRRJRJRRJRJ")
+    for limit in (30, 500):
+        assert mgcf_direct(theta, limit=limit) == ("JRRJRJ" + "RRJRJ" * limit)[:limit]
 
 
 @pytest.mark.parametrize("theta", [0.3, Decimal("0.3"), "1/3"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from modcut.cf import ocf_digits
 from modcut.cutting import cutting_from_mgcf, cutting_matrix
@@ -235,3 +235,19 @@ def test_surd_routes_agree():
             assert determined[:PREFIX] == word, theta
             traced = trace_word(GeodesicSpec(PINF, theta), limit=PREFIX)
             assert traced == cutting_from_mgcf(word), theta
+
+
+@settings(deadline=None)
+@given(st.integers(2, 300).filter(lambda d: math.isqrt(d) ** 2 != d),
+       st.integers(-5, 5), st.integers(1, 12), st.integers(1, 120))
+def test_surd_prefixes_agree_across_routes(d, a, w, n):
+    """Every prefix length of (a + sqrt d)/w, moved into [-1/2, 1/2): the
+    lattice route's n letters begin its 200-letter word and agree with the
+    tagging route and the tracer."""
+    x = (sqrt_exact(d) + a) / w
+    theta = x - math.floor(x + HALF)
+    word = mgcf_direct(theta, limit=n)
+    assert word == mgcf_direct(theta, limit=200)[:n]
+    tagged = mgcf_from_annotated(annotate_ones(ocf_digits(theta, limit=n // 2 + 3), theta))
+    assert tagged.rstrip("R")[:n] == word
+    assert trace_word(GeodesicSpec(PINF, theta), limit=n) == cutting_from_mgcf(word)

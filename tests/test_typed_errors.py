@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from modcut.automata import HomographicMachine, compose, homographic_acf, max_lag
-from modcut.cf import OcfDigits, acf_value, ocf_digits, ocf_value
+from modcut.cf import (
+    OcfDigits,
+    acf_value,
+    convergents,
+    digits_to_acf,
+    format_digits,
+    ocf_digits,
+    ocf_value,
+)
 from modcut.cutting import corner_resolutions, cutting_matrix, parse_cutting
 from modcut.exactnum import (
     PINF,
@@ -105,6 +113,12 @@ ERRORS = {
     "annotate_ones(0, 1/3)": (lambda: annotate_ones(0, Fraction(1, 3)), TypeError,
                               "digits must be an OcfDigits, not 0"),
     "ocf_value(0)": (lambda: ocf_value(0), TypeError, "digits must be an OcfDigits, not 0"),
+    "convergents(0)": (lambda: convergents(0), TypeError,
+                       "digits must be an OcfDigits, not 0"),
+    "digits_to_acf(0)": (lambda: digits_to_acf(0), TypeError,
+                         "digits must be an OcfDigits, not 0"),
+    "format_digits(0)": (lambda: format_digits(0), TypeError,
+                         "digits must be an OcfDigits, not 0"),
     "mgcf_from_acf(0)": (lambda: mgcf_from_acf(0), TypeError, "word must be a str, not 0"),
     "parse_extreal(0)": (lambda: parse_extreal(0), TypeError, "text must be a str, not 0"),
     "next(trace(0))": (lambda: next(trace(0)), TypeError,
