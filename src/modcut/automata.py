@@ -182,21 +182,25 @@ def cutting_to_mgcf_machine() -> Transducer:
 def mgcf_to_acf_machine() -> Transducer:
     """Vertical MGCF word -> additive word, read off ``mgcf._SEGMENTS``.
 
-    States: q0 before the opening J; sep after a finished segment; run with
-    one R of a run held back; and each separator that begins a longer one
-    (``_OPEN_SEPS``) while the longer one is undecided.  A finished
-    separator prints R^(1 - back), then F R if it carries a tagged 1.
+    Each state names what was read since the last finished segment: q0
+    before the opening J; sep after one; a run, R for one R and RR for
+    more, with one R held back; and a run and a separator that begins a
+    longer one (``_OPEN_SEPS``).  A separator that gives ``back`` R's back
+    needs a longer run, as the segment reader does.  A finished separator
+    prints R^(1 - back), then F R if it carries a tagged 1.
     """
-    trans = {("q0", "J"): ("sep", ()), ("sep", "R"): ("run", ("F",)),
-             ("run", "R"): ("run", ("R",))}
-    finals = dict.fromkeys(("q0", "sep", "run"), ())
+    trans = {("q0", "J"): ("sep", ()), ("sep", "R"): ("R", ("F",)),
+             ("R", "R"): ("RR", ("R",)), ("RR", "R"): ("RR", ("R",))}
+    finals = dict.fromkeys(("q0", "sep", "R", "RR"), ())
     for sep, (back, tag) in _SEGMENTS.items():
         out = ("R",) * (1 - back) + ("F", "R") * bool(tag)
-        if sep in _OPEN_SEPS:  # an R after it finishes it and opens a run
-            trans["run", sep], trans[sep, "R"] = (sep, ()), ("run", out + ("F",))
-            finals[sep] = out
-        else:  # its last letter, read after the separator it begins with
-            trans[sep[:-1] or "run", sep[-1]] = ("sep", out)
+        for rs in ("R", "RR")[back:]:
+            if sep in _OPEN_SEPS:  # an R after it finishes it and opens a run
+                trans[rs, sep] = (rs + sep, ())
+                trans[rs + sep, "R"] = ("R", out + ("F",))
+                finals[rs + sep] = out
+            else:  # its last letter, read after the separator it begins with
+                trans[rs + sep[:-1], sep[-1]] = ("sep", out)
     return _machine(trans, "q0", finals)
 
 

@@ -19,8 +19,8 @@ rich comparisons of ``QuadSurd`` both call it.
 Hot loops go further and run on a projective end x/y with x and y in
 Z[sqrt(d)], stored as the four ints (x0, x1, y0, y1) for (x0 + x1*sqrt(d)) /
 (y0 + y1*sqrt(d)) (an ``End``); a Real is the end (u, v, w, 0) beside its d.
-``end_triple`` and ``end_value`` take an end back to its reduced triple
-(u, v, w) and to its value, reduced as ``QuadSurd`` arithmetic reduces.
+``end_value`` takes an end back to its value, reduced as ``QuadSurd``
+arithmetic reduces.
 ``lft_apply`` is the one Moebius action: a 2x2 integer matrix-vector product
 on an end, and a value is mapped as its end, so m(inf) and a pole need no
 rule of their own.  ``_digits`` is the one continued-fraction digit stream,
@@ -48,7 +48,6 @@ __all__ = [
     "Real",
     "End",
     "real_of",
-    "end_triple",
     "end_value",
     "lft_apply",
     "surd_floor",
@@ -408,16 +407,6 @@ def _over_norm(e: End, d: int) -> tuple[int, int, int]:
     # the infinite end, since d is not a square or y1 = 0
     x0, x1, y0, y1 = e
     return x0 * y0 - d * x1 * y1, x1 * y0 - x0 * y1, y0 * y0 - d * y1 * y1
-
-
-def end_triple(e: End, d: int) -> tuple[int, int, int]:
-    """The reduced triple (u, v, w) of an end, whose value is (u + v*sqrt(d))/w.
-
-    gcd(u, v, w) = 1 and w > 0; infinity is (1, 0, 0).  Two ends over one
-    radicand have the same value if and only if their triples are equal.
-    """
-    u, v, w = _over_norm(e, d)
-    return _lowest_terms(u, v, w) if w else (1, 0, 0)
 
 
 def end_value(e: End, d: int) -> ExtReal:

@@ -66,6 +66,7 @@ from .exactnum import (
     _check_type,
     _digits,
     _real_cmp,
+    format_extreal,
 )
 from .cf import OcfDigits, _rewrite, _rows, ocf_digits, ocf_value
 from .mgcf import (
@@ -693,7 +694,6 @@ def follower_separation(j: int, k: int) -> dict:
 
 def verdict_json(v: BlockVerdict) -> dict:
     """The verdict as JSON fields; anything else is a TypeError."""
-    from .exactnum import format_extreal
     _check_type("verdict", v, BlockVerdict)
     wit = None
     if v.witness is not None:

@@ -33,7 +33,6 @@ from .exactnum import (
     Real,
     _check_count,
     _check_type,
-    end_triple,
     end_value,
     is_infinite,
     lft_apply,
@@ -142,17 +141,24 @@ def _check_admissible(head: Real, foot: Real, d: int) -> None:
 def trace(g: GeodesicSpec, limit: int = 200) -> Iterator[TraceStep]:
     """Stream of crossings of the tessellation, pulled back step by step.
 
-    At most ``limit`` steps; a limit below 1 is a ValueError, and one that
-    is not an int a TypeError, as is a g that is no ``GeodesicSpec``.
+    At most ``limit`` steps.  The arguments are checked at the call, before
+    the first step: a limit below 1 is a ValueError, and one that is not an
+    int a TypeError, as is a g that is no ``GeodesicSpec``.
     """
     _check_type("g", g, GeodesicSpec)
     _check_count("limit", limit, 1)
     head, foot = real_of(g.head), real_of(g.foot)
-    (xa0, xa1, ya0, da), (xb0, xb1, yb0, db) = head, foot
+    da, db = head[3], foot[3]
     if da and db and da != db:
         raise ValueError("the ends lie in two different quadratic fields")
     d = da or db
     _check_admissible(head, foot, d)
+    return _steps(head, foot, d, limit)
+
+
+def _steps(head: Real, foot: Real, d: int, limit: int) -> Iterator[TraceStep]:
+    """The crossings of ``trace``, from its checked ends over the radicand d."""
+    (xa0, xa1, ya0, _), (xb0, xb1, yb0, _) = head, foot
     ya1 = yb1 = 0  # the ends (u, v, w, 0) of the two triples
     h0, h1, h2, h3 = 1, 0, 0, 1
     for _ in range(limit):
@@ -261,24 +267,24 @@ def corner_hits_vertical(theta) -> list[CornerHit]:
 def periodic_corner_count(d: int, limit: int = 5000) -> int:
     """Corners hit per period by the geodesic <-sqrt(d), sqrt(d)>.
 
-    Raises BudgetError when no pulled-back geodesic recurs within ``limit``
-    steps.
+    A tracer step is invertible (a geodesic that crosses F enters it through
+    exactly one side), so the first state to repeat is the start: the
+    period ends at the first domain matrix h = (a, b, c, e) that fixes
+    sqrt(d), a == e and b == d*c, an automorph of x^2 - d y^2 with
+    a^2 - d c^2 = 1.  Raises BudgetError when the period is longer than
+    ``limit`` steps.
     """
     if d <= 1 or math.isqrt(d) ** 2 == d:
         raise ValueError("d must be a nonsquare integer > 1")
     _check_count("limit", limit, None)
     rt = sqrt_exact(d)
-    u, v, w, r = real_of(rt)
-    # states are keyed by the reduced triples of the pulled-back ends
-    seen = {((-u, -v, w), (u, v, w)): 0}
-    syms: list[str] = []
+    corners = 0
     # a budget below one step runs out before the first crossing
     for step in trace(GeodesicSpec(-rt, rt), limit) if limit >= 1 else ():
-        syms.append(step.symbol)
-        state = (end_triple(step._head, r), end_triple(step._foot, r))
-        if state in seen:
-            return sum(1 for s in syms[seen[state]:] if s.startswith("C"))
-        seen[state] = len(syms)
+        corners += step.symbol.startswith("C")
+        a, b, c, e = step.h
+        if a == e and b == d * c:
+            return corners
     raise BudgetError("no recurrence within %d steps (inconclusive)" % limit)
 
 

@@ -19,10 +19,10 @@ from modcut.automata import (
     mgcf_to_cutting_machine,
     run,
 )
-from modcut.cf import acf_of, acf_to_farey, ocf_digits, digits_to_acf
+from modcut.cf import _acf_runs, acf_of, acf_to_farey, ocf_digits, digits_to_acf
 from modcut.cutting import acf_from_cutting, cutting_from_mgcf
 from modcut.exactnum import PINF, IntMatrix2, ParseError
-from modcut.mgcf import N_MAT, mgcf_direct
+from modcut.mgcf import N_MAT, annotated_from_mgcf, mgcf_direct
 from modcut.tessellation import GeodesicSpec, trace_word
 
 from conftest import farey_word
@@ -87,7 +87,28 @@ def test_mgcf_to_acf_machine_frozen():
                 out = "no edge"
             digest.update(("%s\t%s\n" % ("".join(w), out)).encode())
     assert digest.hexdigest() == (
-        "6b0b093b2a3d2352ce03c546a96f2d89c93dc8d82e62a8430898091124f52c10")
+        "78c298989f424039e19886052aeed4aec01b2f4f78312d91c58582e4688336ec")
+
+
+def test_mgcf_to_acf_machine_refuses_what_the_reader_refuses():
+    # the words of the frozen test above but the empty one, which the reader
+    # refuses as no MGCF word and the machine maps to itself: where the
+    # machine gives an output, the segment reader reads the word too (so a
+    # word the reader refuses has no edge, J L after a single R among them),
+    # and the output is an additive word, with no FF
+    machine = mgcf_to_acf_machine()
+    for n in range(1, 9):
+        for letters in itertools.product("JRLC", repeat=n):
+            try:
+                out = "".join(run(machine, letters))
+            except ParseError:
+                continue
+            word = "".join(letters)
+            try:
+                annotated_from_mgcf(word)
+                _acf_runs(out)
+            except ParseError as e:
+                pytest.fail("%s -> %s: %s" % (word, out, e))
 
 
 def test_transducer_json_schema():

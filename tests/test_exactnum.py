@@ -22,7 +22,6 @@ from modcut.exactnum import (
     QuadSurd,
     as_surd,
     compare,
-    end_triple,
     end_value,
     format_extreal,
     is_infinite,
@@ -372,16 +371,13 @@ def test_surd_sign_matches_quadsurd(u, v, d):
 
 
 @given(small, small, radicands, st.integers(-5, 5), st.integers(-5, 5))
-def test_end_triple_is_a_canonical_key(u, v, d, p, q):
+def test_end_value_is_the_canonical_value(u, v, d, p, q):
     assume(p or q)
     x = surd(u, v, d)
     x0, x1, y0, _ = real_of(x)
     y1 = 0  # a value's end is (u, v, w, 0)
     # the same value with numerator and denominator times p + q*sqrt(d)
     e = (x0 * p + d * x1 * q, x0 * q + x1 * p, y0 * p + d * y1 * q, y0 * q + y1 * p)
-    assert end_triple(e, d) == end_triple((x0, x1, y0, y1), d)
-    u3, v3, w3 = end_triple(e, d)
-    assert w3 > 0 and math.gcd(u3, v3, w3) == 1
     y = end_value(e, d)
     assert y == x and type(y) is type(x)
 
@@ -537,8 +533,7 @@ def test_rational_between_a_surd_and_an_int(u, v, d):
 
 def test_real_of_infinity():
     assert real_of(PINF) == real_of(NINF) == (1, 0, 0, 0)
-    assert end_triple((-3, 0, 0, 0), 0) == (1, 0, 0)
-    assert end_value((1, 0, 0, 0), 5) is PINF
+    assert end_value((-3, 0, 0, 0), 0) is end_value((1, 0, 0, 0), 5) is PINF
 
 
 @contextmanager

@@ -1,11 +1,12 @@
-"""Hygiene: no modcut module imports a name it never uses, no
-module-level private name goes unreferenced across the package, no public
-name goes unread, no class stores an attribute that nothing reads, the
-package re-exports only names its modules declare public, and README names
-no private name that the package does not define.
+"""Hygiene: no modcut module imports a name it never uses or imports
+inside a function body, no module-level private name goes unreferenced
+across the package, no public name goes unread, no class stores an
+attribute that nothing reads, the package re-exports only names its modules
+declare public, and README names no private name that the package does not
+define.
 
-``__init__.py`` is exempt from the import check, since re-exporting imported
-names is its job.
+``__init__.py`` is exempt from the unused-import check, since re-exporting
+imported names is its job.
 """
 
 import ast
@@ -45,6 +46,28 @@ def test_checker_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_in_functions(source: str) -> list[str]:
+    """``function (line n)`` for each import statement in a function body."""
+    return ["%s (line %d)" % (fn.name, node.lineno)
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_checker_sees_imports_in_functions():
+    src = ("import json\n"
+           "def f():\n    from os import path\n    return path\n"
+           "class A:\n    def g(self):\n        def h():\n            import re\n"
+           "        return h\n")
+    assert imports_in_functions(src) == ["f (line 3)", "g (line 8)", "h (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(modcut.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_imports_in_functions(path):
+    assert imports_in_functions(path.read_text()) == []
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:

@@ -179,11 +179,16 @@ def test_both_infinities_are_one_end(theta):
         GeodesicSpec(PINF, theta))
 
 
-def test_trace_is_a_generator_and_two_radicands_fail_first():
-    assert inspect.isgeneratorfunction(trace)
-    steps = trace(GeodesicSpec(sqrt_exact(2), sqrt_exact(3)))
-    with pytest.raises(ValueError):
-        next(steps)
+def test_trace_checks_its_arguments_at_the_call():
+    # each raises before a generator exists, so before any step is taken
+    with pytest.raises(ValueError, match="two different quadratic fields"):
+        trace(GeodesicSpec(sqrt_exact(2), sqrt_exact(3)))
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        trace(GeodesicSpec(PINF, Fraction(5, 14)), limit=0)
+    with pytest.raises(TypeError, match="g must be a GeodesicSpec"):
+        trace(0)
+    steps = trace(GeodesicSpec(PINF, Fraction(5, 14)))
+    assert inspect.isgenerator(steps) and next(steps).symbol == "J"
 
 
 def _corner_count_by_values(d, limit=5000):
@@ -204,6 +209,41 @@ def test_periodic_corner_count_matches_value_keyed_walk():
     for d in range(2, 301):
         if math.isqrt(d) ** 2 != d:
             assert periodic_corner_count(d) == _corner_count_by_values(d), d
+
+
+def _fundamental_pell(d):
+    """Least x, y > 0 with x^2 - d y^2 = 1, by the classical method: the
+    convergents p/q of sqrt(d) = [a0; a1, a2, ...], whose digits come from
+    the integer recurrence m' = a q - m, q' = (d - m'^2)/q, a' = (a0 + m')//q'.
+    """
+    a0 = math.isqrt(d)
+    m, q, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    while p1 * p1 - d * q1 * q1 != 1:
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    return p1, q1
+
+
+def test_period_ends_at_the_pell_unit():
+    """The first domain matrix h = (a, b, c, e) of <-sqrt(d), sqrt(d)> that
+    fixes sqrt(d) (a == e, b == d*c) is +-[[x, d y], [y, x]] for the
+    fundamental Pell solution (x, y)."""
+    assert _fundamental_pell(13) == (649, 180)
+    for d in range(2, 400):
+        if math.isqrt(d) ** 2 == d:
+            continue
+        rt = sqrt_exact(d)
+        for step in trace(GeodesicSpec(-rt, rt), limit=5000):
+            a, b, c, e = step.h
+            if a == e and b == d * c:
+                break
+        else:
+            raise AssertionError("no automorph within 5000 steps: d = %d" % d)
+        x, y = _fundamental_pell(d)
+        assert (a, c) in ((x, y), (-x, -y)), d
 
 
 PREFIX = 48

@@ -37,7 +37,7 @@ from modcut.mgcf import (
     parse_annotated,
 )
 from modcut.shiftspace import random_cross_check, verdict_json
-from modcut.tessellation import corner_point, render_trace_svg, trace
+from modcut.tessellation import GeodesicSpec, corner_point, render_trace_svg, trace
 
 # the call as written, the call, the exception type and a message fragment
 ERRORS = {
@@ -121,8 +121,11 @@ ERRORS = {
                          "digits must be an OcfDigits, not 0"),
     "mgcf_from_acf(0)": (lambda: mgcf_from_acf(0), TypeError, "word must be a str, not 0"),
     "parse_extreal(0)": (lambda: parse_extreal(0), TypeError, "text must be a str, not 0"),
-    "next(trace(0))": (lambda: next(trace(0)), TypeError,
-                       "g must be a GeodesicSpec, not 0"),
+    # trace checks its arguments at the call, before the first step
+    "trace(0)": (lambda: trace(0), TypeError, "g must be a GeodesicSpec, not 0"),
+    "trace(GeodesicSpec(PINF, 5/14), limit=0)": (
+        lambda: trace(GeodesicSpec(PINF, Fraction(5, 14)), limit=0), ValueError,
+        "limit must be >= 1"),
     "render_trace_svg(0, [], os.devnull)": (
         lambda: render_trace_svg(0, [], os.devnull), TypeError,
         "g must be a GeodesicSpec, not 0"),
