@@ -187,7 +187,9 @@ def mgcf_to_acf_machine() -> Transducer:
     more, with one R held back; and a run and a separator that begins a
     longer one (``_OPEN_SEPS``).  A separator that gives ``back`` R's back
     needs a longer run, as the segment reader does.  A finished separator
-    prints R^(1 - back), then F R if it carries a tagged 1.
+    prints R^(1 - back), then F R if it carries a tagged 1.  Its domain is
+    the non-empty words of feet in [0, 1/2): a JL opening is a0 = -1, which
+    has no additive word, so it has no edge.
     """
     trans = {("q0", "J"): ("sep", ()), ("sep", "R"): ("R", ("F",)),
              ("R", "R"): ("RR", ("R",)), ("RR", "R"): ("RR", ("R",))}

@@ -5,7 +5,8 @@ Three routes to the same word live here:
 * ``mgcf_direct`` — event-driven simulation of the Minkowski-reduced basis of
   the lattice spanned by the rows of P * B_t(theta) as t decreases, each
   symbol a wall |2 g12| = g11 or g11 = g22 of its Gram form G0 + s G1 in
-  s = t^2, which is updated in place;
+  s = t^2 (updated in place), R or L by the sign of g12, J against R by
+  one cross-multiplication;
 * ``annotate_ones`` + ``mgcf_from_annotated`` — the digit-segment codec,
   with every interior digit 1 tagged h, m, or c by the sign of the tail
   value beta_n against N(alpha_n), N(z) = (z+2)/(2z+1);
@@ -88,51 +89,48 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     P * B_t(theta) have the Gram form G0 + s G1 in s = t^2, G0 = [l_i l_j]
     with l = p - q theta and G1 = [q_i q_j], reduced while |2 g12| <= g11 <=
     g22.  As s falls from +infinity, each symbol is the wall the form reaches
-    next, one linear equation in s: J at g11 = g22 (swap the rows), R and L
-    at g11 +- 2 g12 = 0 (row 2 becomes row 1 +- row 2), and C where J and R
-    tie (row 1 becomes row 1 + row 2); G0's exact entries and the ints q1, q2
-    are updated in place.  Terminates for rational theta; emits up to
-    ``limit`` symbols otherwise.  Anything but an exact extended real, or a
+    next, its s a numerator over a positive int and ahead while that is > 0:
+    J at g11 = g22 (swap the rows), R and L at g11 +- 2 g12 = 0 (row 2
+    becomes row 1 +- row 2), and C where J and R tie (row 1 becomes row 1 +
+    row 2).  R needs g12 < 0 and L g12 > 0, as g11 = l1^2 >= 0; q1, q2 >= 0,
+    so J (q2 > q1) never meets L (q1 > 2 q2): only J and R compete, by one
+    cross-multiplication.  At theta = -1/2, where the swapped basis meets L
+    at the s of the first J, the word is J.  Ends for rational theta, else
+    after ``limit`` symbols; a theta that is no exact extended real, or a
     limit that is not an int, is a TypeError.
     """
     if not real_of(theta)[2]:
         raise ValueError("theta must be finite")
     _check_count("limit", limit, 1)
-    if compare(theta, Fraction(-1, 2)) < 0 or compare(theta, Fraction(1, 2)) >= 0:
+    low = compare(theta, Fraction(-1, 2))
+    if low < 0 or compare(theta, Fraction(1, 2)) >= 0:
         raise ValueError("theta outside [-1/2, 1/2)")
-    # rows (1, 0) and (0, 1); g11 = Fraction(1) keeps num / den exact at theta = 0
-    g11, g12, g22, q1, q2 = Fraction(1), -theta, theta * theta, 0, 1
-    s_cur = None  # None means +infinity
+    if not low:
+        return "J"  # J, then L at the same s: ROADMAP item 2 settles this end
+    g11, g12, g22, q1, q2 = 1, -theta, theta * theta, 0, 1  # rows (1, 0), (0, 1)
     word: list[str] = []
     while len(word) < limit:
         h = 2 * g12
-        walls = []  # (numerator, denominator, kind) of each wall's s
-        if q2 > q1:
-            walls.append((g11 - g22, q2 * q2 - q1 * q1, "J"))
-        if q1 > 0:
-            walls.append((-(g11 + h), q1 * (q1 + 2 * q2), "R"))
-        if q1 > 2 * q2:
-            walls.append((h - g11, q1 * (q1 - 2 * q2), "L"))
-        # each denominator is a positive int, so s > 0 iff its numerator is
-        cands = [(num / den, k) for num, den, k in walls if num > 0]
-        valid = [(s, k) for s, k in cands if s_cur is None or s < s_cur]
-        if not valid:
+        nj = g11 - g22 if q2 > q1 else 0  # J: s = nj/(q2^2 - q1^2)
+        sym = "J" if nj > 0 else ""
+        nr = -(g11 + h) if h < 0 and q1 else 0  # R: s = nr/(q1 (q1 + 2 q2))
+        if nr > 0:  # nr dJ - nj dR has the sign of s_R - s_J
+            x = nr * (q2 * q2 - q1 * q1) - nj * (q1 * (q1 + 2 * q2)) if sym else 1
+            sym = "R" if x > 0 else "C" if x == 0 else "J"
+        elif not sym and q1 > 2 * q2:
+            nl = h - g11  # L: s = nl/(q1 (q1 - 2 q2))
+            sym = "L" if nl > 0 else ""
+        if not sym:
             break
-        best = max(s for s, _k in valid)
-        kinds = {k for (s, k) in valid if s == best}
-        if len(kinds) > 1 and kinds != {"J", "R"}:  # pragma: no cover
-            raise AssertionError("unexpected simultaneous events %s" % kinds)
-        sym = "C" if len(kinds) > 1 else kinds.pop()
         if sym == "J":
             g11, q1, g22, q2 = g22, q2, g11, q1
         elif sym == "R":
-            g22, g12, q2 = g11 + h + g22, g11 + g12, q1 + q2
+            g22, g12, q2 = g22 - nr, g11 + g12, q1 + q2
         elif sym == "L":
-            g22, g12, q2 = g11 - h + g22, g11 - g12, q1 - q2
+            g22, g12, q2 = g22 - nl, g11 - g12, q1 - q2
         else:  # C
-            g11, g12, q1 = g11 + h + g22, g12 + g22, q1 + q2
+            g11, g12, q1 = g22 - nr, g12 + g22, q1 + q2
         word.append(sym)
-        s_cur = best
     return "".join(word)
 
 
@@ -303,7 +301,9 @@ def _read_segments(word: str, i: int) -> tuple[list, int]:
 
 
 def annotated_from_mgcf(word: str) -> AnnotatedDigits:
-    """Inverse of mgcf_from_annotated; rejects unfactorizable words."""
+    """Inverse of mgcf_from_annotated; rejects unfactorizable words.  A JL
+    opening is a0 = -1, which has no additive word: the MGCF -> additive
+    machine reads only the non-empty words of feet in [0, 1/2)."""
     if not word:
         raise ParseError("empty MGCF word")
     if word[0] != "J":

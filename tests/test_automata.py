@@ -111,6 +111,37 @@ def test_mgcf_to_acf_machine_refuses_what_the_reader_refuses():
                 pytest.fail("%s -> %s: %s" % (word, out, e))
 
 
+def test_mgcf_to_acf_machine_reads_what_the_reader_reads():
+    # the other direction: every J/R/L/C word of length 1 to 8 that the
+    # segment reader reads has an edge, but a JL opening, a0 = -1, which has
+    # no additive word.  On a word that ends in J or C (101 words) the output
+    # is acf_from_cutting's.  On one that ends in an R run (95 words)
+    # acf_from_cutting prints none of the run and the machine all but its
+    # held-back R: acf_from_cutting's output is a proper prefix of the
+    # machine's, which begins acf_from_cutting's output for the word + J
+    machine = mgcf_to_acf_machine()
+    counts = {True: 0, False: 0}
+    for n in range(1, 9):
+        for letters in itertools.product("JRLC", repeat=n):
+            word = "".join(letters)
+            try:
+                annotated_from_mgcf(word)
+            except ParseError:
+                continue
+            if word.startswith("JL"):
+                continue
+            out = "".join(run(machine, letters))
+            ref = acf_from_cutting(cutting_from_mgcf(word))
+            is_open = word.endswith("R")
+            counts[is_open] += 1
+            if is_open:
+                assert out != ref and out.startswith(ref), word
+                assert acf_from_cutting(cutting_from_mgcf(word + "J")).startswith(out), word
+            else:
+                assert out == ref, word
+    assert counts == {True: 95, False: 101}
+
+
 def test_transducer_json_schema():
     doc = json.loads(mgcf_to_cutting_machine().to_json())
     assert set(doc) >= {"states", "initial", "edges"}

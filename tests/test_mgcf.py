@@ -41,6 +41,8 @@ def test_direct_basic_words():
     assert mgcf_direct(Fraction(-1, 3)) == "JLRRJ"
     # 5/14 balances its critical 1 exactly, so the word shows the corner C
     assert mgcf_direct(Fraction(5, 14)) == "JRRCRRRRJ"
+    # the closed end: J, after which the swapped basis meets L at the same s
+    assert mgcf_direct(Fraction(-1, 2)) == mgcf_direct(as_surd(Fraction(-1, 2))) == "J"
 
 
 def test_direct_domain():
@@ -265,7 +267,10 @@ def test_annotated_text_format():
 
 @settings(max_examples=60)
 @given(st.fractions(min_value=Fraction(-49, 100), max_value=Fraction(49, 100),
-                    max_denominator=500).filter(lambda f: f != 0))
-def test_direct_matches_annotated_route(f):
+                    max_denominator=500).filter(lambda f: f != 0), st.data())
+def test_direct_matches_annotated_route(f, data):
     w = mgcf_direct(f, limit=2000)
     assert w == mgcf_from_annotated(annotate_ones(ocf_digits(f), f))
+    # a word cut by its limit is the first n letters of the complete word
+    n = data.draw(st.integers(1, len(w)), label="limit")
+    assert mgcf_direct(f, limit=n) == w[:n]
