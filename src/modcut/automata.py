@@ -4,10 +4,10 @@ A Transducer is deterministic: at most one edge per (state, input symbol),
 each edge printing a finite (possibly empty) output word.  A ``finals`` map
 gives the word flushed when the input ends in a given state, so machines with
 held-back output (separator look-ahead) still agree with the batch
-conversions on complete inputs.  The MGCF <-> cutting and ACF <-> Farey
-machines wrap the tables in ``cutting`` and ``cf`` that the batch
-conversions run on, so each conversion is written once; the MGCF -> additive
-machine is read off the codec's segment table, ``mgcf._SEGMENTS``.
+conversions on complete inputs.  The MGCF <-> cutting, ACF <-> Farey and
+MGCF -> additive machines wrap the tables of ``cutting``, ``cf`` and
+``mgcf`` that the batch conversions run on, so each conversion is written
+once.
 
 The homographic machine computes the additive-word expansion of m(x) from
 the additive word of x by an absorb/emit loop on a 2x2 integer matrix: an
@@ -36,7 +36,7 @@ from .cf import (
     _walk,
 )
 from .cutting import CUTTING_TO_MGCF, MGCF_TO_CUTTING
-from .mgcf import _OPEN_SEPS, _SEGMENTS, annotate_ones
+from .mgcf import MGCF_TO_ACF, MGCF_TO_ACF_FINALS, annotate_ones
 
 __all__ = [
     "Transducer",
@@ -180,30 +180,7 @@ def cutting_to_mgcf_machine() -> Transducer:
 
 
 def mgcf_to_acf_machine() -> Transducer:
-    """Vertical MGCF word -> additive word, read off ``mgcf._SEGMENTS``.
-
-    Each state names what was read since the last finished segment: q0
-    before the opening J; sep after one; a run, R for one R and RR for
-    more, with one R held back; and a run and a separator that begins a
-    longer one (``_OPEN_SEPS``).  A separator that gives ``back`` R's back
-    needs a longer run, as the segment reader does.  A finished separator
-    prints R^(1 - back), then F R if it carries a tagged 1.  Its domain is
-    the non-empty words of feet in [0, 1/2): a JL opening is a0 = -1, which
-    has no additive word, so it has no edge.
-    """
-    trans = {("q0", "J"): ("sep", ()), ("sep", "R"): ("R", ("F",)),
-             ("R", "R"): ("RR", ("R",)), ("RR", "R"): ("RR", ("R",))}
-    finals = dict.fromkeys(("q0", "sep", "R", "RR"), ())
-    for sep, (back, tag) in _SEGMENTS.items():
-        out = ("R",) * (1 - back) + ("F", "R") * bool(tag)
-        for rs in ("R", "RR")[back:]:
-            if sep in _OPEN_SEPS:  # an R after it finishes it and opens a run
-                trans[rs, sep] = (rs + sep, ())
-                trans[rs + sep, "R"] = ("R", out + ("F",))
-                finals[rs + sep] = out
-            else:  # its last letter, read after the separator it begins with
-                trans[rs + sep[:-1], sep[-1]] = ("sep", out)
-    return _machine(trans, "q0", finals)
+    return _machine(MGCF_TO_ACF, "q0", MGCF_TO_ACF_FINALS)
 
 
 def cutting_to_acf_machine() -> Transducer:

@@ -166,6 +166,7 @@ def _acf_runs(word: str) -> list[int]:
 
     The last entry is the run after the final F (0 when the word ends in F).
     """
+    _check_type("word", word, str)
     runs = word.split("F")
     for r in runs:
         if r.strip("R"):
@@ -291,6 +292,7 @@ def _parse_digit_list(text: str, tags: str = "") -> list[tuple[int, Optional[str
 
 
 def parse_digits(text: str) -> OcfDigits:
+    _check_type("text", text, str)
     head, _, rest = text.strip().partition(";")
     tail = tuple(d for d, _t in _parse_digit_list(rest)) if rest else ()
     return OcfDigits(parse_int(head), tail, True)

@@ -18,8 +18,8 @@ import re
 from typing import Optional, Sequence
 
 from .exactnum import IntMatrix2, ParseError, _check_type
-from .cf import R_MAT, _rewrite, _word_matrix, digits_to_acf
-from .mgcf import annotated_from_mgcf
+from .cf import R_MAT, _rewrite, _word_matrix
+from .mgcf import MGCF_TO_ACF, MGCF_TO_ACF_FINALS
 
 __all__ = [
     "CUTTING_MATS",
@@ -91,15 +91,14 @@ def mgcf_from_cutting(word: Sequence[str]) -> str:
 
 
 def acf_from_cutting(word: Sequence[str]) -> str:
-    """Vertical cutting word -> ACF word prefix (strip tags, emit digits).
+    """Vertical cutting word -> additive word, by ``mgcf.MGCF_TO_ACF``.
 
-    The word is read in MGCF letters by the codec's segment reader.  Stream
-    semantics: the trailing F that would close a terminating expansion is
-    never emitted, so the output is a valid prefix whether or not the
-    underlying expansion continues.
+    A word that ends in J is read as complete, without the F that would
+    close a terminating expansion; one that ends in R or C as a prefix, each
+    letter of which every continuation keeps.  So a J-ending prefix may print
+    too much: an L after the J makes the JL separator, whose digit is one less.
     """
-    ad = annotated_from_mgcf(mgcf_from_cutting(word))
-    return digits_to_acf(ad.digits()).removesuffix("F")
+    return "".join(_rewrite(MGCF_TO_ACF, "q0", mgcf_from_cutting(word), MGCF_TO_ACF_FINALS))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ from .cf import OcfDigits, _acf_runs, _parse_digit_list, _rows, _too_long, conve
 
 __all__ = [
     "N_MAT",
+    "MGCF_TO_ACF",
+    "MGCF_TO_ACF_FINALS",
     "AnnotatedDigits",
     "mgcf_direct",
     "annotate_ones",
@@ -76,6 +78,27 @@ _SEGMENTS = {"JL": (1, "m"), "J": (0, None), "C": (0, "c")}
 _SEP_OF_TAG = {tag: sep for sep, (_back, tag) in _SEGMENTS.items()}
 # separators that begin a longer one, which a word ending in them may hold
 _OPEN_SEPS = {s for s in _SEGMENTS for t in _SEGMENTS if t != s and t.startswith(s)}
+
+# The MGCF -> additive transducer, read off _SEGMENTS: (state, symbol) ->
+# (next state, printed letters), and the word printed where the input ends.
+# A state names what was read since the last finished segment: q0 before the
+# opening J; sep after one; a run, R for one R and RR for more, one R held
+# back; and a run and a separator that begins a longer one (_OPEN_SEPS).  A
+# separator that gives ``back`` R's back needs a longer run, as the segment
+# reader does; finished, it prints R^(1 - back), then F R if it holds a 1.
+# A JL opening is a0 = -1, which has no additive word, so it has no edge.
+MGCF_TO_ACF = {("q0", "J"): ("sep", ()), ("sep", "R"): ("R", ("F",)),
+               ("R", "R"): ("RR", ("R",)), ("RR", "R"): ("RR", ("R",))}
+MGCF_TO_ACF_FINALS = dict.fromkeys(("q0", "sep", "R", "RR"), ())
+for _sep, (_back, _tag) in _SEGMENTS.items():
+    _out = ("R",) * (1 - _back) + ("F", "R") * bool(_tag)
+    for _rs in ("R", "RR")[_back:]:
+        if _sep in _OPEN_SEPS:  # an R after it finishes it and opens a run
+            MGCF_TO_ACF[_rs, _sep] = (_rs + _sep, ())
+            MGCF_TO_ACF[_rs + _sep, "R"] = ("R", _out + ("F",))
+            MGCF_TO_ACF_FINALS[_rs + _sep] = _out
+        else:  # its last letter, read after the separator it begins with
+            MGCF_TO_ACF[_rs + _sep[:-1], _sep[-1]] = ("sep", _out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +324,7 @@ def _read_segments(word: str, i: int) -> tuple[list, int]:
 
 
 def annotated_from_mgcf(word: str) -> AnnotatedDigits:
-    """Inverse of mgcf_from_annotated; rejects unfactorizable words.  A JL
-    opening is a0 = -1, which has no additive word: the MGCF -> additive
-    machine reads only the non-empty words of feet in [0, 1/2)."""
+    """Inverse of mgcf_from_annotated; rejects unfactorizable words."""
     if not word:
         raise ParseError("empty MGCF word")
     if word[0] != "J":
@@ -353,7 +374,6 @@ def mgcf_from_acf(word: str):
     possible tail values.  Returns (mgcf_word, stats) where stats has the
     retained digit count.  A word that is not a str is a TypeError.
     """
-    _check_type("word", word, str)
     # the last run is only a lower bound on the next digit: drop it
     digits = tuple(_acf_runs(word)[:-1]) or (0,)
     tail = digits[1:]
@@ -381,6 +401,7 @@ def mgcf_from_acf(word: str):
 
 
 def parse_annotated(text: str) -> AnnotatedDigits:
+    _check_type("text", text, str)
     head, _, rest = text.strip().partition(";")
     a0 = parse_int(head)
     pairs = _parse_digit_list(rest, "hmc") if rest else []
@@ -390,6 +411,7 @@ def parse_annotated(text: str) -> AnnotatedDigits:
 
 
 def format_annotated(ad: AnnotatedDigits) -> str:
+    _check_type("ad", ad, AnnotatedDigits)
     if not ad.tail:
         return str(ad.a0)
     toks = [("%d%s" % (d, t) if t else str(d)) for d, t in ad.tail]

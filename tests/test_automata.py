@@ -114,29 +114,33 @@ def test_mgcf_to_acf_machine_refuses_what_the_reader_refuses():
 def test_mgcf_to_acf_machine_reads_what_the_reader_reads():
     # the other direction: every J/R/L/C word of length 1 to 8 that the
     # segment reader reads has an edge, but a JL opening, a0 = -1, which has
-    # no additive word.  On a word that ends in J or C (101 words) the output
-    # is acf_from_cutting's.  On one that ends in an R run (95 words)
-    # acf_from_cutting prints none of the run and the machine all but its
-    # held-back R: acf_from_cutting's output is a proper prefix of the
-    # machine's, which begins acf_from_cutting's output for the word + J
+    # no additive word.  The reference is the codec route, the reader's
+    # digits written as an additive word less its closing F.  On a word that
+    # ends in J or C (101 words) the output is the reference.  On one that
+    # ends in an R run (95 words) the reference prints none of the run and
+    # the machine all but its held-back R: the reference is a proper prefix
+    # of the machine's output, which begins the reference for the word + J
     machine = mgcf_to_acf_machine()
+
+    def codec(word):
+        return digits_to_acf(annotated_from_mgcf(word).digits()).removesuffix("F")
+
     counts = {True: 0, False: 0}
     for n in range(1, 9):
         for letters in itertools.product("JRLC", repeat=n):
             word = "".join(letters)
-            try:
-                annotated_from_mgcf(word)
-            except ParseError:
-                continue
             if word.startswith("JL"):
                 continue
+            try:
+                ref = codec(word)
+            except ParseError:
+                continue
             out = "".join(run(machine, letters))
-            ref = acf_from_cutting(cutting_from_mgcf(word))
             is_open = word.endswith("R")
             counts[is_open] += 1
             if is_open:
                 assert out != ref and out.startswith(ref), word
-                assert acf_from_cutting(cutting_from_mgcf(word + "J")).startswith(out), word
+                assert codec(word + "J").startswith(out), word
             else:
                 assert out == ref, word
     assert counts == {True: 95, False: 101}

@@ -129,6 +129,23 @@ def test_convert_bad_digit_is_a_parse_error(runner):
     assert "Traceback" not in res.stderr
 
 
+def test_convert_to_acf_runs_the_mgcf_machine(runner):
+    # the mgcf and cutting -> acf routes run mgcf.MGCF_TO_ACF: a final R run
+    # prints its determined letters, the empty word maps to itself, and a
+    # word with no edge (a JL opening, a0 = -1, or J L after a single R) is
+    # a parse error
+    for word, src in (("JRR", "mgcf"), ("JLL", "cutting")):
+        res = invoke(runner, "convert", word, "--from", src, "--to", "acf")
+        assert (res.exit_code, res.stdout) == (0, "FR\n"), word
+    res = invoke(runner, "convert", "", "--from", "mgcf", "--to", "acf")
+    assert (res.exit_code, res.stdout, res.stderr) == (0, "\n", "")
+    for word in ("JLRJ", "JRJL"):
+        res = invoke(runner, "convert", word, "--from", "mgcf", "--to", "acf")
+        assert res.exit_code == 2, word
+        assert res.stderr.startswith("parse error: no edge"), word
+        assert "Traceback" not in res.output, word
+
+
 # ---------------------------------------------------------------------------
 # trace
 

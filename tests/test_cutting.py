@@ -106,10 +106,10 @@ def test_edge_scan_refuses_non_tokens(word):
 
 def test_acf_from_cutting_matches():
     for word, acf in [("JLLJRJ", "FRRFR"),
-                      ("JLLJRRR", "FRR"),  # a trailing run is no digit yet
+                      ("JLLJRRR", "FRRFRR"),
                       ("JLLC1LLJ", "FRRFRFRR")]:
         assert acf_from_cutting(parse_cutting(word)) == acf, word
-    with pytest.raises(ValueError):  # a0 = -1 has no ACF word
+    with pytest.raises(ParseError, match="no edge"):  # a0 = -1 has no ACF word
         acf_from_cutting(cutting_from_mgcf(mgcf_direct(Fraction(-1, 3))))
     for f in small_rationals(30):
         if f <= 0:
@@ -117,6 +117,24 @@ def test_acf_from_cutting_matches():
         w = cutting_from_mgcf(mgcf_direct(f, limit=500))
         # the closing F of a terminating expansion is never emitted
         assert acf_from_cutting(w) + "F" == acf_of(f), f
+
+
+def test_acf_from_cutting_reads_r_and_c_endings_as_prefixes():
+    # a word that ends in R or C is read as a prefix: its output begins the
+    # additive word of every foot whose word it begins.  One that ends in J
+    # is read as complete, which a J that an L follows is not: the word of
+    # 4/15, JRRRRJLRRRJ, cut after its first J gives FRRRR, not a prefix of
+    # FRRRFRFRRRF
+    for f in small_rationals(60):
+        if f <= 0:
+            continue
+        word, acf = mgcf_direct(f, limit=500), acf_of(f)
+        for k in range(1, len(word) + 1):
+            if word[k - 1] in "RC":
+                out = acf_from_cutting(cutting_from_mgcf(word[:k]))
+                assert acf.startswith(out), (f, k)
+    assert acf_from_cutting(cutting_from_mgcf("JRRRRJ")) == "FRRRR"
+    assert not acf_of(Fraction(4, 15)).startswith("FRRRR")
 
 
 def test_text_format():

@@ -9,12 +9,14 @@ import pytest
 from modcut.automata import HomographicMachine, compose, homographic_acf, max_lag
 from modcut.cf import (
     OcfDigits,
+    acf_to_digits,
     acf_value,
     convergents,
     digits_to_acf,
     format_digits,
     ocf_digits,
     ocf_value,
+    parse_digits,
 )
 from modcut.cutting import corner_resolutions, cutting_matrix, parse_cutting
 from modcut.exactnum import (
@@ -32,6 +34,7 @@ from modcut.mgcf import (
     AnnotatedDigits,
     annotate_ones,
     annotated_from_mgcf,
+    format_annotated,
     mgcf_from_acf,
     mgcf_from_annotated,
     parse_annotated,
@@ -121,6 +124,12 @@ ERRORS = {
                          "digits must be an OcfDigits, not 0"),
     "mgcf_from_acf(0)": (lambda: mgcf_from_acf(0), TypeError, "word must be a str, not 0"),
     "parse_extreal(0)": (lambda: parse_extreal(0), TypeError, "text must be a str, not 0"),
+    "parse_digits(5)": (lambda: parse_digits(5), TypeError, "text must be a str, not 5"),
+    "parse_annotated(5)": (lambda: parse_annotated(5), TypeError,
+                           "text must be a str, not 5"),
+    "acf_to_digits(5)": (lambda: acf_to_digits(5), TypeError, "word must be a str, not 5"),
+    "format_annotated(5)": (lambda: format_annotated(5), TypeError,
+                            "ad must be an AnnotatedDigits, not 5"),
     # trace checks its arguments at the call, before the first step
     "trace(0)": (lambda: trace(0), TypeError, "g must be a GeodesicSpec, not 0"),
     "trace(GeodesicSpec(PINF, 5/14), limit=0)": (
