@@ -40,6 +40,7 @@ from .cf import (
 )
 from .mgcf import mgcf_direct, mgcf_from_acf
 from .cutting import (
+    _acf_from_mgcf,
     acf_from_cutting,
     cutting_from_mgcf,
     format_cutting,
@@ -154,7 +155,7 @@ _TO_ACF = {
     "ocf": lambda word: digits_to_acf(parse_digits(word)),
     "acf": _acf_word,
     "farey": farey_to_acf,
-    "mgcf": lambda word: acf_from_cutting(cutting_from_mgcf(word)),
+    "mgcf": _acf_from_mgcf,
     "cutting": lambda word: acf_from_cutting(parse_cutting(word)),
 }
 _FROM_ACF = {

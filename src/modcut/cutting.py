@@ -98,7 +98,12 @@ def acf_from_cutting(word: Sequence[str]) -> str:
     letter of which every continuation keeps.  So a J-ending prefix may print
     too much: an L after the J makes the JL separator, whose digit is one less.
     """
-    return "".join(_rewrite(MGCF_TO_ACF, "q0", mgcf_from_cutting(word), MGCF_TO_ACF_FINALS))
+    return _acf_from_mgcf(mgcf_from_cutting(word))
+
+
+def _acf_from_mgcf(word: str) -> str:
+    """MGCF word -> additive word, by ``mgcf.MGCF_TO_ACF`` and its finals."""
+    return "".join(_rewrite(MGCF_TO_ACF, "q0", word, MGCF_TO_ACF_FINALS))
 
 
 # ---------------------------------------------------------------------------

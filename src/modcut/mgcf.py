@@ -4,9 +4,9 @@ Three routes to the same word live here:
 
 * ``mgcf_direct`` — event-driven simulation of the Minkowski-reduced basis of
   the lattice spanned by the rows of P * B_t(theta) as t decreases, each
-  symbol a wall |2 g12| = g11 or g11 = g22 of its Gram form G0 + s G1 in
-  s = t^2 (updated in place), R or L by the sign of g12, J against R by
-  one cross-multiplication;
+  symbol a wall g11 +- h = 0 (h = 2 g12) or g11 = g22 of its Gram form
+  G0 + s G1 in s = t^2 (updated in place), R or L by the sign of h, J
+  against R by one cross-multiplication;
 * ``annotate_ones`` + ``mgcf_from_annotated`` — the digit-segment codec,
   with every interior digit 1 tagged h, m, or c by the sign of the tail
   value beta_n against N(alpha_n), N(z) = (z+2)/(2z+1);
@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -30,6 +31,7 @@ from .exactnum import (
     ExtReal,
     IntMatrix2,
     ParseError,
+    QuadSurd,
     _check_count,
     _check_type,
     _digits,
@@ -111,18 +113,24 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
     The basis rows (p - q theta, q t) of the lattice spanned by the rows of
     P * B_t(theta) have the Gram form G0 + s G1 in s = t^2, G0 = [l_i l_j]
     with l = p - q theta and G1 = [q_i q_j], reduced while |2 g12| <= g11 <=
-    g22.  As s falls from +infinity, each symbol is the wall the form reaches
-    next, its s a numerator over a positive int and ahead while that is > 0:
-    J at g11 = g22 (swap the rows), R and L at g11 +- 2 g12 = 0 (row 2
-    becomes row 1 +- row 2), and C where J and R tie (row 1 becomes row 1 +
-    row 2).  R needs g12 < 0 and L g12 > 0, as g11 = l1^2 >= 0; q1, q2 >= 0,
-    so J (q2 > q1) never meets L (q1 > 2 q2): only J and R compete, by one
-    cross-multiplication.  At theta = -1/2, where the swapped basis meets L
-    at the s of the first J, the word is J.  Ends for rational theta, else
-    after ``limit`` symbols; a theta that is no exact extended real, or a
-    limit that is not an int, is a TypeError.
+    g22.  The loop keeps g11, h = 2 g12, g22 and the ints q1, q2.  As s
+    falls from +infinity, each symbol is the wall the form reaches next, its
+    s a numerator over a positive int that is one addition: J at g11 = g22
+    (swap the rows), ahead while g11 - g22 > 0; R and L at m = g11 +- h = 0
+    (row 2 becomes row 1 +- row 2: g22 <- g22 + m, h <- g11 + m), ahead
+    while m < 0; and C where J and R tie (row 1 becomes row 1 + row 2, the
+    one update that multiplies).  R needs h < 0 and L h > 0, as g11 = l1^2
+    >= 0; q1, q2 >= 0, so J (q2 > q1) never meets L (q1 > 2 q2): only J and
+    R compete, by one cross-multiplication.  Every test is the sign of an
+    entry, by one function chosen from theta's radicand: the numerator of a
+    rational entry, ``surd_sign`` of a ``QuadSurd``'s ints.  At theta =
+    -1/2, where the swapped basis meets L at the s of the first J, the word
+    is J.  Ends for rational theta, else after ``limit`` symbols; a theta
+    that is no exact extended real, or a limit that is not an int, is a
+    TypeError.
     """
-    if not real_of(theta)[2]:
+    w, d = real_of(theta)[2:]
+    if not w:
         raise ValueError("theta must be finite")
     _check_count("limit", limit, 1)
     low = compare(theta, Fraction(-1, 2))
@@ -130,29 +138,32 @@ def mgcf_direct(theta: ExtReal, limit: int = 200) -> str:
         raise ValueError("theta outside [-1/2, 1/2)")
     if not low:
         return "J"  # J, then L at the same s: ROADMAP item 2 settles this end
-    g11, g12, g22, q1, q2 = 1, -theta, theta * theta, 0, 1  # rows (1, 0), (0, 1)
+    if d:
+        def sgn(x) -> int:  # an entry of Q(sqrt d) may be rational
+            return surd_sign(x.a, x.b, d) if type(x) is QuadSurd else x.numerator
+    else:
+        sgn = attrgetter("numerator")  # an int with the sign of a rational
+    # rows (1, 0), (0, 1); R's m = 1 - 2 theta > 0 while q1 = 0, at the start
+    g11, h, g22, q1, q2 = 1, -2 * theta, theta * theta, 0, 1
     word: list[str] = []
     while len(word) < limit:
-        h = 2 * g12
         nj = g11 - g22 if q2 > q1 else 0  # J: s = nj/(q2^2 - q1^2)
-        sym = "J" if nj > 0 else ""
-        nr = -(g11 + h) if h < 0 and q1 else 0  # R: s = nr/(q1 (q1 + 2 q2))
-        if nr > 0:  # nr dJ - nj dR has the sign of s_R - s_J
-            x = nr * (q2 * q2 - q1 * q1) - nj * (q1 * (q1 + 2 * q2)) if sym else 1
+        sym = "J" if q2 > q1 and sgn(nj) > 0 else ""
+        m = g11 + h  # R: s = -m/(q1 (q1 + 2 q2))
+        if sgn(m) < 0:  # -m dJ - nj dR has the sign of s_R - s_J
+            x = sgn(m * (q1 * q1 - q2 * q2) - nj * (q1 * (q1 + 2 * q2))) if sym else 1
             sym = "R" if x > 0 else "C" if x == 0 else "J"
         elif not sym and q1 > 2 * q2:
-            nl = h - g11  # L: s = nl/(q1 (q1 - 2 q2))
-            sym = "L" if nl > 0 else ""
+            m = g11 - h  # L: s = -m/(q1 (q1 - 2 q2))
+            sym = "L" if sgn(m) < 0 else ""
         if not sym:
             break
         if sym == "J":
             g11, q1, g22, q2 = g22, q2, g11, q1
-        elif sym == "R":
-            g22, g12, q2 = g22 - nr, g11 + g12, q1 + q2
-        elif sym == "L":
-            g22, g12, q2 = g22 - nl, g11 - g12, q1 - q2
-        else:  # C
-            g11, g12, q1 = g22 - nr, g12 + g22, q1 + q2
+        elif sym == "C":
+            g11, h, q1 = g22 + m, h + 2 * g22, q1 + q2
+        else:  # R or L
+            g22, h, q2 = g22 + m, g11 + m, q1 + q2 if sym == "R" else q1 - q2
         word.append(sym)
     return "".join(word)
 

@@ -282,7 +282,7 @@ def periodic_corner_count(d: int, limit: int = 5000) -> int:
     # a budget below one step runs out before the first crossing
     for step in trace(GeodesicSpec(-rt, rt), limit) if limit >= 1 else ():
         corners += step.symbol.startswith("C")
-        a, b, c, e = step.h
+        a, b, c, e = step._h  # the ints, not an IntMatrix2 per step
         if a == e and b == d * c:
             return corners
     raise BudgetError("no recurrence within %d steps (inconclusive)" % limit)

@@ -1,3 +1,4 @@
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcut.cf import OcfDigits, acf_of, ocf_digits, ocf_value
-from modcut.exactnum import as_surd, sqrt_exact
+from modcut.exactnum import _check_count, as_surd, compare, real_of, sqrt_exact, surd
 from modcut.mgcf import (
     AnnotatedDigits,
     N_MAT,
@@ -274,3 +275,81 @@ def test_direct_matches_annotated_route(f, data):
     # a word cut by its limit is the first n letters of the complete word
     n = data.draw(st.integers(1, len(w)), label="limit")
     assert mgcf_direct(f, limit=n) == w[:n]
+
+
+def _direct_reference(theta, limit):
+    """The reference loop: G0's entries g11, g12, g22 compared as exact values
+    with > and ==, each event by one cross-multiplication."""
+    if not real_of(theta)[2]:
+        raise ValueError("theta must be finite")
+    _check_count("limit", limit, 1)
+    low = compare(theta, Fraction(-1, 2))
+    if low < 0 or compare(theta, Fraction(1, 2)) >= 0:
+        raise ValueError("theta outside [-1/2, 1/2)")
+    if not low:
+        return "J"
+    g11, g12, g22, q1, q2 = 1, -theta, theta * theta, 0, 1
+    word = []
+    while len(word) < limit:
+        h = 2 * g12
+        nj = g11 - g22 if q2 > q1 else 0
+        sym = "J" if nj > 0 else ""
+        nr = -(g11 + h) if h < 0 and q1 else 0
+        if nr > 0:
+            x = nr * (q2 * q2 - q1 * q1) - nj * (q1 * (q1 + 2 * q2)) if sym else 1
+            sym = "R" if x > 0 else "C" if x == 0 else "J"
+        elif not sym and q1 > 2 * q2:
+            nl = h - g11
+            sym = "L" if nl > 0 else ""
+        if not sym:
+            break
+        if sym == "J":
+            g11, q1, g22, q2 = g22, q2, g11, q1
+        elif sym == "R":
+            g22, g12, q2 = g22 - nr, g11 + g12, q1 + q2
+        elif sym == "L":
+            g22, g12, q2 = g22 - nl, g11 - g12, q1 - q2
+        else:
+            g11, g12, q1 = g22 - nr, g12 + g22, q1 + q2
+        word.append(sym)
+    return "".join(word)
+
+
+@functools.cache
+def _corner_feet(qmax):
+    """The p/q with q <= qmax whose vertical line meets a corner: q even and
+    2q divides p^2 + 3 or 3 p^2 + 1 (``corner_hits_vertical``, k = 1, 3)."""
+    return [Fraction(s * p, q) for q in range(2, qmax + 1, 2) for p in range(q // 2)
+            if math.gcd(p, q) == 1 and not ((p * p + 3) % (2 * q) and (3 * p * p + 1) % (2 * q))
+            for s in (1, -1)]
+
+
+@st.composite
+def corner_feet(draw):
+    return draw(st.sampled_from(_corner_feet(2000)))
+
+
+@st.composite
+def surd_feet(draw):
+    """(a +- sqrt d)/w moved into [-1/2, 1/2)."""
+    d = draw(st.integers(2, 300).filter(lambda d: math.isqrt(d) ** 2 != d))
+    a, w = draw(st.integers(-5, 5)), draw(st.integers(1, 12))
+    x = surd(Fraction(a, w), Fraction(draw(st.sampled_from((1, -1))), w), d)
+    return x - math.floor(x + Fraction(1, 2))
+
+
+rational_feet = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                             max_denominator=2000).filter(lambda f: f != Fraction(1, 2))
+
+
+@settings(deadline=None)
+@given(st.one_of(rational_feet, corner_feet(), surd_feet()), st.integers(1, 500))
+def test_direct_matches_the_reference_loop(theta, limit):
+    assert mgcf_direct(theta, limit=limit) == _direct_reference(theta, limit)
+
+
+def test_corner_feet_hold_a_corner():
+    # the corner kind draws the C events the other two kinds rarely reach
+    feet = _corner_feet(2000)
+    assert Fraction(5, 14) in feet and Fraction(-5, 14) in feet
+    assert all("C" in mgcf_direct(f, limit=2000) for f in feet[:40])
